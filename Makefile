@@ -13,16 +13,17 @@ SHELL := /bin/bash
 # hot-path micro-benches at 20 iterations.
 BENCH_OUT := /tmp/raven-bench.out
 
-.PHONY: test stress stress-spill docs-check bench-baseline benchcmp
+.PHONY: test stress stress-spill docs-check bench-baseline benchcmp bench-e2e
 
 test:
 	go build ./... && go test ./...
 
 # docs-check enforces the documentation gates without a staticcheck
 # install: every package carries exactly one package comment (CI also
-# runs staticcheck with ST1000 enabled, see staticcheck.conf), and every
-# ```go snippet in README.md compiles inside the module. CI runs the
-# same command in the lint job.
+# runs staticcheck with ST1000 enabled, see staticcheck.conf), every
+# ```go snippet in README.md compiles inside the module, and every *.md
+# path named in a Go comment, README.md or docs/ is a file in the
+# repository. CI runs the same command in the lint job.
 docs-check:
 	go run ./cmd/docscheck
 
@@ -65,3 +66,11 @@ bench-baseline:
 # only), hot-path allocs/op may not grow. NEW=BENCH_<sha>.json
 benchcmp:
 	go run ./cmd/benchcmp -baseline bench/baseline.json -new "$(NEW)"
+
+# bench-e2e runs the repository benchmark (bench/e2e, declared to the
+# driver by BENCHMARK.json): all four workloads, untraced then traced,
+# wall-clock end-to-end and per-layer metrics. It builds into .bench_build/
+# and waits for every workload process it starts. Compare two reports with
+# `go run ./bench/e2e -compare a.json b.json`.
+bench-e2e:
+	bash bench/e2e/run.sh -out .bench_build/report.json

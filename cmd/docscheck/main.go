@@ -7,6 +7,9 @@
 //     package docs have one home.
 //  2. Every ```go fenced block in README.md compiles as a standalone
 //     program inside this module, so quickstart snippets cannot rot.
+//  3. Every *.md path named in a Go comment, in README.md or under docs/
+//     is a file in the repository, so a pointer to a design note cannot
+//     outlive (or precede) the note.
 //
 // Run from the repository root (`make docs-check`). Exits non-zero with
 // one line per violation.
@@ -19,6 +22,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -26,10 +30,17 @@ import (
 func main() {
 	ok := checkPackageComments()
 	ok = checkReadmeSnippets("README.md") && ok
+	ok = checkMarkdownRefs() && ok
 	if !ok {
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: package comments and README snippets OK")
+	fmt.Println("docscheck: package comments, README snippets and *.md references OK")
+}
+
+// skipDir reports whether the walks ignore a directory: hidden ones,
+// testdata, and the snippet build directories of a concurrent run.
+func skipDir(path, name string) bool {
+	return path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || strings.HasPrefix(name, "docscheck-"))
 }
 
 // checkPackageComments walks every package directory and requires
@@ -43,8 +54,7 @@ func checkPackageComments() bool {
 			return err
 		}
 		if d.IsDir() {
-			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || strings.HasPrefix(name, "docscheck-")) {
+			if skipDir(path, d.Name()) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -138,6 +148,59 @@ func checkReadmeSnippets(readme string) bool {
 				readme, i+1, out)
 			ok = false
 		}
+	}
+	return ok
+}
+
+// mdRef matches a path-like token ending in ".md" (not a bare "*.md").
+var mdRef = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// checkMarkdownRefs requires every *.md path named in a Go comment (test
+// files included), in README.md or in docs/*.md to exist, resolved against
+// the repository root or the referencing file's own directory.
+func checkMarkdownRefs() bool {
+	ok := true
+	check := func(path, text string) {
+		for _, ref := range mdRef.FindAllString(text, -1) {
+			_, rootErr := os.Stat(ref)
+			_, relErr := os.Stat(filepath.Join(filepath.Dir(path), ref))
+			if rootErr != nil && relErr != nil {
+				fmt.Fprintf(os.Stderr, "docscheck: %s refers to %s, which is not a file in the repository\n", path, ref)
+				ok = false
+			}
+		}
+	}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if skipDir(path, d.Name()) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch {
+		case strings.HasSuffix(path, ".go"):
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+			if err != nil {
+				return fmt.Errorf("parsing %s: %w", path, err)
+			}
+			for _, cg := range f.Comments {
+				check(path, cg.Text())
+			}
+		case path == "README.md" || (filepath.Dir(path) == "docs" && strings.HasSuffix(path, ".md")):
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			check(path, string(src))
+		}
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		return false
 	}
 	return ok
 }

@@ -1,6 +1,8 @@
 // Command ravenbench regenerates the paper's tables and figures. Each
-// experiment prints the same rows/series the paper reports; EXPERIMENTS.md
-// records a reference run and compares shapes against the paper.
+// experiment prints the same rows/series the paper reports. Times in the
+// figures are modeled, not wall clock: internal/experiments/costmodel.go
+// converts each measured run into the time the paper's cluster would
+// report (see "Measured vs modeled time" in docs/ARCHITECTURE.md).
 //
 // Usage:
 //

@@ -7,7 +7,8 @@
 // proprietary/Kaggle data at 100M-2B rows; these generators plant label
 // structure over a feature subset so trained models exhibit the sparsity
 // the optimizations exploit, preserve FK integrity for join elimination,
-// and scale row counts down (documented per experiment in EXPERIMENTS.md).
+// and scale row counts down by a constant factor per experiment (the
+// substitution policy heading internal/experiments/costmodel.go).
 // Expedia/Flights encoded widths are scaled from 3965/6475 to ~400/~600.
 package datagen
 

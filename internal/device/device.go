@@ -1,13 +1,15 @@
 // Package device models the hardware the MLtoDNN path can target. The CPU
-// device reports measured time. The GPU is simulated per DESIGN.md §4:
-// tensor programs still compute on the host (so results are real), but the
-// device returns an analytically modeled elapsed time assembled from the
+// device reports measured time. The GPU is simulated: tensor programs
+// still compute on the host (so results are real), and the device also
+// returns an analytically modeled elapsed time assembled from the
 // program's actual op shapes — GEMM FLOPs over device throughput, gather
 // volume over gather throughput, kernel-launch latency per op, and PCIe
 // transfer for the batch in and predictions out. The crossover the paper
 // shows in Fig. 12 (small models lose to launch+transfer overhead, large
 // gradient-boosting models win up to ~8×) is a throughput-vs-overhead
-// effect this model reproduces from the real op shapes.
+// effect this model reproduces from the real op shapes. Only the
+// paper-figure cost model (internal/experiments/costmodel.go) reads the
+// modeled time; the engine's clock is the measured host time.
 package device
 
 import "time"

@@ -33,7 +33,7 @@ func (l *lowerer) adaptivePredict() bool {
 // the plan-time (static) choice plus everything needed to rebuild the
 // physical operator under a different choice at Open.
 func (l *lowerer) lowerAdaptivePredict(n *ir.Node, child Operator, static opt.Choice) Operator {
-	a := &AdaptivePredict{
+	return &AdaptivePredict{
 		Child:        child,
 		Pipeline:     n.Pipeline,
 		InputMap:     n.InputMap,
@@ -46,11 +46,8 @@ func (l *lowerer) lowerAdaptivePredict(n *ir.Node, child Operator, static opt.Ch
 		Chooser:      l.prof.AdaptiveChooser,
 		GPUAvailable: l.prof.AdaptiveGPU,
 		ExecDOP:      l.prof.ExecDOP,
+		Shared:       l.cat.Sessions(),
 	}
-	if !l.prof.PrivateMLSessions {
-		a.Shared = l.cat.Sessions()
-	}
-	return a
 }
 
 // adaptiveDecision is the once-per-query runtime decision shared between an
@@ -59,27 +56,15 @@ func (l *lowerer) lowerAdaptivePredict(n *ir.Node, child Operator, static opt.Ch
 // re-costs with the observed cardinality and fixes the choice; every clone
 // then builds its inner operator under the same choice, so all workers emit
 // identical layouts. It also carries the cross-clone shared state the
-// non-adaptive operators would have shared through CloneWorker: the
-// op-private ML session pool and the compiled tensor program.
+// non-adaptive DNNOp would have shared through CloneWorker: the compiled
+// tensor program.
 type adaptiveDecision struct {
 	once     sync.Once
 	choice   opt.Choice
 	sqlExprs []relational.NamedExpr
 
-	mu   sync.Mutex
-	pool *sessionPool
-	dnn  *dnnShared
-}
-
-// privatePool lazily creates the op-private session pool shared across
-// clones (used only when no engine-level shared pool is attached).
-func (d *adaptiveDecision) privatePool() *sessionPool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.pool == nil {
-		d.pool = &sessionPool{}
-	}
-	return d.pool
+	mu  sync.Mutex
+	dnn *dnnShared
 }
 
 // dnnState lazily creates the shared compile-once holder for the tensor
@@ -112,8 +97,8 @@ type AdaptivePredict struct {
 	Static opt.Choice
 	// GPU is the device for a DNN-GPU inner (nil: simulated Tesla P100).
 	GPU *device.Device
-	// Shared is the engine-level ML session pool (nil: op-private pool
-	// shared across this operator's clones).
+	// Shared is the engine-level ML session pool an ML-runtime inner
+	// operator checks its sessions out of.
 	Shared *mlruntime.Pool
 	// RStats is the per-query adaptive context the breakers feed.
 	RStats *opt.RuntimeStats
@@ -195,7 +180,7 @@ func (a *AdaptivePredict) OutputSchema() (data.Schema, bool) {
 // adaptive context), fixes the runtime decision, and opens the chosen
 // inner operator over the feed.
 func (a *AdaptivePredict) Open() error {
-	a.stats = relational.OpStats{Name: "AdaptivePredict(" + a.Pipeline.Name + ")", Parallel: true}
+	a.stats = relational.OpStats{Name: "AdaptivePredict(" + a.Pipeline.Name + ")"}
 	defer timeOp(&a.stats)()
 	if a.dec == nil {
 		a.dec = &adaptiveDecision{}
@@ -286,7 +271,7 @@ func (a *AdaptivePredict) openInner() error {
 			shared:    a.dec.dnnState(),
 		}
 	default:
-		op := &PredictOp{
+		a.inner = &PredictOp{
 			Child:     a.feed,
 			Pipeline:  a.Pipeline,
 			InputMap:  a.InputMap,
@@ -294,10 +279,6 @@ func (a *AdaptivePredict) openInner() error {
 			KeepInput: a.KeepInput,
 			Shared:    a.Shared,
 		}
-		if a.Shared == nil {
-			op.pool = a.dec.privatePool()
-		}
-		a.inner = op
 	}
 	return a.inner.Open()
 }
@@ -355,7 +336,7 @@ func (a *AdaptivePredict) Children() []Operator {
 func (a *AdaptivePredict) ChainChild() Operator { return a.Child }
 
 // CloneWorker implements relational.ParallelOp: clones share the decision
-// (and through it the session pool / compiled program), each building a
+// (and through it the compiled program), each building a
 // private inner operator at Open under the already-fixed choice.
 func (a *AdaptivePredict) CloneWorker(child Operator) (Operator, error) {
 	if a.dec == nil {

@@ -24,9 +24,9 @@ type dnnShared struct {
 
 // DNNOp executes a Hummingbird-compiled tensor program for a predict node
 // (the MLtoDNN physical operator). Computation always happens on the host;
-// when the device is a simulated GPU the operator records the modeled
-// device time and the executor charges that instead of the measured host
-// compute (DESIGN.md §4).
+// when the device is a simulated GPU the operator also records the modeled
+// device time, which only the paper-figure cost model
+// (internal/experiments/costmodel.go) reads.
 type DNNOp struct {
 	Child     Operator
 	Pipeline  *model.Pipeline
@@ -41,8 +41,9 @@ type DNNOp struct {
 	stats  relational.OpStats
 	// ModeledNs is the device-modeled execution time (0 on CPU).
 	ModeledNs int64
-	// ComputeNs is the real host time spent inside program execution;
-	// on the simulated GPU the executor subtracts it from the wall time.
+	// ComputeNs is the real host time spent inside program execution (the
+	// part of the operator's wall time ModeledNs stands in for on a
+	// simulated GPU).
 	ComputeNs int64
 	// BytesConverted counts boundary bytes (batch transfer volume).
 	BytesConverted int64
@@ -86,10 +87,7 @@ func (d *DNNOp) OutputSchema() (data.Schema, bool) {
 
 // Open compiles the pipeline to a tensor program.
 func (d *DNNOp) Open() error {
-	d.stats = relational.OpStats{
-		Name:     fmt.Sprintf("DNN(%s,%s)", d.Pipeline.Name, d.Device.Name),
-		Parallel: true,
-	}
+	d.stats = relational.OpStats{Name: fmt.Sprintf("DNN(%s,%s)", d.Pipeline.Name, d.Device.Name)}
 	defer timeOp(&d.stats)()
 	d.ModeledNs, d.ComputeNs, d.BytesConverted = 0, 0, 0
 	if err := d.Child.Open(); err != nil {

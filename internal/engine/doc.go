@@ -1,8 +1,7 @@
 // Package engine binds the substrates together: it implements the
-// catalog, lowers unified-IR plans to physical operator trees, executes
-// them, and converts measured per-operator work into reported end-to-end
-// times under an engine profile (Spark-like cluster, SQL Server
-// DOP1/16, MADlib-like).
+// catalog, lowers unified-IR plans to physical operator trees and
+// executes them under a Profile (degree of parallelism, batch size,
+// memory budget, adaptivity).
 //
 // The catalog owns registered tables (in-memory, partitioned, or
 // chunk-backed via RegisterChunked), trained model pipelines, and the
@@ -17,6 +16,8 @@
 // (Profile.MemoryBudget) or a per-query slice of the engine-global
 // GlobalBudget (Profile.GlobalBudget, which takes precedence); the
 // budget's Cleanup is deferred for the whole query so spill files never
-// survive error, cancel or panic paths. Executed results report wall
-// time, spill volume and adaptive observations back on the Result.
+// survive error, cancel or panic paths. Executed results report the
+// measured wall time (the only clock the engine has), the executed
+// operator tree, boundary counters, spill volume and adaptive
+// observations back on the Result.
 package engine

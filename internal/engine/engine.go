@@ -5,24 +5,22 @@ import (
 	"time"
 
 	"raven/internal/data"
-	"raven/internal/device"
 	"raven/internal/ir"
 	"raven/internal/opt"
 	"raven/internal/relational"
 )
 
-// Result is the outcome of executing a plan: the result table, the real
-// single-threaded wall time, and the profile-modeled reported time per
-// DESIGN.md §4 (measured parallel work divided by DOP, plus boundary
-// overheads).
+// Result is the outcome of executing a plan: the result table, the
+// measured wall time, the executed operator tree and the boundary
+// counters read off it.
 type Result struct {
 	Table *data.Table
-	// Wall is the real end-to-end single-thread execution time.
+	// Wall is the measured wall time of draining the plan, at whatever
+	// DOP it ran (admission wait excluded). It is the engine's one clock.
 	Wall time.Duration
-	// Reported is the cost-model time under the profile.
-	Reported time.Duration
-	// Ops holds per-operator statistics (pre-order).
-	Ops []*relational.OpStats
+	// Root is the executed (closed) operator tree; every operator's
+	// Stats() holds its measured rows, batches and inclusive wall time.
+	Root Operator
 	// Sessions is the number of ML runtime sessions checked out (one per
 	// chain that actually executed predictions).
 	Sessions int
@@ -124,144 +122,29 @@ func ExecuteContext(ctx context.Context, root Operator, prof Profile) (res *Resu
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(t0)
-	res = &Result{Table: table, Wall: wall}
-	res.Ops = relational.CollectStats(root)
-	res.Reported = reportedTime(root, prof, res)
+	res = &Result{Table: table, Wall: time.Since(t0), Root: root}
+	res.countBoundary(root)
 	return res, nil
 }
 
-// reportedTime converts measured per-operator times into the modeled
-// end-to-end time. Segments executed in real parallel (Exchange subtrees,
-// present when Profile.ExecDOP > 1) are charged their measured parallel
-// wall time directly; outside them, exclusive times of data-parallel
-// operators are divided by the profile's modeled DOP and serial operators
-// are charged fully. Boundary overheads (session init, per-batch UDF
-// bridge, per-partition scheduling) are added from the profile constants
-// in both regimes, divided by the parallelism that actually overlaps them
-// (ExecDOP inside an Exchange, the modeled DOP elsewhere).
-func reportedTime(root Operator, prof Profile, res *Result) time.Duration {
-	dop := float64(prof.DOP)
-	if dop < 1 {
-		dop = 1
+// countBoundary fills the result's boundary counters from the executed
+// tree: ML sessions checked out (and the cold subset), batches and bytes
+// that crossed into an ML runtime, and partitions read after pruning.
+func (res *Result) countBoundary(op Operator) {
+	switch o := op.(type) {
+	case *PredictOp:
+		res.Sessions += o.Sessions
+		res.ColdSessions += o.ColdSessions
+		res.PredictBatches += o.Stats().Batches
+		res.BytesConverted += o.BytesConverted
+	case *DNNOp:
+		res.Sessions++
+		res.PredictBatches += o.Stats().Batches
+		res.BytesConverted += o.BytesConverted
+	case *relational.Scan:
+		res.PartitionsScanned += o.PartitionsRead()
 	}
-	execDOP := float64(prof.ExecDOP)
-	if execDOP < 1 {
-		execDOP = 1
+	for _, c := range op.Children() {
+		res.countBoundary(c)
 	}
-	var totalNs float64
-	var walk func(op Operator, inExchange bool)
-	walk = func(op Operator, inExchange bool) {
-		s := op.Stats()
-		if ex, ok := op.(*relational.Exchange); ok {
-			// Real morsel-driven execution: the exchange's wall time is
-			// the measured parallel elapsed time of the whole segment.
-			// The operators inside carry aggregate across-worker CPU time,
-			// so they are walked for boundary accounting only. Simulated-GPU
-			// DNN ops inside the exchange stand in for the device with host
-			// compute: remove its elapsed share (aggregate worker compute
-			// spread over the workers) so only the modeled device time —
-			// added by the boundary walk below — is charged. An exchange
-			// nested inside another exchange (a parallel hash-join build
-			// side) ran during the outer exchange's Open and is already
-			// inside the outer measured wall time, so only its boundary
-			// items are accounted, not its elapsed time again.
-			if !inExchange {
-				wall := float64(ex.Stats().WallNs)
-				// div is the parallelism the op's host compute ran at: ops
-				// on the exchange chain spread across the workers, but a
-				// serial join build subplan ran once during the exchange's
-				// Open (a nested build-side exchange ran at full DOP again).
-				var gpuWalk func(op Operator, div float64)
-				gpuWalk = func(op Operator, div float64) {
-					if gpu, ok := op.(*DNNOp); ok && gpu.Device.Kind == device.SimGPU {
-						wall -= float64(gpu.ComputeNs) / div
-					}
-					if phj, ok := op.(*relational.ParallelHashJoin); ok {
-						gpuWalk(phj.ChainChild(), div)
-						if ch := phj.Children(); len(ch) == 2 {
-							bdiv := 1.0
-							if _, ok := ch[1].(*relational.Exchange); ok {
-								bdiv = execDOP
-							}
-							gpuWalk(ch[1], bdiv)
-						}
-						return
-					}
-					for _, c := range op.Children() {
-						gpuWalk(c, div)
-					}
-				}
-				gpuWalk(ex, execDOP)
-				if wall < 0 {
-					wall = 0
-				}
-				totalNs += wall
-			}
-			for _, c := range op.Children() {
-				walk(c, true)
-			}
-			return
-		}
-		if !inExchange {
-			excl := s.WallNs
-			for _, c := range op.Children() {
-				excl -= c.Stats().WallNs
-			}
-			if gpu, ok := op.(*DNNOp); ok && gpu.Device.Kind == device.SimGPU {
-				// Simulated GPU: the host compute stands in for the device;
-				// charge the modeled device time instead of the measured one.
-				excl -= gpu.ComputeNs
-			}
-			if excl < 0 {
-				excl = 0
-			}
-			work := float64(excl)
-			if _, isPredict := op.(*PredictOp); isPredict && prof.PredictPenalty > 1 {
-				work *= prof.PredictPenalty
-			}
-			if s.Parallel {
-				totalNs += work / dop
-			} else {
-				totalNs += work
-			}
-		}
-		bdop := dop
-		if inExchange {
-			bdop = execDOP
-		}
-		switch o := op.(type) {
-		case *PredictOp:
-			res.Sessions += o.Sessions
-			res.ColdSessions += o.ColdSessions
-			res.PredictBatches += s.Batches
-			res.BytesConverted += o.BytesConverted
-			initDiv := 1.0
-			if inExchange {
-				// Worker sessions initialize concurrently.
-				initDiv = execDOP
-			}
-			totalNs += float64(o.Sessions) * float64(prof.SessionInit.Nanoseconds()) / initDiv
-			totalNs += float64(s.Batches) * float64(prof.UDFBatchOverhead.Nanoseconds()) / bdop
-			totalNs += float64(s.Rows) * float64(prof.PredictRowOverhead.Nanoseconds()) / bdop
-		case *relational.Scan:
-			parts := len(o.Table.Parts) - o.SkippedPartitions()
-			if o.PartIndex >= 0 {
-				parts = 1
-			}
-			res.PartitionsScanned += parts
-			totalNs += float64(parts) * float64(prof.PartitionOverhead.Nanoseconds()) / bdop
-		case *DNNOp:
-			res.Sessions++
-			res.PredictBatches += s.Batches
-			res.BytesConverted += o.BytesConverted
-			totalNs += float64(o.ModeledNs)
-			totalNs += float64(prof.SessionInit.Nanoseconds())
-		}
-		for _, c := range op.Children() {
-			walk(c, inExchange)
-		}
-	}
-	walk(root, false)
-	return time.Duration(totalNs)
 }

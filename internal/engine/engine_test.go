@@ -1,10 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"raven/internal/data"
 	"raven/internal/ir"
@@ -94,78 +94,86 @@ func TestRunPredictEndToEnd(t *testing.T) {
 	if res.PredictBatches < 1 || res.BytesConverted <= 0 {
 		t.Fatalf("boundary accounting: batches=%d bytes=%d", res.PredictBatches, res.BytesConverted)
 	}
-	if res.Wall <= 0 || res.Reported <= 0 {
-		t.Fatal("times not positive")
+	if res.Wall <= 0 {
+		t.Fatal("wall time not positive")
+	}
+	if res.Root == nil || res.Root.Stats().Rows != 6 {
+		t.Fatalf("executed tree not reported: %v", res.Root)
 	}
 }
 
-func TestProfileOverheadsInReportedTime(t *testing.T) {
-	cat := covidCatalog(t)
-	g := covidIR(t, cat)
-	local, err := Run(g, cat, Local)
-	if err != nil {
-		t.Fatal(err)
+// TestResultCountersPinned pins the five boundary counters of
+// engine.Result to golden values, serial and under a real exchange; a cold
+// run is followed by a warm one on the same catalog. Session counts under
+// an exchange depend on how many worker clones the work-conserving
+// scheduler engaged, so there they are pinned to a range.
+func TestResultCountersPinned(t *testing.T) {
+	type counters struct {
+		batches, bytes int64
+		parts          int
 	}
-	spark, err := Run(g, cat, Spark)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Spark pays at least the 100ms session init that Local does not.
-	if spark.Reported < 100*time.Millisecond {
-		t.Fatalf("spark reported = %v, expected >= session init", spark.Reported)
-	}
-	if local.Reported >= spark.Reported {
-		t.Fatalf("local (%v) should report less than spark (%v)", local.Reported, spark.Reported)
+	for _, tc := range []struct {
+		name      string
+		replicate int
+		want      counters
+	}{
+		{"covid", 1, counters{batches: 1, bytes: 318, parts: 2}},
+		{"covid-x1200", 1200, counters{batches: 8, bytes: 381600, parts: 2}},
+	} {
+		for _, dop := range []int{1, 4} {
+			cat := NewCatalog()
+			pi, pt, bt := testfix.CovidTables()
+			cat.RegisterTable(data.Replicate(pi, tc.replicate, "id"))
+			cat.RegisterTable(data.Replicate(pt, tc.replicate, "id"))
+			cat.RegisterTable(bt)
+			if err := cat.RegisterModel(testfix.CovidPipeline()); err != nil {
+				t.Fatal(err)
+			}
+			g := covidIR(t, cat)
+			prof := Local
+			prof.ExecDOP = dop
+			// The 6-row fixture stays below the exchange threshold, so it
+			// runs one chain at any DOP.
+			maxSessions := 1
+			if tc.replicate > 1 {
+				maxSessions = dop
+			}
+			for _, run := range []string{"cold", "warm"} {
+				res, err := Run(g, cat, prof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s dop=%d %s", tc.name, dop, run)
+				got := counters{res.PredictBatches, res.BytesConverted, res.PartitionsScanned}
+				if got != tc.want {
+					t.Errorf("%s: batches/bytes/partitions = %+v, want %+v", label, got, tc.want)
+				}
+				if res.Sessions < 1 || res.Sessions > maxSessions {
+					t.Errorf("%s: sessions = %d, want within [1,%d]", label, res.Sessions, maxSessions)
+				}
+				// A fresh catalog initializes every session cold; afterwards
+				// at least one comes back warm from the pool.
+				if run == "cold" && res.ColdSessions != res.Sessions ||
+					run == "warm" && res.ColdSessions >= res.Sessions {
+					t.Errorf("%s: cold sessions = %d of %d", label, res.ColdSessions, res.Sessions)
+				}
+			}
+		}
 	}
 }
 
-func TestDOPReducesReportedTime(t *testing.T) {
-	// Large enough that parallel work dominates constant overheads.
-	cat := NewCatalog()
-	pi, pt, bt := testfix.CovidTables()
-	cat.RegisterTable(data.Replicate(pi, 4000, "id"))
-	cat.RegisterTable(data.Replicate(pt, 4000, "id"))
-	cat.RegisterTable(data.Replicate(bt, 4000, "id"))
-	if err := cat.RegisterModel(testfix.CovidPipeline()); err != nil {
-		t.Fatal(err)
-	}
-	g := covidIR(t, cat)
-	d1, err := Run(g, cat, SQLServerDOP1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d16, err := Run(g, cat, SQLServerDOP16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d16.Reported >= d1.Reported {
-		t.Fatalf("DOP16 (%v) not faster than DOP1 (%v)", d16.Reported, d1.Reported)
-	}
-}
-
-func TestPredictPenaltyScalesReportedTime(t *testing.T) {
-	cat := covidCatalog(t)
-	g := covidIR(t, cat)
-	plain := Local
-	penalized := Local
-	penalized.PredictPenalty = 50
-	a, err := Run(g, cat, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(g, cat, penalized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Reported <= a.Reported {
-		t.Fatalf("penalty did not increase reported time: %v vs %v", a.Reported, b.Reported)
-	}
+// madlib is Local with MADlib's execution style: featurization output is
+// materialized before the model runs.
+func madlib() Profile {
+	p := Local
+	p.MaterializeFeaturization = true
+	return p
 }
 
 func TestMADlibMaterializedMode(t *testing.T) {
 	cat := covidCatalog(t)
 	g := covidIR(t, cat)
-	res, err := Run(g, cat, MADlib)
+	res, err := Run(g, cat, madlib())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +195,8 @@ func TestMADlibMaterializedMode(t *testing.T) {
 
 func TestMADlibColumnLimit(t *testing.T) {
 	// A model whose featurization exceeds MaxMaterializedColumns must fail
-	// under the MADlib profile (PostgreSQL's column limit) but run fine on
-	// other profiles.
+	// under MaterializeFeaturization (PostgreSQL's column limit) but run
+	// fine without it.
 	cat := NewCatalog()
 	n := 10
 	keys := make([]string, n)
@@ -229,7 +237,7 @@ func TestMADlibColumnLimit(t *testing.T) {
 	if _, err := Run(graph, cat, Local); err != nil {
 		t.Fatalf("local run failed: %v", err)
 	}
-	_, err := Run(graph, cat, MADlib)
+	_, err := Run(graph, cat, madlib())
 	if err == nil || !strings.Contains(err.Error(), "column") {
 		t.Fatalf("expected column-limit error, got %v", err)
 	}
@@ -266,7 +274,7 @@ func TestLowerDNNTargets(t *testing.T) {
 		g := covidIR(t, cat)
 		pr := ir.Find(g.Root, func(n *ir.Node) bool { return n.Kind == ir.KindPredict })
 		pr.Target = target
-		res, err := Run(g, cat, Spark)
+		res, err := Run(g, cat, Local)
 		if err != nil {
 			t.Fatalf("%v: %v", target, err)
 		}
@@ -275,7 +283,7 @@ func TestLowerDNNTargets(t *testing.T) {
 			t.Fatalf("%v: bad result", target)
 		}
 		// float32 parity with the ML runtime.
-		ml, err := Run(covidIR(t, cat), cat, Spark)
+		ml, err := Run(covidIR(t, cat), cat, Local)
 		if err != nil {
 			t.Fatal(err)
 		}

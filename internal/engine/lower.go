@@ -124,9 +124,7 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 			// grouping vs hashed typed keys (DenseGroupLimit); under
 			// ExecDOP > 1 the Parallelize rewrite turns this into
 			// per-worker PartialGroupAggregates under a
-			// MergeGroupAggregate breaker, whose serial merge work the
-			// reported-time walk charges fully (it is coordinator work,
-			// like the global aggregate's merge).
+			// MergeGroupAggregate breaker.
 			ga := &relational.GroupAggregate{Child: child, Keys: n.GroupBy,
 				Aggs: n.Aggs, DenseLimit: l.prof.DenseGroupLimit}
 			if l.rs != nil {
@@ -217,19 +215,16 @@ func (l *lowerer) lowerPredict(n *ir.Node) (Operator, error) {
 		if l.adaptivePredict() {
 			return l.lowerAdaptivePredict(n, child, opt.ChoiceNone), nil
 		}
-		op := &PredictOp{
+		return &PredictOp{
 			Child:               child,
 			Pipeline:            n.Pipeline,
 			InputMap:            n.InputMap,
 			OutputMap:           n.OutputMap,
 			KeepInput:           n.KeepInput,
 			MaterializeFeatures: l.prof.MaterializeFeaturization,
-		}
-		if !l.prof.PrivateMLSessions {
 			// Sessions for this pipeline+binding are checked out of the
 			// catalog's engine-level pool, shared across queries.
-			op.Shared = l.cat.Sessions()
-		}
-		return op, nil
+			Shared: l.cat.Sessions(),
+		}, nil
 	}
 }

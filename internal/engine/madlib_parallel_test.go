@@ -9,8 +9,7 @@ import (
 // rebuilt over a rewritten child).
 func TestMADlibModeSurvivesParallelRewrite(t *testing.T) {
 	cat, g := parallelFixture(t, 8000)
-	serial := MADlib
-	serial.BatchSize = 1024
+	serial := madlib()
 	sres, err := Run(g, cat, serial)
 	if err != nil {
 		t.Fatal(err)

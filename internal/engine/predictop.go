@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"raven/internal/data"
 	"raven/internal/fault"
@@ -11,54 +10,11 @@ import (
 	"raven/internal/relational"
 )
 
-// sessionPool shares ML runtime sessions between the worker clones of one
-// PredictOp: the first acquire binds and validates the pipeline once, and
-// further acquires either pop a released session or clone the prototype
-// (sharing the immutable validated pipeline, owning private scratch
-// buffers). Exchange workers therefore never race on session state and
-// repeated Opens reuse sessions instead of re-initializing.
-type sessionPool struct {
-	mu    sync.Mutex
-	proto *mlruntime.Session
-	free  []*mlruntime.Session
-}
-
-// acquire returns a ready session and whether it was newly initialized
-// (counted as a session in the boundary accounting).
-func (sp *sessionPool) acquire(build func() (*model.Pipeline, error)) (*mlruntime.Session, bool, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if n := len(sp.free); n > 0 {
-		s := sp.free[n-1]
-		sp.free = sp.free[:n-1]
-		return s, false, nil
-	}
-	if sp.proto == nil {
-		p, err := build()
-		if err != nil {
-			return nil, false, err
-		}
-		s, err := mlruntime.NewSession(p)
-		if err != nil {
-			return nil, false, err
-		}
-		sp.proto = s
-		return s, true, nil
-	}
-	return sp.proto.Clone(), true, nil
-}
-
-func (sp *sessionPool) release(s *mlruntime.Session) {
-	sp.mu.Lock()
-	sp.free = append(sp.free, s)
-	sp.mu.Unlock()
-}
-
 // PredictOp is the physical operator bridging the data engine and the ML
 // runtime: for each input batch it converts the bound columns to the ML
 // format, runs the trained pipeline, and emits the mapped outputs
-// (optionally alongside the input columns). It is the boundary whose
-// crossings (batches, converted bytes, sessions) the profiles charge for.
+// (optionally alongside the input columns). It counts its boundary
+// crossings (batches, converted bytes, sessions) for Result.
 type PredictOp struct {
 	Child     Operator
 	Pipeline  *model.Pipeline
@@ -69,24 +25,21 @@ type PredictOp struct {
 	// materialized as one column per feature, then a model-only pipeline
 	// consumes the wide table. Fails beyond MaxMaterializedColumns.
 	MaterializeFeatures bool
-	// Shared is the engine-level session pool (normally the catalog's):
-	// sessions for this pipeline+binding are checked out across queries
-	// instead of rebuilt per query. Nil falls back to an op-private pool
-	// shared only with this op's exchange clones.
+	// Shared is the engine-level session pool (the catalog's): sessions
+	// for this pipeline+binding are checked out across queries and shared
+	// with this op's exchange clones instead of rebuilt per query.
 	Shared *mlruntime.Pool
 
 	stats    relational.OpStats
-	pool     *sessionPool // op-private fallback, shared with worker clones
 	key      mlruntime.PoolKey
 	sess     *mlruntime.Session
 	featSess *mlruntime.Session // featurization-only session (MADlib mode)
 	mdlSess  *mlruntime.Session // model-only session (MADlib mode)
 	matBuf   []float64          // reused transpose buffer (MADlib mode)
 	matNames []string           // cached materialized column names
-	// Boundary accounting, charged by the profile cost model. Sessions
-	// counts sessions checked out by this op (the concurrency the profile
-	// charges initialization for); ColdSessions counts the subset that had
-	// to be newly initialized rather than reused warm from the pool.
+	// Boundary accounting. Sessions counts sessions checked out by this
+	// op; ColdSessions counts the subset that had to be newly initialized
+	// rather than reused warm from the pool.
 	Sessions       int
 	ColdSessions   int
 	BytesConverted int64
@@ -136,9 +89,9 @@ func (p *PredictOp) OutputSchema() (data.Schema, bool) {
 // Lazy acquisition keeps Sessions exactly "one per chain actually
 // executing", whether the session comes warm from the shared pool or is
 // initialized cold. MADlib mode stays eager (its two sessions are part of
-// the modeled setup cost and it never runs inside an exchange).
+// its setup and it never runs inside an exchange).
 func (p *PredictOp) Open() error {
-	p.stats = relational.OpStats{Name: "Predict(" + p.Pipeline.Name + ")", Parallel: true}
+	p.stats = relational.OpStats{Name: "Predict(" + p.Pipeline.Name + ")"}
 	defer timeOp(&p.stats)()
 	p.Sessions = 0
 	p.ColdSessions = 0
@@ -157,38 +110,23 @@ func (p *PredictOp) Open() error {
 	return nil
 }
 
-// ensureSession checks a session out of the shared pool (or the op-private
-// fallback pool) on the first batch.
+// ensureSession checks a session out of the shared pool on the first
+// batch.
 func (p *PredictOp) ensureSession() error {
 	if p.sess != nil {
 		return nil
 	}
-	if p.Shared != nil {
-		p.key = mlruntime.PoolKey{
-			Pipeline: p.Pipeline,
-			Binding:  mlruntime.BindingKey(p.InputMap, p.OutputMap),
-		}
-		sess, cold, err := p.Shared.Acquire(p.key, p.boundPipeline)
-		if err != nil {
-			return err
-		}
-		p.sess = sess
-		p.Sessions++
-		if cold {
-			p.ColdSessions++
-		}
-		return nil
+	p.key = mlruntime.PoolKey{
+		Pipeline: p.Pipeline,
+		Binding:  mlruntime.BindingKey(p.InputMap, p.OutputMap),
 	}
-	if p.pool == nil {
-		p.pool = &sessionPool{}
-	}
-	sess, created, err := p.pool.acquire(p.boundPipeline)
+	sess, cold, err := p.Shared.Acquire(p.key, p.boundPipeline)
 	if err != nil {
 		return err
 	}
 	p.sess = sess
-	if created {
-		p.Sessions++
+	p.Sessions++
+	if cold {
 		p.ColdSessions++
 	}
 	return nil
@@ -221,9 +159,6 @@ func (p *PredictOp) boundPipeline() (*model.Pipeline, error) {
 // immutable pipeline and the session pool, so each exchange worker runs
 // its own session concurrently without shared mutable state.
 func (p *PredictOp) CloneWorker(child Operator) (Operator, error) {
-	if p.pool == nil {
-		p.pool = &sessionPool{}
-	}
 	return &PredictOp{
 		Child:     child,
 		Pipeline:  p.Pipeline,
@@ -235,7 +170,6 @@ func (p *PredictOp) CloneWorker(child Operator) (Operator, error) {
 		// rewritten child — the mode must survive that.
 		MaterializeFeatures: p.MaterializeFeatures,
 		Shared:              p.Shared,
-		pool:                p.pool,
 	}, nil
 }
 
@@ -418,15 +352,11 @@ func (p *PredictOp) runMaterialized(b *data.Table) (map[string]mlruntime.Value, 
 	return p.mdlSess.Run(bound, n)
 }
 
-// Close returns the session to its pool (warm for the next query when the
-// engine-level pool is attached) and closes the child.
+// Close returns the session to the pool (warm for the next query) and
+// closes the child.
 func (p *PredictOp) Close() error {
 	if p.sess != nil {
-		if p.Shared != nil {
-			p.Shared.Release(p.key, p.sess)
-		} else if p.pool != nil {
-			p.pool.release(p.sess)
-		}
+		p.Shared.Release(p.key, p.sess)
 		p.sess = nil
 	}
 	return p.Child.Close()

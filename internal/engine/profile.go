@@ -1,0 +1,100 @@
+package engine
+
+import (
+	"raven/internal/device"
+	"raven/internal/opt"
+	"raven/internal/relational"
+	"raven/internal/sched"
+)
+
+// Profile describes how the engine executes a plan. Every field changes
+// what the engine does; the modeled cluster costs the paper figures use
+// live in internal/experiments (costmodel.go).
+type Profile struct {
+	Name string
+	// ExecDOP is the degree of parallelism: when > 1 the engine rewrites
+	// partition-parallel plan segments into morsel-driven Exchange
+	// operators running that many worker goroutines. 0 or 1 executes
+	// serially.
+	ExecDOP int
+	// BatchSize is the rows-per-batch the engine feeds operators
+	// (the paper's UDF batch default is 10k).
+	BatchSize int
+	// MaterializeFeaturization forces featurizer output to be
+	// materialized as one column per feature before the model runs
+	// (MADlib's execution style). Widths beyond MaxMaterializedColumns
+	// fail, mirroring PostgreSQL's 1600-column table limit.
+	MaterializeFeaturization bool
+	// GPU is the device used by MLtoDNN-on-GPU plans (nil means the
+	// default simulated Tesla P100).
+	GPU *device.Device
+	// DenseGroupLimit selects the grouping path for GROUP BY over a
+	// single dictionary-encoded key: dictionaries up to this cardinality
+	// group through a dense code→group array (no hashing; one array per
+	// worker under parallel execution), larger ones and all other key
+	// shapes hash canonically-encoded typed keys. 0 applies the
+	// relational default (relational.DefaultDenseGroupLimit); a negative
+	// value forces hash grouping everywhere. Both paths produce
+	// byte-identical results — this knob trades the dense array's memory
+	// (4 bytes × cardinality × workers) for the hash probe cost.
+	DenseGroupLimit int
+	// Sched is the morsel scheduler the plan's exchanges run on. Nil uses
+	// the process-wide shared pool (sched.Default()), so every concurrent
+	// query multiplexes over one bounded set of workers; tests inject
+	// private schedulers for isolation.
+	Sched *sched.Scheduler
+	// Adaptive enables mid-query re-optimization: the pipeline breakers
+	// (join build, grouped-aggregation merge, sort merge) record observed
+	// cardinalities into a per-query opt.RuntimeStats, and at each breaker
+	// boundary the remaining plan segment is re-costed with the observed
+	// numbers — switching the ML runtime choice for downstream predict
+	// segments, the dense-vs-hash grouping path, and the worker count of
+	// the next exchange segment when the plan-time estimate was off by
+	// ReoptFactor. Every switch preserves byte-identity to the serial plan.
+	Adaptive bool
+	// ReoptFactor is the estimate-vs-observed mismatch factor that triggers
+	// re-optimization at a breaker boundary; 0 applies
+	// opt.DefaultReoptFactor.
+	ReoptFactor float64
+	// AdaptiveChooser re-picks the ML runtime for a predict segment given
+	// the corrected input cardinality; nil disables runtime switching
+	// (breaker observations and DOP/grouping adaptation still apply).
+	AdaptiveChooser opt.CardinalityAwareStrategy
+	// AdaptiveGPU tells the adaptive chooser whether a GPU target is
+	// available for a mid-query switch to MLtoDNN-GPU.
+	AdaptiveGPU bool
+	// MemoryBudget, when > 0, caps the bytes each pipeline breaker (join
+	// build, grouped-aggregation merge, sort) may keep resident; state
+	// beyond the cap spills to compressed temp files and is merged back
+	// externally, byte-identical to the in-memory execution at any DOP.
+	// 0 (the default) disables spilling.
+	MemoryBudget int64
+	// SpillDir is the directory spill files are created in; empty means
+	// the OS temp dir. Files are removed when the query finishes,
+	// including on error, cancellation and panic paths.
+	SpillDir string
+	// GlobalBudget, when non-nil, replaces the per-query MemoryBudget:
+	// every concurrent query's resident breaker bytes draw from this one
+	// engine-wide accountant, each query keeping an admission-aware floor
+	// (total divided by the scheduler's admission cap) so no query
+	// livelocks under pressure from its neighbors. Takes precedence over
+	// MemoryBudget when both are set.
+	GlobalBudget *relational.GlobalBudget
+}
+
+// scheduler resolves the profile's scheduler.
+func (p *Profile) scheduler() *sched.Scheduler {
+	if p.Sched != nil {
+		return p.Sched
+	}
+	return sched.Default()
+}
+
+// MaxMaterializedColumns mirrors PostgreSQL's 1600-column-per-table limit
+// that forced the paper to skip Expedia/Flights for MADlib. The generated
+// Expedia/Flights widths are scaled down ~10x from the paper's, so the
+// limit is scaled by the same factor to preserve the behaviour.
+const MaxMaterializedColumns = 160
+
+// Local is the default profile: serial execution, no memory budget.
+var Local = Profile{Name: "local", BatchSize: 1024}

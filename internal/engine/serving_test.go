@@ -44,24 +44,6 @@ func TestSharedSessionPoolReusesAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestPrivateMLSessionsProfileKnob pins the benchmark baseline knob: with
-// PrivateMLSessions every run initializes its own sessions.
-func TestPrivateMLSessionsProfileKnob(t *testing.T) {
-	cat := covidCatalog(t)
-	g := covidIR(t, cat)
-	prof := Local
-	prof.PrivateMLSessions = true
-	for i := 0; i < 2; i++ {
-		res, err := Run(g, cat, prof)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Sessions != 1 || res.ColdSessions != 1 {
-			t.Fatalf("private run %d: sessions=%d cold=%d, want 1/1 every run", i, res.Sessions, res.ColdSessions)
-		}
-	}
-}
-
 // TestCatalogVersionBumps pins the plan-cache invalidation source: every
 // registration moves the catalog version.
 func TestCatalogVersionBumps(t *testing.T) {

@@ -5,13 +5,15 @@ import (
 	"sort"
 
 	"raven/internal/engine"
+	"raven/internal/ir"
 	"raven/internal/opt"
 	"raven/internal/sqlparse"
 )
 
 // Config sizes the experiments. The defaults are ravenbench's; tests and
 // benchmarks pass smaller values. Rows scale the paper's 100M-2B row
-// tables down by a constant factor per experiment (EXPERIMENTS.md).
+// tables down by a constant factor per experiment (see the substitution
+// policy in costmodel.go).
 type Config struct {
 	// Rows is the fact-table row count.
 	Rows int
@@ -37,21 +39,32 @@ func (c Config) withDefaults() Config {
 // runResult is one measured configuration.
 type runResult struct {
 	Seconds float64 // reported (cost-model) seconds, trimmed mean
-	Wall    float64 // measured single-thread seconds
+	Wall    float64 // measured wall seconds of the serial run, trimmed mean
 	Rows    int
 	Report  *opt.Report
 }
 
-// runQuery optimizes and executes sql under the given options and profile,
-// repeating runs times and reporting the trimmed mean.
-func runQuery(cat *engine.Catalog, sql string, opts opt.Options, prof engine.Profile, runs int) (*runResult, error) {
+// planQuery parses, plans and optimizes sql under the given options.
+func planQuery(cat *engine.Catalog, sql string, opts opt.Options) (*ir.Graph, *opt.Report, error) {
 	g, err := sqlparse.ParseAndPlan(sql, cat)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: planning %q: %w", sql, err)
+		return nil, nil, fmt.Errorf("experiments: planning %q: %w", sql, err)
 	}
 	og, rep, err := opt.New(cat, opts).Optimize(g)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: optimizing: %w", err)
+		return nil, nil, fmt.Errorf("experiments: optimizing: %w", err)
+	}
+	return og, rep, nil
+}
+
+// runQuery optimizes sql under the given options, executes it under the
+// cluster's profile and converts each run's measurements into the
+// cluster's reported time — the one place the cost model is applied —
+// repeating runs times and reporting the trimmed mean.
+func runQuery(cat *engine.Catalog, sql string, opts opt.Options, cl Cluster, runs int) (*runResult, error) {
+	og, rep, err := planQuery(cat, sql, opts)
+	if err != nil {
+		return nil, err
 	}
 	if runs < 1 {
 		runs = 1
@@ -60,11 +73,15 @@ func runQuery(cat *engine.Catalog, sql string, opts opt.Options, prof engine.Pro
 	walls := make([]float64, 0, runs)
 	rows := 0
 	for i := 0; i < runs; i++ {
-		res, err := engine.Run(og, cat, prof)
+		res, err := engine.Run(og, cat, cl.Profile)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: executing: %w", err)
 		}
-		reported = append(reported, res.Reported.Seconds())
+		modeled, err := cl.Cost.Reported(res.Root)
+		if err != nil {
+			return nil, err
+		}
+		reported = append(reported, modeled.Seconds())
 		walls = append(walls, res.Wall.Seconds())
 		rows = res.Table.NumRows()
 	}

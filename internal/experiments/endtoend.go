@@ -59,19 +59,19 @@ func Fig6(cfg Config) (*Report, error) {
 		}
 		for _, label := range []string{"LR", "DT", "GB"} {
 			q := ds.Query(models[label])
-			sparkML, err := runQuery(cat, q, opt.NoOpt(), engine.SparkML, cfg.Runs)
+			sparkML, err := runQuery(cat, q, opt.NoOpt(), SparkML, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
-			sparkSKL, err := runQuery(cat, q, opt.NoOpt(), engine.SparkSKL, cfg.Runs)
+			sparkSKL, err := runQuery(cat, q, opt.NoOpt(), SparkSKL, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
-			noopt, err := runQuery(cat, q, opt.NoOpt(), engine.Spark, cfg.Runs)
+			noopt, err := runQuery(cat, q, opt.NoOpt(), Spark, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
-			raven, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), engine.Spark, cfg.Runs)
+			raven, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), Spark, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
@@ -119,11 +119,11 @@ func Fig7(cfg Config, sizes []int) (*Report, error) {
 				return nil, err
 			}
 			q := ds.Query(p.Name)
-			noopt, err := runQuery(cat, q, opt.NoOpt(), engine.Spark, cfg.Runs)
+			noopt, err := runQuery(cat, q, opt.NoOpt(), Spark, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
-			raven, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), engine.Spark, cfg.Runs)
+			raven, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), Spark, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
@@ -165,19 +165,19 @@ func Fig8(cfg Config) (*Report, error) {
 		}
 		for _, label := range []string{"LR", "DT", "GB"} {
 			q := ds.AggregateQuery(models[label])
-			dop1, err := runQuery(cat, q, opt.NoOpt(), engine.SQLServerDOP1, cfg.Runs)
+			dop1, err := runQuery(cat, q, opt.NoOpt(), SQLServerDOP1, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
-			dop16, err := runQuery(cat, q, opt.NoOpt(), engine.SQLServerDOP16, cfg.Runs)
+			dop16, err := runQuery(cat, q, opt.NoOpt(), SQLServerDOP16, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
-			r1, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), engine.SQLServerDOP1, cfg.Runs)
+			r1, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), SQLServerDOP1, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
-			r16, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), engine.SQLServerDOP16, cfg.Runs)
+			r16, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), SQLServerDOP16, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
@@ -186,7 +186,7 @@ func Fig8(cfg Config) (*Report, error) {
 			if label == "GB" {
 				madlibModel = rf.Name
 			}
-			mres, err := runQuery(cat, ds.AggregateQuery(madlibModel), opt.NoOpt(), engine.MADlib, cfg.Runs)
+			mres, err := runQuery(cat, ds.AggregateQuery(madlibModel), opt.NoOpt(), MADlib, cfg.Runs)
 			if err != nil {
 				// Expedia/Flights exceed the materialized-column limit.
 				madlibCell = "n/a (1600-col limit)"
@@ -221,6 +221,6 @@ func Table1(cfg Config) (*Report, error) {
 			fmt.Sprintf("%d (%d/%d)", ds.NumInputs(), len(ds.Spec.Numeric), len(ds.Spec.Categorical)),
 			fmt.Sprintf("%d", w))
 	}
-	rep.Note("paper widths 3965/6475 for Expedia/Flights are scaled to fit one host (DESIGN.md)")
+	rep.Note("paper widths 3965/6475 for Expedia/Flights are scaled ~10x to fit one host")
 	return rep, nil
 }

@@ -54,7 +54,7 @@ func Fig9(cfg Config, alphas []float64) (*Report, error) {
 			comboOptions(true, opt.ChoiceSQL),
 			comboOptions(true, opt.ChoiceDNNCPU),
 		} {
-			res, err := runQuery(cat, q, combo, engine.Spark, cfg.Runs)
+			res, err := runQuery(cat, q, combo, Spark, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
@@ -103,7 +103,7 @@ func Fig10(cfg Config, depths []int) (*Report, error) {
 			comboOptions(true, opt.ChoiceSQL),
 			comboOptions(true, opt.ChoiceDNNCPU),
 		} {
-			res, err := runQuery(cat, q, combo, engine.Spark, cfg.Runs)
+			res, err := runQuery(cat, q, combo, Spark, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
@@ -202,22 +202,22 @@ func Fig11(cfg Config, depths []int) (*Report, *Report, error) {
 			}
 		}
 		q := ds.Query(p.Name)
-		noopt, err := runQuery(catPlain, q, opt.NoOpt(), engine.Spark, cfg.Runs)
+		noopt, err := runQuery(catPlain, q, opt.NoOpt(), Spark, cfg.Runs)
 		if err != nil {
 			return nil, nil, err
 		}
 		noPartOpts := ravenOptions(opt.FixedStrategy{C: opt.ChoiceSQL}, false)
 		noPartOpts.PerPartition = false
-		noPart, err := runQuery(catPlain, q, noPartOpts, engine.Spark, cfg.Runs)
+		noPart, err := runQuery(catPlain, q, noPartOpts, Spark, cfg.Runs)
 		if err != nil {
 			return nil, nil, err
 		}
 		partOpts := ravenOptions(opt.FixedStrategy{C: opt.ChoiceSQL}, false)
-		wIssues, err := runQuery(catIssues, q, partOpts, engine.Spark, cfg.Runs)
+		wIssues, err := runQuery(catIssues, q, partOpts, Spark, cfg.Runs)
 		if err != nil {
 			return nil, nil, err
 		}
-		wRcount, err := runQuery(catRcount, q, partOpts, engine.Spark, cfg.Runs)
+		wRcount, err := runQuery(catRcount, q, partOpts, Spark, cfg.Runs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -258,7 +258,7 @@ func Fig12(cfg Config, shapes [][2]int) (*Report, error) {
 	}
 	ds := datagen.Hospital(cfg.Rows, cfg.Seed)
 	cat := ds.Catalog()
-	prof := engine.SparkGPU
+	cl := SparkGPU
 	for _, sh := range shapes {
 		est, depth := sh[0], sh[1]
 		p, err := ds.Train(train.KindGradientBoosting, func(s *train.Spec) {
@@ -274,17 +274,17 @@ func Fig12(cfg Config, shapes [][2]int) (*Report, error) {
 			return nil, err
 		}
 		q := ds.Query(p.Name)
-		noopt, err := runQuery(cat, q, opt.NoOpt(), prof, cfg.Runs)
+		noopt, err := runQuery(cat, q, opt.NoOpt(), cl, cfg.Runs)
 		if err != nil {
 			return nil, err
 		}
-		cpu, err := runQuery(cat, q, comboOptions(false, opt.ChoiceDNNCPU), prof, cfg.Runs)
+		cpu, err := runQuery(cat, q, comboOptions(false, opt.ChoiceDNNCPU), cl, cfg.Runs)
 		if err != nil {
 			return nil, err
 		}
 		gpuOpts := comboOptions(false, opt.ChoiceDNNGPU)
 		gpuOpts.GPUAvailable = true
-		gpu, err := runQuery(cat, q, gpuOpts, prof, cfg.Runs)
+		gpu, err := runQuery(cat, q, gpuOpts, cl, cfg.Runs)
 		if err != nil {
 			return nil, err
 		}
@@ -292,7 +292,7 @@ func Fig12(cfg Config, shapes [][2]int) (*Report, error) {
 			ms(noopt.Seconds), ms(cpu.Seconds), ms(gpu.Seconds),
 			f2(noopt.Seconds/gpu.Seconds)+"x")
 	}
-	rep.Note("GPU time is device-modeled from real op shapes (DESIGN.md §4); CPU paths are measured")
+	rep.Note("GPU time is device-modeled from real op shapes (internal/device); CPU paths are measured")
 	return rep, nil
 }
 

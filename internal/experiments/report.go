@@ -2,10 +2,12 @@
 // evaluation (§2 Fig. 1, §5.2 Fig. 4, §7 Figs. 6-12, Tables 1-2, and the
 // §7.4 accuracy study). Each runner builds the workload with internal/
 // datagen or internal/openml, executes the compared configurations through
-// the engine, and prints the same rows/series the paper reports. Absolute
+// the engine, converts each run's measurements into the modeled time of
+// the paper's cluster (costmodel.go — the only modeled times in the
+// repository), and prints the same rows/series the paper reports. Absolute
 // times differ from the paper (different hardware, scaled data); the
 // shapes — who wins, by what factor, where crossovers fall — are asserted
-// in experiments_test.go and recorded in EXPERIMENTS.md.
+// in experiments_test.go.
 package experiments
 
 import (

@@ -4,7 +4,8 @@
 // tree-based majority. The corpus drives the Fig. 1 statistics, the
 // strategy training set (§5.2) and the Fig. 4 evaluation. Hyperparameter
 // tails are scaled down from the paper's extremes (thousands of trees) to
-// fit a single-core host; DESIGN.md documents the substitution.
+// fit a single-core host (the substitution policy heading
+// internal/experiments/costmodel.go).
 package openml
 
 import (

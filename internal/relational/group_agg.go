@@ -650,7 +650,7 @@ func (a *PartialGroupAggregate) Columns() []string {
 // Open opens the child and resolves the adaptive dense-vs-hash decision
 // (once, on the exchange template; worker clones inherit the result).
 func (a *PartialGroupAggregate) Open() error {
-	a.stats = OpStats{Name: "PartialGroupAggregate", Parallel: true}
+	a.stats = OpStats{Name: "PartialGroupAggregate"}
 	if err := a.Child.Open(); err != nil {
 		return err
 	}

@@ -21,10 +21,6 @@ type OpStats struct {
 	// SpillBytes counts bytes this operator wrote to spill files under
 	// the query's memory budget (0 when it never spilled).
 	SpillBytes int64
-	// Parallel marks operators whose work scales out with the engine's
-	// degree of parallelism in the cost model (scans, filters, projects,
-	// predictions — not single-threaded coordinator work).
-	Parallel bool
 }
 
 // Operator is a pull-based physical operator producing columnar batches.
@@ -152,7 +148,7 @@ func (s *Scan) qualify(col string) string {
 
 // Open resets the scan position.
 func (s *Scan) Open() error {
-	s.stats = OpStats{Name: "Scan(" + s.Table.Name + ")", Parallel: true}
+	s.stats = OpStats{Name: "Scan(" + s.Table.Name + ")"}
 	s.part, s.offset, s.skipped = 0, 0, 0
 	if s.BatchSize <= 0 {
 		s.BatchSize = 10000
@@ -165,6 +161,16 @@ func (s *Scan) Open() error {
 
 // SkippedPartitions returns how many partitions were pruned by zone maps.
 func (s *Scan) SkippedPartitions() int { return s.skipped }
+
+// PartitionsRead returns how many partitions the executed scan read: the
+// table's partitions minus the pruned ones, or the single partition a
+// per-partition plan is pinned to.
+func (s *Scan) PartitionsRead() int {
+	if s.PartIndex >= 0 {
+		return 1
+	}
+	return len(s.Table.Parts) - s.skipped
+}
 
 // Next returns the next batch.
 func (s *Scan) Next() (*data.Table, error) {
@@ -274,7 +280,7 @@ func (f *Filter) Columns() []string { return f.Child.Columns() }
 
 // Open opens the child.
 func (f *Filter) Open() error {
-	f.stats = OpStats{Name: "Filter(" + f.Pred.String() + ")", Parallel: true}
+	f.stats = OpStats{Name: "Filter(" + f.Pred.String() + ")"}
 	return f.Child.Open()
 }
 
@@ -342,7 +348,7 @@ func (p *Project) Columns() []string {
 
 // Open opens the child.
 func (p *Project) Open() error {
-	p.stats = OpStats{Name: fmt.Sprintf("Project(%d exprs)", len(p.Exprs)), Parallel: true}
+	p.stats = OpStats{Name: fmt.Sprintf("Project(%d exprs)", len(p.Exprs))}
 	return p.Child.Open()
 }
 
@@ -417,7 +423,7 @@ func (j *HashJoin) Columns() []string {
 // operator already opened — otherwise a failed build would strand child
 // resources (e.g. checked-out ML sessions under the build side).
 func (j *HashJoin) Open() error {
-	j.stats = OpStats{Name: fmt.Sprintf("HashJoin(%s=%s)", j.LeftKey, j.RightKey), Parallel: true}
+	j.stats = OpStats{Name: fmt.Sprintf("HashJoin(%s=%s)", j.LeftKey, j.RightKey)}
 	defer startTimer(&j.stats)()
 	if err := j.Left.Open(); err != nil {
 		return err

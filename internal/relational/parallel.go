@@ -214,7 +214,7 @@ type worker struct {
 // cloned DOP times (one clone chain per concurrently running task) and
 // kept as the merge target for statistics (its post-run WallNs is
 // aggregate across-task CPU time, while the Exchange's own stats carry
-// the measured parallel wall time the cost model charges).
+// the measured parallel wall time).
 //
 // Flow control replaces a dedicated worker pool's ticket loop with
 // drip-feed submission: at most `window` morsels are ever submitted ahead
@@ -367,7 +367,7 @@ func (e *Exchange) Open() error {
 	}
 	for i := 0; i < dop; i++ {
 		w := &worker{src: &batchSource{cols: e.scan.Columns()}}
-		w.scanStats = OpStats{Name: e.scan.stats.Name, Parallel: true}
+		w.scanStats = OpStats{Name: e.scan.stats.Name}
 		var op Operator = w.src
 		w.clones = make([]Operator, len(e.chain))
 		for j := len(e.chain) - 1; j >= 0; j-- {

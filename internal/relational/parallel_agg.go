@@ -182,7 +182,7 @@ func (a *PartialAggregate) Columns() []string { return partialColumns(len(a.Aggs
 
 // Open opens the child.
 func (a *PartialAggregate) Open() error {
-	a.stats = OpStats{Name: "PartialAggregate", Parallel: true}
+	a.stats = OpStats{Name: "PartialAggregate"}
 	return a.Child.Open()
 }
 

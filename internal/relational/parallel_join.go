@@ -390,7 +390,7 @@ func (j *ParallelHashJoin) Children() []Operator {
 // build-side failure the already-opened probe chain is closed again, so
 // pooled resources it holds (worker ML sessions) are returned.
 func (j *ParallelHashJoin) Open() (err error) {
-	j.stats = OpStats{Name: fmt.Sprintf("ParallelHashJoin(%s=%s)", j.LeftKey, j.RightKey), Parallel: true}
+	j.stats = OpStats{Name: fmt.Sprintf("ParallelHashJoin(%s=%s)", j.LeftKey, j.RightKey)}
 	defer startTimer(&j.stats)()
 	if err := j.Child.Open(); err != nil {
 		return err

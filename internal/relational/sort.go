@@ -750,7 +750,7 @@ func (p *PartialSort) Columns() []string { return p.Child.Columns() }
 
 // Open opens the child.
 func (p *PartialSort) Open() error {
-	p.stats = OpStats{Name: "PartialSort(" + sortKeysString(p.Keys) + ")", Parallel: true}
+	p.stats = OpStats{Name: "PartialSort(" + sortKeysString(p.Keys) + ")"}
 	return p.Child.Open()
 }
 

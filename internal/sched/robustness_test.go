@@ -120,7 +120,9 @@ func TestAdmitContextWakesOnRelease(t *testing.T) {
 func TestJobDrainWaitsForRunningTasks(t *testing.T) {
 	s := New(2)
 	defer s.Close()
-	j := s.NewJob(2)
+	// Per-job cap 1: the tasks queued behind the running one cannot be
+	// dispatched to the idle worker before Drain gets to drop them.
+	j := s.NewJob(1)
 	gate := make(chan struct{})
 	var started, ran atomic.Int64
 	j.Submit(func() {

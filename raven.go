@@ -59,8 +59,8 @@
 // HAVING evaluates above the grouped-aggregation breaker with the same
 // dict-aware expression kernels as WHERE.
 // Materializations and unions stay serial but consume parallel
-// input. Reported times charge the measured parallel wall time of
-// exchanged segments instead of modeling a division by DOP.
+// input. Result.Wall is the measured wall time at whatever parallelism
+// the query ran; the engine reports no modeled time.
 //
 // Usage:
 //
@@ -99,7 +99,8 @@ type (
 	Column = data.Column
 	// Pipeline is a trained pipeline (featurizers + model).
 	Pipeline = model.Pipeline
-	// Profile describes the execution environment cost model.
+	// Profile describes how the engine executes plans (parallelism, batch
+	// size, memory budget, adaptivity).
 	Profile = engine.Profile
 	// OptimizerOptions selects the optimizer rules.
 	OptimizerOptions = opt.Options
@@ -159,21 +160,10 @@ var (
 	TrainPipeline = train.FitPipeline
 )
 
-// Engine profiles (re-exports). All computation runs on the host; the
-// profile converts measured operator work into reported times (DESIGN.md
-// §4 documents the cost model).
-var (
-	// ProfileLocal is an overhead-free single-threaded profile.
-	ProfileLocal = engine.Local
-	// ProfileSpark models the paper's 4×8-core Spark cluster.
-	ProfileSpark = engine.Spark
-	// ProfileSQLServerDOP1 models single-threaded SQL Server.
-	ProfileSQLServerDOP1 = engine.SQLServerDOP1
-	// ProfileSQLServerDOP16 models SQL Server at DOP 16.
-	ProfileSQLServerDOP16 = engine.SQLServerDOP16
-	// ProfileMADlib models PostgreSQL+MADlib.
-	ProfileMADlib = engine.MADlib
-)
+// ProfileLocal is the default engine profile: serial execution, no memory
+// budget. The paper's modeled clusters (Spark, SQL Server, MADlib) are not
+// engine profiles; cmd/ravenbench applies them to measured runs.
+var ProfileLocal = engine.Local
 
 // Session is the entry point: a catalog of tables and models plus an
 // optimizer configuration (the paper's RavenSession).
@@ -467,10 +457,9 @@ func (s *Session) RegisterModelFile(path string) (*Pipeline, error) {
 type Result struct {
 	// Table holds the result rows.
 	Table *Table
-	// Wall is the measured single-thread execution time.
+	// Wall is the measured wall time of executing the plan, at whatever
+	// parallelism the session runs (planning and admission wait excluded).
 	Wall time.Duration
-	// Reported is the profile's cost-model time (see DESIGN.md §4).
-	Reported time.Duration
 	// Report describes the optimizations applied.
 	Report *OptimizerReport
 	// Plan is the optimized plan rendered as text.
@@ -517,17 +506,21 @@ func (s *Session) QueryContext(ctx context.Context, sql string) (*Result, error)
 	if err != nil {
 		return nil, fmt.Errorf("raven: executing query: %w", err)
 	}
+	return newResult(res, rep, g.Explain()), nil
+}
+
+// newResult wraps an engine result with the plan it executed.
+func newResult(res *engine.Result, rep *OptimizerReport, plan string) *Result {
 	return &Result{
 		Table:        res.Table,
 		Wall:         res.Wall,
-		Reported:     res.Reported,
 		Report:       rep,
-		Plan:         g.Explain(),
+		Plan:         plan,
 		Adaptive:     res.Adaptive,
 		Sessions:     res.Sessions,
 		ColdSessions: res.ColdSessions,
 		SpilledBytes: res.SpilledBytes,
-	}, nil
+	}
 }
 
 // Explain optimizes the query and returns the plan text and the optimizer

@@ -238,17 +238,7 @@ func (s *Session) execPlanned(ctx context.Context, norm string) (*Result, error)
 	if err != nil {
 		return nil, fmt.Errorf("raven: executing query: %w", err)
 	}
-	return &Result{
-		Table:        res.Table,
-		Wall:         res.Wall,
-		Reported:     res.Reported,
-		Report:       e.report,
-		Plan:         e.plan,
-		Adaptive:     res.Adaptive,
-		Sessions:     res.Sessions,
-		ColdSessions: res.ColdSessions,
-		SpilledBytes: res.SpilledBytes,
-	}, nil
+	return newResult(res, e.report, e.plan), nil
 }
 
 // Scheduler returns the morsel scheduler this session's parallel queries
