@@ -53,7 +53,7 @@ bench-baseline:
 		-bench 'Fig7|ParallelSpeedup|JoinAggParallelSpeedup|StringHeavyJoinEncode|TopKOverPredict|ConcurrentServing|AdaptiveReopt' \
 		-benchtime=1x . | tee $(BENCH_OUT)
 	go test -run xxx -benchmem \
-		-bench 'Filter|ProjectLiteral' \
+		-bench 'Filter|ProjectLiteral|ChunkedScan' \
 		-benchtime=20x ./internal/relational | tee -a $(BENCH_OUT)
 	go test -run xxx -benchmem \
 		-bench 'ExternalSortSpill' \

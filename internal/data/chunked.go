@@ -27,25 +27,44 @@ type Chunk struct {
 	Blocks []ColumnBlock
 }
 
-// Decode materializes the named columns of the chunk (nil names = every
-// column) as an in-memory table. Only the requested blocks are decoded —
-// the unit of IO the chunk reader accounts per morsel.
+// Decode materializes the named columns of the chunk, in the order named
+// (nil names = every column), as an in-memory table. Only the requested
+// blocks are decoded.
 func (ch *Chunk) Decode(name string, names []string) (*Table, error) {
-	want := func(n string) bool { return true }
-	if names != nil {
-		set := make(map[string]bool, len(names))
-		for _, n := range names {
-			set[n] = true
-		}
-		want = func(n string) bool { return set[n] }
+	if names == nil {
+		return ch.decode(name, nil)
 	}
+	idx := make([]int, len(names))
+	for j, n := range names {
+		idx[j] = -1
+		for i := range ch.Blocks {
+			if ch.Blocks[i].Meta.Name == n {
+				idx[j] = i
+				break
+			}
+		}
+		if idx[j] < 0 {
+			return nil, fmt.Errorf("data: chunk of %q has no column %q", name, n)
+		}
+	}
+	return ch.decode(name, idx)
+}
+
+// decode materializes the blocks at the given indexes, in that order (nil
+// = every block).
+func (ch *Chunk) decode(name string, idx []int) (*Table, error) {
 	t, err := NewTable(name)
 	if err != nil {
 		return nil, err
 	}
-	for _, blk := range ch.Blocks {
-		if !want(blk.Meta.Name) {
-			continue
+	n := len(idx)
+	if idx == nil {
+		n = len(ch.Blocks)
+	}
+	for j := 0; j < n; j++ {
+		blk := &ch.Blocks[j]
+		if idx != nil {
+			blk = &ch.Blocks[idx[j]]
 		}
 		c, err := DecodeColumn(blk.Meta, blk.Data)
 		if err != nil {
@@ -54,9 +73,6 @@ func (ch *Chunk) Decode(name string, names []string) (*Table, error) {
 		if err := t.AddColumn(c); err != nil {
 			return nil, err
 		}
-	}
-	if names != nil && t.NumCols() != len(names) {
-		return nil, fmt.Errorf("data: chunk of %q lacks some of columns %v", name, names)
 	}
 	return t, nil
 }
@@ -144,70 +160,143 @@ func (ct *ChunkedTable) rowOffsets() []int {
 }
 
 // ChunkCache memoizes the most recently decoded chunk for one sequential
-// consumer of DecodeRange, so a scan walking forward decodes each chunk
-// once. It is not safe for concurrent use: parallel consumers each pass
-// nil or hold their own cache, and a cache must always be used with the
-// same column set.
+// consumer, so a walk forward decodes each chunk once, and counts the
+// decodes it could not avoid. It is not safe for concurrent use: parallel
+// consumers each hold their own cache, and a cache must always be used
+// with the same table and column set.
 type ChunkCache struct {
-	idx int
-	t   *Table
+	idx     int
+	t       *Table
+	decodes int
 }
 
 // NewChunkCache returns an empty cache.
 func NewChunkCache() *ChunkCache { return &ChunkCache{idx: -1} }
 
-func (ct *ChunkedTable) decodeChunk(i int, cols []string, cache *ChunkCache) (*Table, error) {
+// Decodes returns how many chunks were decoded through the cache.
+func (c *ChunkCache) Decodes() int { return c.decodes }
+
+func (ct *ChunkedTable) decodeChunk(i int, idx []int, cache *ChunkCache) (*Table, error) {
 	if cache != nil && cache.idx == i && cache.t != nil {
 		return cache.t, nil
 	}
-	dec, err := ct.chunks[i].Decode(ct.Name, cols)
+	dec, err := ct.chunks[i].decode(ct.Name, idx)
 	if err != nil {
 		return nil, err
 	}
 	if cache != nil {
 		cache.idx, cache.t = i, dec
+		cache.decodes++
 	}
 	return dec, nil
 }
 
-// DecodeRange materializes rows [lo, hi) of the named columns (nil = all).
-// A range inside a single chunk returns a zero-copy slice of the decoded
-// chunk — the common case when batch size and chunk size are of the same
-// order; a range spanning chunks copies the overlap of each. Decoded
-// string columns keep the chunked table's shared *Dictionary pointers, so
-// every dict fast path downstream survives out-of-core storage.
-func (ct *ChunkedTable) DecodeRange(lo, hi int, cols []string, cache *ChunkCache) (*Table, error) {
+// ChunkView is one scan's fixed reading plan over a chunked table: the
+// projected columns, resolved to block indexes once, and the chunks the
+// scan's zone predicates left live. It is immutable, so the workers of a
+// parallel scan share one view and each bring their own ChunkCache.
+type ChunkView struct {
+	ct   *ChunkedTable
+	idx  []int  // block index per output column; nil = every block
+	live []bool // per chunk; nil = every chunk
+}
+
+// View resolves cols (nil = all, otherwise decoded in the order given)
+// against the table's schema. live, when non-nil, has one entry per chunk:
+// rows of a chunk marked false are never decoded or returned.
+func (ct *ChunkedTable) View(cols []string, live []bool) (*ChunkView, error) {
+	if live != nil && len(live) != len(ct.chunks) {
+		return nil, fmt.Errorf("data: %d liveness entries for the %d chunks of %q", len(live), len(ct.chunks), ct.Name)
+	}
+	v := &ChunkView{ct: ct, live: live}
+	if cols != nil {
+		v.idx = make([]int, len(cols))
+		for j, n := range cols {
+			if v.idx[j] = ct.schema.Index(n); v.idx[j] < 0 {
+				return nil, fmt.Errorf("data: chunked table %q has no column %q", ct.Name, n)
+			}
+		}
+	}
+	return v, nil
+}
+
+// ChunkOf returns the index of the chunk holding the given row.
+func (ct *ChunkedTable) ChunkOf(row int) int {
+	return sort.SearchInts(ct.rowOffsets(), row+1) - 1
+}
+
+// Live reports whether any row of [lo, hi) lies in a live chunk.
+func (v *ChunkView) Live(lo, hi int) bool {
+	if v.live == nil {
+		return lo < hi
+	}
+	starts := v.ct.rowOffsets()
+	for ci := v.ct.ChunkOf(lo); ci < len(v.live) && starts[ci] < hi; ci++ {
+		if v.live[ci] {
+			return true
+		}
+	}
+	return false
+}
+
+// Range materializes the rows of [lo, hi) that lie in live chunks, or nil
+// when there are none. Rows from a single chunk come back as a zero-copy
+// slice of the decoded chunk — the common case when batch size and chunk
+// size are of the same order; rows from several chunks are copied
+// together. Decoded string columns keep the chunked table's shared
+// *Dictionary pointers, so every dict fast path downstream survives
+// out-of-core storage.
+func (v *ChunkView) Range(lo, hi int, cache *ChunkCache) (*Table, error) {
+	ct := v.ct
 	if lo < 0 || hi > ct.rows || lo > hi {
 		return nil, fmt.Errorf("data: decode range [%d,%d) of %q with %d rows", lo, hi, ct.Name, ct.rows)
 	}
 	if lo == hi {
-		return emptyWithSchema(ct.Name, ct.schema), nil
+		return nil, nil
 	}
 	starts := ct.rowOffsets()
-	// First chunk whose range contains row lo.
-	ci := sort.SearchInts(starts, lo+1) - 1
 	var out *Table
-	for pos := lo; pos < hi; ci++ {
-		dec, err := ct.decodeChunk(ci, cols, cache)
+	copied := false
+	for ci := ct.ChunkOf(lo); ci < len(ct.chunks) && starts[ci] < hi; ci++ {
+		if v.live != nil && !v.live[ci] {
+			continue
+		}
+		dec, err := ct.decodeChunk(ci, v.idx, cache)
 		if err != nil {
 			return nil, err
 		}
 		clo, chi := starts[ci], starts[ci+1]
-		part := dec.Slice(pos-clo, min(hi, chi)-clo)
+		part := dec.Slice(max(lo, clo)-clo, min(hi, chi)-clo)
 		if out == nil {
-			if hi <= chi {
-				return part, nil
-			}
-			// Clone before appending: part is a view of the decoded chunk
+			out = part
+			continue
+		}
+		if !copied {
+			// Clone before appending: out is a view of a decoded chunk
 			// (possibly cached), and appending through a view could write
 			// into the chunk's backing arrays.
-			out = part.Clone()
-		} else if err := out.AppendFrom(part); err != nil {
+			out, copied = out.Clone(), true
+		}
+		if err := out.AppendFrom(part); err != nil {
 			return nil, err
 		}
-		pos = chi
 	}
 	return out, nil
+}
+
+// DecodeRange materializes rows [lo, hi) of the named columns (nil = all):
+// View + Range for a caller without zone predicates. An empty range
+// returns a zero-row table of the full schema.
+func (ct *ChunkedTable) DecodeRange(lo, hi int, cols []string, cache *ChunkCache) (*Table, error) {
+	v, err := ct.View(cols, nil)
+	if err != nil {
+		return nil, err
+	}
+	t, err := v.Range(lo, hi, cache)
+	if t == nil && err == nil {
+		t = emptyWithSchema(ct.Name, ct.schema)
+	}
+	return t, err
 }
 
 // Reader returns a chunk reader over the named columns (nil = all): each

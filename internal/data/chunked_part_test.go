@@ -211,3 +211,45 @@ func TestChunkEncodePreservesPartitioning(t *testing.T) {
 	}
 	assertTableBits(t, wantFlat, gotFlat)
 }
+
+// Per-chunk zone maps: ChunkPartitioned (streaming decoded chunks) and
+// ChunkEncode (slicing the rows it cuts) must both keep one zone map per
+// chunk that describes exactly that chunk's rows, and a NaN must mark its
+// own chunk and survive the merge into the partition and global statistics.
+func TestChunkStatsDescribeEachChunk(t *testing.T) {
+	const n, chunkRows, nanRow = 1000, 97, 300
+	src := chunkFixture(t, n)
+	src.Col("v").F64[nanRow] = math.NaN()
+	streamed, err := ChunkPartitioned(chunkOf(t, src, chunkRows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := SinglePartition(src).ChunkEncode(chunkRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pt := range map[string]*PartitionedTable{"ChunkPartitioned": streamed, "ChunkEncode": cut} {
+		part := pt.Parts[0]
+		if len(part.ChunkStats) != part.Chunked.NumChunks() {
+			t.Fatalf("%s: %d zone maps for %d chunks", name, len(part.ChunkStats), part.Chunked.NumChunks())
+		}
+		for i, zone := range part.ChunkStats {
+			lo := i * chunkRows
+			want := ComputeTableStats(src.Slice(lo, min(lo+chunkRows, n)))
+			for col, ws := range want {
+				gs := zone[col]
+				if gs == nil || gs.Rows != ws.Rows || gs.HasNaN != ws.HasNaN ||
+					(ws.HasRange() && (gs.Min != ws.Min || gs.Max != ws.Max)) ||
+					fmt.Sprint(gs.Distinct) != fmt.Sprint(ws.Distinct) {
+					t.Fatalf("%s chunk %d column %q: zone map %+v, want %+v", name, i, col, gs, ws)
+				}
+			}
+			if zone["v"].HasNaN != (i == nanRow/chunkRows) {
+				t.Fatalf("%s chunk %d: HasNaN = %v", name, i, zone["v"].HasNaN)
+			}
+		}
+		if !part.Stats["v"].HasNaN || !pt.GlobalStats()["v"].HasNaN || part.Stats["id"].HasNaN {
+			t.Fatalf("%s: NaN presence lost or invented in merged statistics", name)
+		}
+	}
+}

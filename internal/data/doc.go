@@ -27,13 +27,19 @@
 // BlockMeta keeps the live *Dictionary pointer — metadata never hits
 // disk — so decoded columns share the original dictionary by pointer
 // identity and stay on every dict fast path. ChunkedTable/ChunkedBuilder/
-// ChunkReader store tables as per-chunk encoded blocks; DecodeRange
-// decodes an arbitrary row range (zero-copy when it falls inside one
-// chunk), and ChunkPartitioned wraps a ChunkedTable as a chunk-backed
-// Partition so catalog scans decode on demand instead of holding tables
-// resident. ReadCSVChunked streams a CSV file straight into chunks
-// without materializing the table; empty numeric/bool fields become
-// nulls (decoded as zero values).
+// ChunkReader store tables as per-chunk encoded blocks. A ChunkView is
+// one scan's reading plan over them — the projection resolved to block
+// indexes once, plus the chunks its zone predicates left live — and its
+// Range decodes an arbitrary row range of the live chunks (zero-copy
+// when it falls inside one chunk) through the caller's one-chunk
+// ChunkCache; DecodeRange is the same without zone predicates.
+// ChunkPartitioned wraps a ChunkedTable as a chunk-backed Partition so
+// catalog scans decode on demand instead of holding tables resident, and
+// keeps one zone map per chunk (Partition.ChunkStats) beside the merged
+// partition statistics. ColStats.HasNaN records NaN presence, which
+// min/max cannot express. ReadCSVChunked streams a CSV file straight
+// into chunks without materializing the table; empty numeric/bool fields
+// become nulls (decoded as zero values).
 //
 // Decoding is exact: integers, bools, dict codes and float bit patterns
 // round-trip unchanged, which is what lets chunk-backed scans satisfy

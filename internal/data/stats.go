@@ -20,6 +20,11 @@ type ColStats struct {
 	Distinct         []string
 	DistinctOverflow bool
 	Rows             int
+	// HasNaN is set when a Float64 column holds a NaN. Min and Max ignore
+	// NaNs (they compare false against everything), while the engine's
+	// comparisons do not treat NaN as unordered — so a zone that contains
+	// one may never be pruned from its range.
+	HasNaN bool
 }
 
 // MaxDistinctTracked caps the categorical distinct set kept in stats.
@@ -42,6 +47,9 @@ func ComputeColStats(c *Column) *ColStats {
 			}
 			if v > s.Max {
 				s.Max = v
+			}
+			if v != v {
+				s.HasNaN = true
 			}
 		}
 	case Int64:
@@ -145,6 +153,11 @@ type Partition struct {
 	// instead of a decoded Table; scans decode row ranges on demand.
 	Chunked *ChunkedTable
 	Stats   TableStats
+	// ChunkStats, when set, holds one zone map per chunk of Chunked, in
+	// chunk order: the same statistics as Stats at the granularity scans
+	// decode at, so a scan can leave a chunk encoded when its zone map
+	// rules the predicate out. Nil means no chunk can be excluded.
+	ChunkStats []TableStats
 }
 
 // NumRows returns the partition's row count for either backing store.
@@ -214,10 +227,12 @@ func PartitionBy(t *Table, col string) (*PartitionedTable, error) {
 
 // ChunkPartitioned wraps a chunked table as a one-partition
 // PartitionedTable without materializing it. Zone-map statistics are
-// computed by streaming one decoded chunk at a time and merging, so peak
-// memory stays one chunk regardless of table size.
+// computed by streaming one decoded chunk at a time, so peak memory stays
+// one chunk regardless of table size; each chunk's own zone map is kept
+// (Partition.ChunkStats) and their merge is the partition's.
 func ChunkPartitioned(ct *ChunkedTable) (*PartitionedTable, error) {
 	stats := make(TableStats)
+	perChunk := make([]TableStats, 0, ct.NumChunks())
 	r := ct.Reader(nil)
 	for {
 		b, err := r.Next()
@@ -227,18 +242,21 @@ func ChunkPartitioned(ct *ChunkedTable) (*PartitionedTable, error) {
 		if b == nil {
 			break
 		}
-		mergeTableStats(stats, ComputeTableStats(b))
+		cs := ComputeTableStats(b)
+		perChunk = append(perChunk, cs)
+		mergeTableStats(stats, cs)
 	}
 	return &PartitionedTable{
 		Name:   ct.Name,
-		Parts:  []*Partition{{Chunked: ct, Stats: stats}},
+		Parts:  []*Partition{{Chunked: ct, Stats: stats, ChunkStats: perChunk}},
 		schema: ct.Schema(),
 	}, nil
 }
 
 // ChunkEncode returns a chunk-backed copy of the partitioned table: the
 // same partitioning, keys, statistics and schema, with every partition's
-// rows encoded into chunks of chunkRows rows (<= 0 selects the default).
+// rows encoded into chunks of chunkRows rows (<= 0 selects the default)
+// and each chunk's zone map computed from the rows it was cut from.
 // Scanning the copy decodes row ranges on demand and produces batches
 // representation-identical to scanning the original.
 func (p *PartitionedTable) ChunkEncode(chunkRows int) (*PartitionedTable, error) {
@@ -256,7 +274,12 @@ func (p *PartitionedTable) ChunkEncode(chunkRows int) (*PartitionedTable, error)
 		if err != nil {
 			return nil, err
 		}
-		out.Parts = append(out.Parts, &Partition{Key: part.Key, Chunked: ct, Stats: part.Stats})
+		starts := ct.rowOffsets()
+		perChunk := make([]TableStats, ct.NumChunks())
+		for i := range perChunk {
+			perChunk[i] = ComputeTableStats(t.Slice(starts[i], starts[i+1]))
+		}
+		out.Parts = append(out.Parts, &Partition{Key: part.Key, Chunked: ct, Stats: part.Stats, ChunkStats: perChunk})
 	}
 	return out, nil
 }
@@ -295,6 +318,7 @@ func mergeTableStats(dst, src TableStats) {
 			continue
 		}
 		g.Rows += s.Rows
+		g.HasNaN = g.HasNaN || s.HasNaN
 		if s.HasRange() {
 			if !(g.Min <= s.Min) {
 				g.Min = s.Min

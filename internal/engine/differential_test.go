@@ -310,3 +310,60 @@ func TestDifferentialStringPredicates(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkedPointLookupDifferential runs the benchmark's point_lookup text
+// against a chunk-backed Hospital catalog and its in-memory twin: the
+// answers must be byte-identical at every DOP, and because eid is sorted
+// the chunk zone maps must leave at most two chunks to decode (none for an
+// absent key, which the partition's own zone map excludes).
+func TestChunkedPointLookupDifferential(t *testing.T) {
+	const rows, chunkRows = 20000, 2048
+	c := diffCase{name: "hospital-point", ds: datagen.Hospital(rows, 19), opts: opt.DefaultOptions()}
+	pipe, err := c.ds.Train(train.KindGradientBoosting, func(s *train.Spec) { s.NEstimators = 5; s.MaxDepth = 3 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := c.ds.Catalog()
+	chunked, err := c.ds.ChunkedCatalog(chunkRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cat := range []*engine.Catalog{mem, chunked} {
+		if err := cat.RegisterModel(pipe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eids := c.ds.Tables[0].Col("eid").I64
+	keys := map[string]int64{"first": eids[0], "middle": eids[rows/2], "last": eids[rows-1], "absent": eids[rows-1] + 7}
+	dops := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		dops = append(dops, n)
+	}
+	for name, key := range keys {
+		sql := fmt.Sprintf("SELECT d.eid, p.score FROM PREDICT(MODEL = %s, DATA = hospital AS d)"+
+			" WITH (score FLOAT) AS p WHERE d.eid = %d", pipe.Name, key)
+		want, err := engine.Run(diffPlan(t, c, mem, sql), mem, engine.Local)
+		if err != nil {
+			t.Fatalf("%s in memory: %v", name, err)
+		}
+		if n := want.Table.NumRows(); (n == 1) == (name == "absent") || n > 1 {
+			t.Fatalf("%s: in-memory answer has %d rows", name, n)
+		}
+		g := diffPlan(t, c, chunked, sql)
+		for _, dop := range dops {
+			prof := engine.Local
+			prof.ExecDOP = dop
+			res, err := engine.Run(g, chunked, prof)
+			if err != nil {
+				t.Fatalf("%s dop=%d: %v", name, dop, err)
+			}
+			label := fmt.Sprintf("%s dop=%d", name, dop)
+			diffAssertIdentical(t, want.Table, res.Table, label)
+			total := int64((rows + chunkRows - 1) / chunkRows)
+			if res.ChunksDecoded > 2 || res.ChunksDecoded+res.ChunksSkipped < total ||
+				(name == "absent" && res.ChunksDecoded != 0) {
+				t.Fatalf("%s: %d chunks decoded, %d skipped of %d", label, res.ChunksDecoded, res.ChunksSkipped, total)
+			}
+		}
+	}
+}

@@ -33,6 +33,10 @@ type Result struct {
 	BytesConverted int64
 	// PartitionsScanned counts partitions actually read (after pruning).
 	PartitionsScanned int
+	// ChunksDecoded and ChunksSkipped sum, over the scans of chunk-backed
+	// tables, the chunk decodes performed and the chunks zone maps left
+	// encoded.
+	ChunksDecoded, ChunksSkipped int64
 	// Adaptive holds the mid-query re-optimization trace (breaker
 	// observations and strategy switches) when Profile.Adaptive is set;
 	// nil otherwise.
@@ -129,7 +133,8 @@ func ExecuteContext(ctx context.Context, root Operator, prof Profile) (res *Resu
 
 // countBoundary fills the result's boundary counters from the executed
 // tree: ML sessions checked out (and the cold subset), batches and bytes
-// that crossed into an ML runtime, and partitions read after pruning.
+// that crossed into an ML runtime, and partitions and chunks read after
+// pruning.
 func (res *Result) countBoundary(op Operator) {
 	switch o := op.(type) {
 	case *PredictOp:
@@ -143,6 +148,8 @@ func (res *Result) countBoundary(op Operator) {
 		res.BytesConverted += o.BytesConverted
 	case *relational.Scan:
 		res.PartitionsScanned += o.PartitionsRead()
+		res.ChunksDecoded += o.Stats().ChunksDecoded
+		res.ChunksSkipped += o.Stats().ChunksSkipped
 	}
 	for _, c := range op.Children() {
 		res.countBoundary(c)

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"raven/internal/data"
 	"raven/internal/fault"
+	"raven/internal/ir"
 	"raven/internal/relational"
 	"raven/internal/sched"
 	"raven/internal/testfix"
@@ -198,5 +200,85 @@ func TestDeadlineExpiresMidQuery(t *testing.T) {
 	}
 	if out := cat.Sessions().Outstanding(); out != 0 {
 		t.Fatalf("%d ML session(s) not returned after deadline", out)
+	}
+}
+
+// chunkTaskFixture is parallelFixture with the patients table re-registered
+// chunk-backed as two 4096-row chunks: at the local 1024-row batch size the
+// exchange runs two tasks of four morsels each, so the third crossing of a
+// per-morsel site is always in the middle of a multi-batch chunk task.
+func chunkTaskFixture(t *testing.T) (*Catalog, *ir.Graph) {
+	t.Helper()
+	cat, g := parallelFixture(t, 8192)
+	pt, _ := cat.Table("patients")
+	b := data.NewChunkedBuilder("patients", 4096)
+	if err := b.Append(pt.Parts[0].Table); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.RegisterChunked(ct); err != nil {
+		t.Fatal(err)
+	}
+	return cat, g
+}
+
+// A panic, an error and a cancel landing in the middle of a multi-batch
+// chunk task each end the query with the typed error and nothing else: the
+// task still delivers every result slot it owns (no hang), no goroutine or
+// ML session leaks, and a clean rerun is byte-identical to serial.
+func TestChunkTaskInjectedFaultMidTask(t *testing.T) {
+	testfix.LeakCheck(t)
+	cat, g := chunkTaskFixture(t)
+	serial, err := Run(g, cat, Local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.ChunksDecoded != 2 {
+		t.Fatalf("fixture decodes %d chunks, want 2", serial.ChunksDecoded)
+	}
+	prof := Local
+	prof.ExecDOP = 4
+	boom := errors.New("injected mid-task failure")
+	var pe *relational.PanicError
+	cases := []struct {
+		name  string
+		arm   func(f *testfix.Faults, cancel func())
+		typed func(error) bool
+	}{
+		{"panic", func(f *testfix.Faults, _ func()) { f.PanicAt(fault.SiteExchangeMorsel, 3, "injected: mid-task") },
+			func(err error) bool { return errors.As(err, &pe) }},
+		{"error", func(f *testfix.Faults, _ func()) { f.FailAt(fault.SiteExchangeMorsel, 3, boom) },
+			func(err error) bool { return errors.Is(err, boom) }},
+		{"cancel", func(f *testfix.Faults, cancel func()) { f.CallAt(fault.SiteExchangeMorsel, 3, cancel) },
+			func(err error) bool { return errors.Is(err, context.Canceled) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := testfix.InjectFaults(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			tc.arm(f, cancel)
+			if _, err := RunContext(ctx, g, cat, prof); !tc.typed(err) {
+				t.Fatalf("err = %v, want the injected %s", err, tc.name)
+			}
+			if f.Hits(fault.SiteSchedTask) > 2 {
+				t.Fatalf("%d tasks ran for 2 chunks", f.Hits(fault.SiteSchedTask))
+			}
+			if out := cat.Sessions().Outstanding(); out != 0 {
+				t.Fatalf("%d ML session(s) not returned", out)
+			}
+			fault.Clear()
+			res, err := RunContext(context.Background(), g, cat, prof)
+			if err != nil {
+				t.Fatalf("clean rerun: %v", err)
+			}
+			assertResultsIdentical(t, serial.Table, res.Table, "rerun after mid-task "+tc.name)
+			if res.ChunksDecoded != 2 {
+				t.Fatalf("rerun decoded %d chunks, want 2", res.ChunksDecoded)
+			}
+		})
 	}
 }

@@ -170,3 +170,54 @@ func BenchmarkProjectLiteralArith(b *testing.B) {
 		}
 	}, rows)
 }
+
+// BenchmarkChunkedScan prices the chunk-backed scan on the shape of the
+// repository benchmark's point_lookup table — 131 072 rows in 8192-row
+// chunks with a sorted key, read in 1024-row batches: a full scan, which
+// decodes every chunk exactly once, and a point filter on the sorted key,
+// which the chunk zone maps cut to one chunk, serial and under a DOP-2
+// exchange. chunks_decoded/op is the work that must not creep back up.
+func BenchmarkChunkedScan(b *testing.B) {
+	const rows, batch = 131072, 1024
+	src := benchTable(rows, true).Parts[0].Table
+	ids := make([]int64, rows)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	tb := data.MustNewTable("t", append([]*data.Column{data.NewInt("id", ids)}, src.Cols...)...)
+	cpt, err := data.SinglePartition(tb).ChunkEncode(data.DefaultChunkRows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shapes := map[string]func() Operator{
+		"full": func() Operator { return NewScan(cpt, "", nil, batch) },
+		"point": func() Operator {
+			scan := NewScan(cpt, "", nil, batch)
+			scan.Prune = []ZonePredicate{{Col: "id", Op: OpEq, Val: rows / 2}}
+			return &Filter{Child: scan, Pred: NewBinOp(OpEq, Col("id"), Num(rows/2))}
+		},
+	}
+	for _, shape := range []string{"full", "point"} {
+		for _, dop := range []int{1, 2} {
+			b.Run(fmt.Sprintf("shape=%s/dop=%d", shape, dop), func(b *testing.B) {
+				var decoded int64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					root, err := Parallelize(shapes[shape](), dop, batch)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := Drain(root); err != nil {
+						b.Fatal(err)
+					}
+					sc, err := scanOf(root)
+					if err != nil {
+						b.Fatal(err)
+					}
+					decoded += sc.Stats().ChunksDecoded
+				}
+				b.ReportMetric(float64(decoded)/float64(b.N), "chunks_decoded/op")
+			})
+		}
+	}
+}

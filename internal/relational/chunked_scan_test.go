@@ -22,22 +22,26 @@ const chunkScanChunkRows = 97
 
 // chunkScanFixture mirrors breakerJoinFixture, optionally dictionary-
 // encoding the string columns, and returns the probe and dimension
-// tables partitioned exactly as the breaker tests expect.
+// tables partitioned exactly as the breaker tests expect. For the zone-map
+// shapes the probe table is sorted on id, clustered on tag (runs of 500
+// rows) and unsorted on v and k.
 func chunkScanFixture(t *testing.T, n, dimRows int, dict bool) (*data.PartitionedTable, *data.PartitionedTable) {
 	t.Helper()
 	ids := make([]int64, n)
 	keys := make([]int64, n)
 	vs := make([]float64, n)
 	grp := make([]string, n)
+	tag := make([]string, n)
 	for i := 0; i < n; i++ {
 		ids[i] = int64(i)
 		keys[i] = int64(i % (dimRows * 2))
 		vs[i] = float64(i%89) * 0.1 // binary-inexact: catches re-rounding
 		grp[i] = []string{"a", "b", "c"}[i*3/n]
+		tag[i] = fmt.Sprintf("t%02d", i/500)
 	}
 	fact := data.MustNewTable("fact",
 		data.NewInt("id", ids), data.NewInt("k", keys),
-		data.NewFloat("v", vs), data.NewString("grp", grp))
+		data.NewFloat("v", vs), data.NewString("grp", grp), data.NewString("tag", tag))
 	if dict {
 		fact = data.DictEncodeTable(fact)
 	}
@@ -236,5 +240,160 @@ func TestChunkedScanSpillDifferential(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// zoneShape is one zone-map shape: the predicates the optimizer would copy
+// onto the scan, the Filter they were copied from, and how many of the
+// table's chunks they must exclude.
+type zoneShape struct {
+	name  string
+	prune []ZonePredicate
+	pred  Expr
+	skips string // "none", "some" or "all" chunks
+}
+
+func numZone(col string, op BinOpKind, v float64) ZonePredicate {
+	return ZonePredicate{Col: col, Op: op, Val: v}
+}
+
+func zoneShapes(chunkRows int) []zoneShape {
+	between := func(lo, hi float64) ([]ZonePredicate, Expr) {
+		return []ZonePredicate{numZone("id", OpGe, lo), numZone("id", OpLt, hi)},
+			NewBinOp(OpAnd, NewBinOp(OpGe, Col("id"), Num(lo)), NewBinOp(OpLt, Col("id"), Num(hi)))
+	}
+	// Crosses the partition boundary at id 2000 and several chunk boundaries.
+	rangePrune, rangePred := between(1900, 2100)
+	// Five surviving rows, two before and three after the first chunk boundary.
+	edge := float64(chunkRows)
+	edgePrune, edgePred := between(edge-2, edge+3)
+	return []zoneShape{
+		{"eq-sorted-key", []ZonePredicate{numZone("id", OpEq, 2500)},
+			NewBinOp(OpEq, Col("id"), Num(2500)), "some"},
+		{"range-sorted-key", rangePrune, rangePred, "some"},
+		{"eq-clustered-string", []ZonePredicate{{Col: "tag", Op: OpEq, IsStr: true, StrV: "t07"}},
+			NewBinOp(OpEq, Col("tag"), Str("t07")), "some"},
+		{"unsorted-excludes-nothing", []ZonePredicate{numZone("v", OpLt, 6)},
+			NewBinOp(OpLt, Col("v"), Num(6)), "none"},
+		{"excludes-everything", []ZonePredicate{numZone("id", OpEq, -5)},
+			NewBinOp(OpEq, Col("id"), Num(-5)), "all"},
+		{"straddles-chunk-boundary", edgePrune, edgePred, "some"},
+	}
+}
+
+func numChunks(pt *data.PartitionedTable) int64 {
+	var n int64
+	for _, p := range pt.Parts {
+		n += int64(p.Chunked.NumChunks())
+	}
+	return n
+}
+
+// drainScanStats drains the plan and returns its result together with the
+// statistics of the scan at its leaf (the exchange's template scan when
+// the plan was parallelized).
+func drainScanStats(t *testing.T, root Operator) (*data.Table, OpStats) {
+	t.Helper()
+	got, err := Drain(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scanOf(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, *sc.Stats()
+}
+
+// TestChunkedScanZoneMaps: a chunk-backed scan carrying zone predicates —
+// so it leaves excluded chunks encoded — under the Filter they came from
+// must be byte-identical to the in-memory scan without any, serial and at
+// every DOP, with chunks misaligned (97) and aligned (256) to the 128-row
+// batches.
+func TestChunkedScanZoneMaps(t *testing.T) {
+	plan := func(pt *data.PartitionedTable, z zoneShape, prune bool) Operator {
+		scan := NewScan(pt, "", []string{"v", "id", "tag"}, 128)
+		if prune {
+			scan.Prune = z.prune
+		}
+		return &Filter{Child: scan, Pred: z.pred}
+	}
+	for _, dict := range []bool{false, true} {
+		pf, _ := chunkScanFixture(t, 6000, 500, dict)
+		for _, chunkRows := range []int{chunkScanChunkRows, 256} {
+			cpf, err := pf.ChunkEncode(chunkRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := numChunks(cpf)
+			for _, z := range zoneShapes(chunkRows) {
+				t.Run(fmt.Sprintf("dict=%v/chunk=%d/%s", dict, chunkRows, z.name), func(t *testing.T) {
+					want, err := Drain(plan(pf, z, false))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (want.NumRows() == 0) != (z.skips == "all") {
+						t.Fatalf("reference has %d rows", want.NumRows())
+					}
+					for _, dop := range append([]int{0}, chunkScanDOPs()...) {
+						root := plan(cpf, z, true)
+						if dop > 0 {
+							root = mustParallelize(t, root, dop, 128)
+						}
+						got, st := drainScanStats(t, root)
+						assertTablesBits(t, want, got)
+						switch {
+						case z.skips == "none" && st.ChunksSkipped != 0,
+							z.skips == "some" && (st.ChunksSkipped == 0 || st.ChunksDecoded == 0 || st.Rows >= 6000),
+							z.skips == "all" && (st.ChunksSkipped != total || st.ChunksDecoded != 0 || st.Rows != 0):
+							t.Fatalf("dop=%d: %d of %d chunks skipped, %d decoded, %d rows scanned; want %s skipped",
+								dop, st.ChunksSkipped, total, st.ChunksDecoded, st.Rows, z.skips)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestChunkedScanDecodesEachChunkOnce pins the decode work: a full scan
+// decodes every chunk exactly once when chunks align with batches and at
+// most twice when they do not (the chunk a batch straddles into is decoded
+// by both tasks), at every DOP; a point predicate on the sorted key
+// touches at most two chunks.
+func TestChunkedScanDecodesEachChunkOnce(t *testing.T) {
+	pf, _ := chunkScanFixture(t, 6000, 500, false)
+	for _, chunkRows := range []int{chunkScanChunkRows, 256} {
+		cpf, err := pf.ChunkEncode(chunkRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := numChunks(cpf)
+		for _, dop := range append([]int{0}, chunkScanDOPs()...) {
+			t.Run(fmt.Sprintf("chunk=%d/dop=%d", chunkRows, dop), func(t *testing.T) {
+				par := func(root Operator) Operator {
+					if dop > 0 {
+						return mustParallelize(t, root, dop, 128)
+					}
+					return root
+				}
+				_, st := drainScanStats(t, par(NewScan(cpf, "", nil, 128)))
+				most := total
+				if dop > 0 && chunkRows%128 != 0 {
+					most = 2 * total
+				}
+				if st.ChunksDecoded < total || st.ChunksDecoded > most || st.Rows != 6000 {
+					t.Fatalf("full scan: %d decodes of %d chunks (want at most %d), %d rows",
+						st.ChunksDecoded, total, most, st.Rows)
+				}
+				point := NewScan(cpf, "", nil, 128)
+				point.Prune = []ZonePredicate{numZone("id", OpEq, 2500)}
+				got, st := drainScanStats(t, par(&Filter{Child: point, Pred: NewBinOp(OpEq, Col("id"), Num(2500))}))
+				if got.NumRows() != 1 || st.ChunksDecoded > 2 || st.Rows > int64(2*chunkRows) {
+					t.Fatalf("point lookup: %d rows, %d decodes, %d rows scanned",
+						got.NumRows(), st.ChunksDecoded, st.Rows)
+				}
+			})
+		}
 	}
 }

@@ -17,8 +17,15 @@
 // and sort runs are merged in that same order with first-occurrence
 // tie-breaks. Chunk-backed partitions preserve the contract by cutting
 // batches at BatchSize boundaries, never chunk boundaries — chunks are
-// only the decode granularity underneath (serial scans keep a one-chunk
-// cursor cache; parallel morsels decode their row range statelessly).
+// the decode and skipping granularity underneath. One scan body
+// (Scan.readBatch) serves the serial cursor and the exchange tasks, each
+// with a one-chunk cache of its own: an exchange task is the run of
+// morsels starting in one chunk, so that chunk is decoded once. Zone
+// predicates are evaluated per partition and then per chunk
+// (data.Partition.ChunkStats) once per scan; rows of an excluded chunk
+// are never decoded or emitted, which the Filter the predicates were
+// copied from makes invisible downstream. A zone that holds a NaN is
+// never excluded. OpStats.ChunksDecoded/ChunksSkipped count both.
 //
 // # Pipeline breakers and spilling
 //

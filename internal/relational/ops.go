@@ -21,6 +21,11 @@ type OpStats struct {
 	// SpillBytes counts bytes this operator wrote to spill files under
 	// the query's memory budget (0 when it never spilled).
 	SpillBytes int64
+	// ChunksDecoded and ChunksSkipped count, on scans of chunk-backed
+	// partitions, the chunk decodes performed and the chunks left encoded
+	// because a zone map — the partition's or the chunk's own — excluded
+	// them.
+	ChunksDecoded, ChunksSkipped int64
 }
 
 // Operator is a pull-based physical operator producing columnar batches.
@@ -51,7 +56,8 @@ func startTimer(s *OpStats) func() {
 func Timer(s *OpStats) func() { return startTimer(s) }
 
 // ZonePredicate is a simple comparison (col op literal) used for
-// zone-map partition pruning at the scan.
+// zone-map pruning at the scan, of whole partitions and of the chunks of
+// chunk-backed ones.
 type ZonePredicate struct {
 	Col   string
 	Op    BinOpKind
@@ -60,9 +66,11 @@ type ZonePredicate struct {
 	IsStr bool
 }
 
-// CanSkip reports whether the partition described by stats cannot contain
-// any row satisfying the predicate. Missing stats are conservative (no
-// skip).
+// CanSkip reports whether the zone (partition or chunk) described by
+// stats cannot contain any row satisfying the predicate. Missing stats are
+// conservative (no skip), and so is a zone holding a NaN: Min/Max ignore
+// NaNs, but the engine's comparisons order NaN as equal to everything, so
+// a NaN row can satisfy a predicate its zone's range rules out.
 func (z ZonePredicate) CanSkip(stats data.TableStats) bool {
 	s, ok := stats[z.Col]
 	if !ok {
@@ -79,7 +87,7 @@ func (z ZonePredicate) CanSkip(stats data.TableStats) bool {
 		}
 		return true
 	}
-	if !s.HasRange() {
+	if !s.HasRange() || s.HasNaN {
 		return false
 	}
 	switch z.Op {
@@ -100,8 +108,9 @@ func (z ZonePredicate) CanSkip(stats data.TableStats) bool {
 }
 
 // Scan streams a partitioned table in batches, reading only the requested
-// columns and skipping partitions ruled out by the zone predicates. When
-// Alias is set, output columns are qualified "alias.col".
+// columns and skipping what the zone predicates rule out: whole partitions,
+// and single chunks of chunk-backed partitions. When Alias is set, output
+// columns are qualified "alias.col".
 type Scan struct {
 	Table     *data.PartitionedTable
 	Cols      []string // nil means all columns
@@ -116,6 +125,10 @@ type Scan struct {
 	part    int
 	offset  int
 	skipped int
+	// views[i] is the reading plan of chunk-backed partition i (projection
+	// resolved to blocks, live chunks), set by enter. Allocated at the
+	// first chunk-backed partition, so in-memory scans never pay for it.
+	views []*data.ChunkView
 	// cache holds the serial cursor's most recently decoded chunk when the
 	// current partition is chunk-backed; reset at each partition start.
 	cache *data.ChunkCache
@@ -150,6 +163,7 @@ func (s *Scan) qualify(col string) string {
 func (s *Scan) Open() error {
 	s.stats = OpStats{Name: "Scan(" + s.Table.Name + ")"}
 	s.part, s.offset, s.skipped = 0, 0, 0
+	s.views = nil
 	if s.BatchSize <= 0 {
 		s.BatchSize = 10000
 	}
@@ -172,6 +186,50 @@ func (s *Scan) PartitionsRead() int {
 	return len(s.Table.Parts) - s.skipped
 }
 
+// canSkip reports whether some zone predicate excludes the zone.
+func (s *Scan) canSkip(zone data.TableStats) bool {
+	for _, z := range s.Prune {
+		if z.CanSkip(zone) {
+			return true
+		}
+	}
+	return false
+}
+
+// enter decides, once per scan, what of partition pi is read: nothing when
+// its zone map excludes a predicate (false), otherwise — for a chunk-backed
+// partition — the chunks whose own zone maps admit every predicate. The
+// serial cursor and Morsels both come through here, so they prune and
+// count alike.
+func (s *Scan) enter(pi int) (bool, error) {
+	p := s.Table.Parts[pi]
+	if s.canSkip(p.Stats) {
+		s.skipped++
+		if p.Chunked != nil {
+			s.stats.ChunksSkipped += int64(p.Chunked.NumChunks())
+		}
+		return false, nil
+	}
+	if p.Chunked == nil {
+		return true, nil
+	}
+	var live []bool
+	if len(s.Prune) > 0 && p.ChunkStats != nil {
+		live = make([]bool, len(p.ChunkStats))
+		for i, zone := range p.ChunkStats {
+			if live[i] = !s.canSkip(zone); !live[i] {
+				s.stats.ChunksSkipped++
+			}
+		}
+	}
+	if s.views == nil {
+		s.views = make([]*data.ChunkView, len(s.Table.Parts))
+	}
+	var err error
+	s.views[pi], err = p.Chunked.View(s.Cols, live)
+	return true, err
+}
+
 // Next returns the next batch.
 func (s *Scan) Next() (*data.Table, error) {
 	defer startTimer(&s.stats)()
@@ -181,17 +239,16 @@ func (s *Scan) Next() (*data.Table, error) {
 		}
 		p := s.Table.Parts[s.part]
 		if s.offset == 0 {
-			skip := false
-			for _, z := range s.Prune {
-				if z.CanSkip(p.Stats) {
-					skip = true
-					break
-				}
+			read, err := s.enter(s.part)
+			if err != nil {
+				return nil, err
 			}
-			if skip {
-				s.skipped++
+			if !read {
 				s.part++
 				continue
+			}
+			if p.Chunked != nil {
+				s.cache = data.NewChunkCache()
 			}
 		}
 		n := p.NumRows()
@@ -200,62 +257,64 @@ func (s *Scan) Next() (*data.Table, error) {
 			s.offset = 0
 			continue
 		}
-		hi := s.offset + s.BatchSize
-		if hi > n {
-			hi = n
+		lo := s.offset
+		s.offset = min(lo+s.BatchSize, n)
+		if b, err := s.readBatch(s.part, lo, s.offset, s.cache, &s.stats); b != nil || err != nil {
+			return b, err
 		}
-		var batch *data.Table
-		if p.Chunked != nil {
-			// Chunk-backed partition: decode the batch's row range on
-			// demand. Batches stay cut at BatchSize boundaries — never at
-			// chunk boundaries — so the batch stream is identical to the
-			// in-memory scan's and order-sensitive folds downstream see the
-			// same boundaries (the byte-identity contract). The cursor
-			// cache keeps the forward walk at one decode per chunk.
-			if s.offset == 0 {
-				s.cache = data.NewChunkCache()
-			}
-			dec, err := p.Chunked.DecodeRange(s.offset, hi, s.Cols, s.cache)
+	}
+}
+
+// readBatch is the one scan body: it produces the qualified batch for rows
+// [lo, hi) of partition part, counting into st, or nil when every row lies
+// in a chunk the zone maps excluded. The serial cursor and the exchange tasks
+// both call it, each with a ChunkCache of its own, so a forward walk
+// decodes a chunk once.
+//
+// Chunk-backed batches stay cut at BatchSize boundaries — never at chunk
+// boundaries — so the batch stream is identical to the in-memory scan's
+// and order-sensitive folds downstream see the same boundaries (the
+// byte-identity contract). A batch that straddles an excluded and a live
+// chunk carries only the live rows; what is dropped, the Filter the zone
+// predicate was copied from would have dropped.
+func (s *Scan) readBatch(part, lo, hi int, cache *data.ChunkCache, st *OpStats) (*data.Table, error) {
+	p := s.Table.Parts[part]
+	var batch *data.Table
+	if p.Chunked != nil {
+		before := cache.Decodes()
+		dec, err := s.views[part].Range(lo, hi, cache)
+		st.ChunksDecoded += int64(cache.Decodes() - before)
+		if dec == nil || err != nil {
+			return nil, err
+		}
+		batch = dec
+	} else {
+		src := p.Table
+		if s.Cols != nil {
+			var err error
+			src, err = src.Project(s.Cols)
 			if err != nil {
 				return nil, err
 			}
-			if s.Cols != nil {
-				// DecodeRange returns columns in schema order; restore the
-				// requested order the in-memory Project path produces.
-				if dec, err = dec.Project(s.Cols); err != nil {
-					return nil, err
-				}
-			}
-			batch = dec
-		} else {
-			src := p.Table
-			if s.Cols != nil {
-				var err error
-				src, err = src.Project(s.Cols)
-				if err != nil {
-					return nil, err
-				}
-			}
-			batch = src.Slice(s.offset, hi)
 		}
-		s.offset = hi
-		// Qualify output names.
-		out, err := data.NewTable(s.Table.Name)
-		if err != nil {
+		batch = src.Slice(lo, hi)
+	}
+	// Qualify output names.
+	out, err := data.NewTable(s.Table.Name)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range batch.Cols {
+		qc := *c
+		qc.Name = s.qualify(c.Name)
+		if err := out.AddColumn(&qc); err != nil {
 			return nil, err
 		}
-		for _, c := range batch.Cols {
-			qc := *c
-			qc.Name = s.qualify(c.Name)
-			if err := out.AddColumn(&qc); err != nil {
-				return nil, err
-			}
-			s.stats.BytesRead += qc.ByteSize()
-		}
-		s.stats.Rows += int64(out.NumRows())
-		s.stats.Batches++
-		return out, nil
+		st.BytesRead += qc.ByteSize()
 	}
+	st.Rows += int64(out.NumRows())
+	st.Batches++
+	return out, nil
 }
 
 // Close is a no-op.

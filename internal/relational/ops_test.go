@@ -125,6 +125,16 @@ func TestZonePredicateCanSkip(t *testing.T) {
 	if !(ZonePredicate{Col: "age", Op: OpNe, Val: 5}).CanSkip(constStats) {
 		t.Error("NE on constant partition should skip")
 	}
+	// A zone holding a NaN is never skipped, whatever the operator: NaN
+	// compares equal to everything in the engine but is outside [Min, Max].
+	constStats["age"].HasNaN = true
+	for _, op := range []BinOpKind{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe} {
+		for _, v := range []float64{-100, 5, 100} {
+			if (ZonePredicate{Col: "age", Op: op, Val: v}).CanSkip(constStats) {
+				t.Errorf("zone with NaN skipped for age %v %v", op, v)
+			}
+		}
+	}
 }
 
 func TestFilterOp(t *testing.T) {

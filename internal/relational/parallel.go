@@ -13,7 +13,9 @@ import (
 // This file implements morsel-driven parallel execution: partitioned scans
 // are split into fixed-size morsels (partition, row-range) whose tasks run
 // on the shared engine-level scheduler (internal/sched) — one fixed worker
-// pool multiplexing morsels from every running query. Each task drives a
+// pool multiplexing tasks from every running query. A task is one morsel
+// of an in-memory partition, or every morsel that starts in one chunk of a
+// chunk-backed partition, so the chunk is decoded once. Each task drives a
 // private clone of the partition-parallel operator chain
 // (Filter/Project/Predict) checked out from the exchange's clone set.
 // Results are merged back in morsel order at the Exchange, so parallel
@@ -21,10 +23,15 @@ import (
 // above the Exchange (joins, aggregates) stay oblivious — at any DOP and
 // any concurrency level.
 
-// Morsel is one unit of parallel work: a row range of one partition.
+// Morsel is one batch of parallel work: a row range of one partition, and
+// one result slot of the exchange.
 type Morsel struct {
 	Part   int
 	Lo, Hi int
+	// Chunk is the index of the chunk holding row Lo when the partition is
+	// chunk-backed, -1 when it is in memory. Consecutive morsels with the
+	// same Part and Chunk >= 0 run as one exchange task.
+	Chunk int
 }
 
 // ParallelOp is implemented by operators that can replicate across
@@ -64,6 +71,8 @@ func (s *OpStats) Absorb(o *OpStats) {
 	s.WallNs += o.WallNs
 	s.BytesRead += o.BytesRead
 	s.SpillBytes += o.SpillBytes
+	s.ChunksDecoded += o.ChunksDecoded
+	s.ChunksSkipped += o.ChunksSkipped
 }
 
 // CloneWorker returns a filter clone sharing the (immutable) predicate.
@@ -84,8 +93,10 @@ func (p *Project) AbsorbWorker(clone Operator) { p.stats.Absorb(clone.Stats()) }
 
 // Morsels splits the scan into row-range morsels of at most size rows,
 // applying zone-map pruning and the PartIndex restriction exactly like the
-// serial scan, and records pruned partitions in the scan's skip counter.
-func (s *Scan) Morsels(size int) []Morsel {
+// serial scan (both go through enter), and records pruned partitions and
+// chunks in the scan's counters. A morsel whose rows all lie in excluded
+// chunks is not produced, just as the serial scan emits no batch for it.
+func (s *Scan) Morsels(size int) ([]Morsel, error) {
 	if size <= 0 {
 		size = 10000
 	}
@@ -94,78 +105,37 @@ func (s *Scan) Morsels(size int) []Morsel {
 		if s.PartIndex >= 0 && pi != s.PartIndex {
 			continue
 		}
-		skip := false
-		for _, z := range s.Prune {
-			if z.CanSkip(p.Stats) {
-				skip = true
-				break
-			}
+		read, err := s.enter(pi)
+		if err != nil {
+			return nil, err
 		}
-		if skip {
-			s.skipped++
+		if !read {
 			continue
 		}
 		n := p.NumRows()
 		for lo := 0; lo < n; lo += size {
-			hi := lo + size
-			if hi > n {
-				hi = n
+			m := Morsel{Part: pi, Lo: lo, Hi: min(lo+size, n), Chunk: -1}
+			if p.Chunked != nil {
+				if !s.views[pi].Live(m.Lo, m.Hi) {
+					continue
+				}
+				m.Chunk = p.Chunked.ChunkOf(lo)
 			}
-			out = append(out, Morsel{Part: pi, Lo: lo, Hi: hi})
+			out = append(out, m)
 		}
 	}
-	return out
+	return out, nil
 }
 
-// MorselBatch produces the batch for one morsel, accumulating statistics
-// into st (each worker owns a private OpStats, absorbed after the join).
-func (s *Scan) MorselBatch(m Morsel, st *OpStats) (*data.Table, error) {
+// MorselBatch produces the batch for one morsel (nil when zone maps
+// excluded all of it), accumulating statistics into st: each worker owns a
+// private OpStats, absorbed after the join, and each task a private
+// ChunkCache — workers share only the scan's immutable reading plan.
+// Morsel boundaries are the same fixed row ranges as the serial batch
+// boundaries, which keeps parallel results byte-identical.
+func (s *Scan) MorselBatch(m Morsel, cache *data.ChunkCache, st *OpStats) (*data.Table, error) {
 	defer startTimer(st)()
-	p := s.Table.Parts[m.Part]
-	var batch *data.Table
-	if p.Chunked != nil {
-		// Chunk-backed partition: decode the morsel's row range without
-		// touching shared scan state — workers call MorselBatch
-		// concurrently, so the decode is stateless (no cursor cache; a
-		// boundary chunk shared by two morsels is decoded by each). Morsel
-		// boundaries are the same fixed row ranges as the serial batch
-		// boundaries, which keeps parallel results byte-identical.
-		dec, err := p.Chunked.DecodeRange(m.Lo, m.Hi, s.Cols, nil)
-		if err != nil {
-			return nil, err
-		}
-		if s.Cols != nil {
-			if dec, err = dec.Project(s.Cols); err != nil {
-				return nil, err
-			}
-		}
-		batch = dec
-	} else {
-		src := p.Table
-		if s.Cols != nil {
-			var err error
-			src, err = src.Project(s.Cols)
-			if err != nil {
-				return nil, err
-			}
-		}
-		batch = src.Slice(m.Lo, m.Hi)
-	}
-	out, err := data.NewTable(s.Table.Name)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range batch.Cols {
-		qc := *c
-		qc.Name = s.qualify(c.Name)
-		if err := out.AddColumn(&qc); err != nil {
-			return nil, err
-		}
-		st.BytesRead += qc.ByteSize()
-	}
-	st.Rows += int64(out.NumRows())
-	st.Batches++
-	return out, nil
+	return s.readBatch(m.Part, m.Lo, m.Hi, cache, st)
 }
 
 // batchSource is the leaf of a worker chain: it yields exactly the batch
@@ -197,6 +167,27 @@ type seqBatch struct {
 	err error
 }
 
+// task is one scheduled unit of exchange work: the run of consecutive
+// morsels [first, first+n), each of which it owes one result slot.
+type task struct{ first, n int }
+
+// tasksOf cuts the morsel queue into tasks: an in-memory morsel is a task
+// of its own; consecutive morsels starting in the same chunk of a
+// chunk-backed partition share one, so the task decodes that chunk once
+// (a morsel straddling into the next chunk stays with the chunk it starts
+// in).
+func tasksOf(morsels []Morsel) []task {
+	out := make([]task, 0, len(morsels))
+	for i, m := range morsels {
+		if i > 0 && m.Chunk >= 0 && m.Chunk == morsels[i-1].Chunk && m.Part == morsels[i-1].Part {
+			out[len(out)-1].n++
+			continue
+		}
+		out = append(out, task{first: i, n: 1})
+	}
+	return out
+}
+
 // worker is one exchange worker: a private clone of the operator chain
 // plus private scan statistics.
 type worker struct {
@@ -207,21 +198,22 @@ type worker struct {
 }
 
 // Exchange executes a partition-parallel operator segment — a chain of
-// ParallelOp operators over a partitioned Scan — as morsel tasks on the
-// shared scheduler, at most DOP of them in flight. Batches are re-emitted
-// in morsel order, so downstream operators observe exactly the serial
-// batch stream. The Template chain is never executed directly; it is
-// cloned DOP times (one clone chain per concurrently running task) and
-// kept as the merge target for statistics (its post-run WallNs is
+// ParallelOp operators over a partitioned Scan — as tasks of one or more
+// morsels on the shared scheduler, at most DOP of them in flight. Batches
+// are re-emitted in morsel order, so downstream operators observe exactly
+// the serial batch stream. The Template chain is never executed directly;
+// it is cloned DOP times (one clone chain per concurrently running task)
+// and kept as the merge target for statistics (its post-run WallNs is
 // aggregate across-task CPU time, while the Exchange's own stats carry
 // the measured parallel wall time).
 //
 // Flow control replaces a dedicated worker pool's ticket loop with
-// drip-feed submission: at most `window` morsels are ever submitted ahead
-// of consumption (the initial burst, then one new submission per sequence
-// slot Next consumes), and the result channel has capacity for the whole
-// window — so a task's result send NEVER blocks and tasks never wait on
-// each other, keeping the fixed shared pool deadlock-free.
+// drip-feed submission: at most `window` tasks are ever submitted ahead of
+// consumption (the initial burst, then one new submission per task whose
+// last slot Next consumes), and the result channel has capacity for every
+// slot of the whole window — so a task's result send NEVER blocks and
+// tasks never wait on each other, keeping the fixed shared pool
+// deadlock-free.
 type Exchange struct {
 	Template   Operator
 	DOP        int
@@ -230,21 +222,22 @@ type Exchange struct {
 	// pool (sched.Default()).
 	Sched *sched.Scheduler
 	// Observe, when set, enables adaptive DOP: the worker count for this
-	// exchange is clamped at Open to the morsels actually available (and
+	// exchange is clamped at Open to the tasks actually available (and
 	// the scheduler's worker pool), and the decision is recorded as an
 	// "exchange_dop" observation. Morsel-order merging makes any worker
 	// count byte-identical, so the clamp is always safe.
 	Observe AdaptiveContext
 	// Ctx, when set (see SetContext), is polled at every morsel boundary:
-	// once per Next call on the consumer side, and at the top of every
-	// scheduled task — so a canceled query both stops emitting batches and
-	// releases its shared-pool worker slots within one morsel of work.
+	// once per Next call on the consumer side, and before every morsel of
+	// every scheduled task — so a canceled query both stops emitting batches
+	// and releases its shared-pool worker slots within one morsel of work.
 	Ctx context.Context
 
 	stats   OpStats
 	scan    *Scan
 	chain   []ParallelOp // template ops root-first, excluding the scan
 	morsels []Morsel
+	tasks   []task
 	out     chan seqBatch
 	job     *sched.Job
 	// idle holds the clone chains not currently executing a task. The
@@ -260,9 +253,11 @@ type Exchange struct {
 	// cannot leak scheduled work — an opened-but-never-pulled exchange
 	// holds no scheduler resources.
 	started bool
-	// submitted counts morsels handed to the scheduler; window bounds
-	// submitted-minus-consumed so at most window results are buffered.
+	// submitted counts tasks handed to the scheduler and head is the task
+	// owning nextSeq; window bounds submitted-minus-head, so at most the
+	// results of window tasks are buffered.
 	submitted int
+	head      int
 	window    int
 	pending   map[int64]*data.Table
 	nextSeq   int64
@@ -324,21 +319,25 @@ func (e *Exchange) Open() error {
 	if err := e.Template.Close(); err != nil {
 		return err
 	}
-	e.morsels = e.scan.Morsels(e.MorselSize)
+	var err error
+	if e.morsels, err = e.scan.Morsels(e.MorselSize); err != nil {
+		return err
+	}
+	e.tasks = tasksOf(e.morsels)
 	e.pending = make(map[int64]*data.Table)
 	e.nextSeq = 0
-	e.submitted = 0
+	e.submitted, e.head = 0, 0
 	e.failed = nil
 	e.job = nil
 	e.absorbO = sync.Once{}
-	// Adaptive DOP: the morsel queue is the true amount of splittable
-	// work, known exactly here — cloning more worker chains than morsels
+	// Adaptive DOP: the task queue is the true amount of splittable
+	// work, known exactly here — cloning more worker chains than tasks
 	// (or than the scheduler has workers to drive) only costs setup and
 	// session checkouts. Results are merged by morsel sequence, so the
 	// effective worker count never affects output bytes.
 	dop := e.DOP
 	if e.Observe != nil {
-		if n := len(e.morsels); n < dop {
+		if n := len(e.tasks); n < dop {
 			dop = n
 		}
 		dop = e.scheduler().ClampDOP(dop)
@@ -351,10 +350,14 @@ func (e *Exchange) Open() error {
 		}
 	}
 	// The reorder window bounds buffered results under skew: at most
-	// window morsels are outstanding, and the channel holds the whole
-	// window so task sends never block.
+	// window tasks are outstanding, and the channel holds every slot of
+	// the whole window so task sends never block.
 	e.window = dop * 4
-	e.out = make(chan seqBatch, e.window)
+	slots := 1
+	for _, t := range e.tasks {
+		slots = max(slots, t.n)
+	}
+	e.out = make(chan seqBatch, e.window*slots)
 	e.workers = e.workers[:0]
 	// failWorkers closes the chains already opened for earlier workers,
 	// returning their pooled resources (ML sessions) on a partial failure.
@@ -397,51 +400,40 @@ func (e *Exchange) scheduler() *sched.Scheduler {
 	return sched.Default()
 }
 
-// start registers the job and submits the initial morsel window (first
+// start registers the job and submits the initial task window (first
 // Next call).
 func (e *Exchange) start() {
 	e.started = true
 	e.job = e.scheduler().NewJob(len(e.workers))
-	burst := e.window
-	if burst > len(e.morsels) {
-		burst = len(e.morsels)
-	}
-	for i := 0; i < burst; i++ {
-		e.submitMorsel()
+	for i := 0; i < e.window; i++ {
+		e.submitTask()
 	}
 }
 
-// submitMorsel schedules the next unsubmitted morsel as one task. The task
-// checks a clone chain out of the idle set (never empty: the job cap
-// equals the clone count), runs the morsel through it, and delivers the
-// result on the buffered channel (never blocks: outstanding results are
-// bounded by the window, which is the channel capacity).
-func (e *Exchange) submitMorsel() {
-	if e.submitted >= len(e.morsels) {
+// submitTask schedules the next unsubmitted task, if any. The task checks
+// a clone chain out of the idle set (never empty: the job cap equals the
+// clone count), runs its morsels through it in order, and delivers one
+// result per morsel on the buffered channel (never blocks: outstanding
+// slots are bounded by the window, which sized the channel).
+func (e *Exchange) submitTask() {
+	if e.submitted >= len(e.tasks) {
 		return
 	}
-	seq := int64(e.submitted)
-	m := e.morsels[e.submitted]
+	t := e.tasks[e.submitted]
 	e.submitted++
-	e.job.Submit(func() {
-		t, err := e.runMorsel(m)
-		// The send stays outside runMorsel's recover scope and its
-		// deferred idle-return: whatever happens inside the morsel —
-		// error, cancellation, panic — the sequence slot is always
-		// delivered, so the consumer can never block on a lost result.
-		e.out <- seqBatch{seq: seq, t: t, err: err}
-	})
+	e.job.Submit(func() { e.runTask(t) })
 }
 
-// runMorsel checks a clone chain out of the idle set and drives one morsel
-// through it, behind the task's cancellation check and panic boundary. A
-// panic anywhere in the chain becomes this query's *PanicError instead of
-// killing the shared scheduler worker, and the deferred idle-return keeps
-// the clone set intact even then (the poisoned query is failing anyway —
-// its remaining tasks are about to be canceled, and a reused clone's
-// output can never surface, because batches are consumed strictly in
-// sequence order and the first error stops consumption).
-func (e *Exchange) runMorsel(m Morsel) (t *data.Table, err error) {
+// runTask drives the task's morsels through one checked-out clone chain.
+// The sends stay outside runMorsel's recover scope: whatever happens inside
+// a morsel — error, cancellation, panic — every sequence slot the task owns
+// is delivered (the slots after a failure repeat its error), so the
+// consumer can never block on a lost result. The deferred idle-return keeps
+// the clone set intact even after a panic (the poisoned query is failing
+// anyway — its remaining tasks are about to be canceled, and a reused
+// clone's output can never surface, because batches are consumed strictly
+// in sequence order and the first error stops consumption).
+func (e *Exchange) runTask(t task) {
 	e.idleMu.Lock()
 	w := e.idle[len(e.idle)-1]
 	e.idle = e.idle[:len(e.idle)-1]
@@ -451,9 +443,31 @@ func (e *Exchange) runMorsel(m Morsel) (t *data.Table, err error) {
 		e.idle = append(e.idle, w)
 		e.idleMu.Unlock()
 	}()
+	var cache *data.ChunkCache
+	if e.morsels[t.first].Chunk >= 0 {
+		cache = data.NewChunkCache()
+	}
+	var err error
+	for i := t.first; i < t.first+t.n; i++ {
+		var b *data.Table
+		if err == nil {
+			b, err = e.runMorsel(w, t, i, cache)
+		}
+		e.out <- seqBatch{seq: int64(i), t: b, err: err}
+	}
+}
+
+// runMorsel drives morsel i of task t through the worker's chain, behind
+// the task's cancellation check and panic boundary. A panic anywhere in
+// the chain becomes this query's *PanicError instead of killing the shared
+// scheduler worker. Cancellation is polled before every morsel, so a
+// multi-morsel task reacts within one batch of work like any other.
+func (e *Exchange) runMorsel(w *worker, t task, i int, cache *data.ChunkCache) (b *data.Table, err error) {
 	defer RecoverPanic("exchange morsel", &err)
-	if err := fault.Inject(fault.SiteSchedTask); err != nil {
-		return nil, err
+	if i == t.first {
+		if err := fault.Inject(fault.SiteSchedTask); err != nil {
+			return nil, err
+		}
 	}
 	if err := canceled(e.Ctx); err != nil {
 		return nil, err
@@ -461,13 +475,13 @@ func (e *Exchange) runMorsel(m Morsel) (t *data.Table, err error) {
 	if err := fault.Inject(fault.SiteExchangeMorsel); err != nil {
 		return nil, err
 	}
-	return e.execMorsel(w, m)
+	return e.execMorsel(w, e.morsels[i], cache)
 }
 
 // execMorsel drives the worker's chain over one morsel and returns the
 // (possibly nil) result batch.
-func (e *Exchange) execMorsel(w *worker, m Morsel) (*data.Table, error) {
-	batch, err := e.scan.MorselBatch(m, &w.scanStats)
+func (e *Exchange) execMorsel(w *worker, m Morsel, cache *data.ChunkCache) (*data.Table, error) {
+	batch, err := e.scan.MorselBatch(m, cache, &w.scanStats)
 	if err != nil {
 		return nil, err
 	}
@@ -521,9 +535,12 @@ func (e *Exchange) Next() (*data.Table, error) {
 		if t, ok := e.pending[e.nextSeq]; ok {
 			delete(e.pending, e.nextSeq)
 			e.nextSeq++
-			// A consumed sequence slot frees one window slot: drip-feed the
-			// next morsel to the scheduler.
-			e.submitMorsel()
+			// Consuming a task's last slot frees one window slot: drip-feed
+			// the next task to the scheduler.
+			if h := e.tasks[e.head]; e.nextSeq == int64(h.first+h.n) {
+				e.head++
+				e.submitTask()
+			}
 			if t != nil && t.NumRows() > 0 {
 				e.stats.Rows += int64(t.NumRows())
 				e.stats.Batches++

@@ -478,6 +478,10 @@ type Result struct {
 	// SpilledBytes is the total bytes the pipeline breakers spilled to
 	// temp files under the session memory budget (0 without a budget).
 	SpilledBytes int64
+	// ChunksDecoded and ChunksSkipped sum, over the query's scans of
+	// chunk-backed tables, the chunk decodes performed and the chunks left
+	// encoded because a zone map excluded them.
+	ChunksDecoded, ChunksSkipped int64
 }
 
 // Query parses, optimizes and executes a prediction query. Plans are
@@ -512,14 +516,16 @@ func (s *Session) QueryContext(ctx context.Context, sql string) (*Result, error)
 // newResult wraps an engine result with the plan it executed.
 func newResult(res *engine.Result, rep *OptimizerReport, plan string) *Result {
 	return &Result{
-		Table:        res.Table,
-		Wall:         res.Wall,
-		Report:       rep,
-		Plan:         plan,
-		Adaptive:     res.Adaptive,
-		Sessions:     res.Sessions,
-		ColdSessions: res.ColdSessions,
-		SpilledBytes: res.SpilledBytes,
+		Table:         res.Table,
+		Wall:          res.Wall,
+		Report:        rep,
+		Plan:          plan,
+		Adaptive:      res.Adaptive,
+		Sessions:      res.Sessions,
+		ColdSessions:  res.ColdSessions,
+		SpilledBytes:  res.SpilledBytes,
+		ChunksDecoded: res.ChunksDecoded,
+		ChunksSkipped: res.ChunksSkipped,
 	}
 }
 

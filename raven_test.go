@@ -1,6 +1,8 @@
 package raven
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -301,6 +303,46 @@ ORDER BY p.score DESC`)
 		}
 		if c.Type != typ {
 			t.Errorf("column %q: type = %v, want %v", name, c.Type, typ)
+		}
+	}
+}
+
+// Zone maps must never prune a zone that holds a NaN. The engine's float
+// comparison puts NaN in the "equal" branch, so `x = 5` keeps the NaN row
+// although 5 lies outside the zone's [min, max] (which ignores NaNs) —
+// pruning by that range would change the answer. Pinned at partition
+// granularity (in memory) and chunk granularity (the {1, 2} chunk is
+// excluded, the NaN chunk is not).
+func TestZoneMapsKeepNaNRows(t *testing.T) {
+	tb, err := NewTable("t",
+		NewFloatColumn("x", []float64{1, 2, math.NaN()}),
+		NewIntColumn("id", []int64{1, 2, 3}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunked := range []bool{false, true} {
+		s := NewSession()
+		if !chunked {
+			s.RegisterTable(tb)
+		} else if err := s.RegisterTableChunked(tb, 2); err != nil {
+			t.Fatal(err)
+		}
+		for lit, want := range map[string][]int64{"2": {2, 3}, "5": {3}} {
+			res, err := s.Query("SELECT id FROM t WHERE x = " + lit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(res.Plan, "prune=1") {
+				t.Fatalf("chunked=%v: no zone predicate on the scan:\n%s", chunked, res.Plan)
+			}
+			if res.Table.NumCols() != 1 || !slices.Equal(res.Table.Cols[0].I64, want) {
+				t.Fatalf("chunked=%v x = %s: got %v, want ids %v", chunked, lit, res.Table, want)
+			}
+			if chunked && lit == "5" && (res.ChunksSkipped != 1 || res.ChunksDecoded != 1) {
+				t.Fatalf("x = 5: %d chunks skipped, %d decoded; want the {1, 2} chunk skipped only",
+					res.ChunksSkipped, res.ChunksDecoded)
+			}
 		}
 	}
 }
