@@ -248,7 +248,7 @@ ORDER BY AVG(p.score) DESC`
 }
 
 // TestMemoryBudgetSpillsMatchInMemory drives the whole engine path: a
-// session-level memory budget of one byte forces the join build, the
+// session memory budget of one byte forces the join build, the
 // grouped-aggregation merge and the sort to spill, and the results must
 // stay byte-identical to the unbudgeted in-memory execution — serial and
 // parallel — with the spill volume surfaced on the Result and every temp
@@ -270,7 +270,7 @@ ORDER BY avg_score DESC, d.asthma`
 	}
 	for _, dop := range []int{1, 4} {
 		dir := t.TempDir()
-		s := adaptiveSession(t, WithMemoryBudget(1, dir), WithParallelism(dop))
+		s := adaptiveSession(t, WithGlobalMemoryBudget(1, dir), WithParallelism(dop))
 		res, err := s.Query(query)
 		if err != nil {
 			t.Fatalf("dop=%d: %v", dop, err)

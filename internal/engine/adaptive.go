@@ -26,7 +26,7 @@ import (
 // adaptivePredict reports whether predict nodes should lower to the
 // re-deciding operator under the current profile.
 func (l *lowerer) adaptivePredict() bool {
-	return l.rs != nil && l.prof.AdaptiveChooser != nil && !l.prof.MaterializeFeaturization
+	return l.prof.Adaptive && l.prof.AdaptiveChooser != nil && !l.prof.MaterializeFeaturization
 }
 
 // lowerAdaptivePredict lowers a predict node to an AdaptivePredict carrying
@@ -41,7 +41,6 @@ func (l *lowerer) lowerAdaptivePredict(n *ir.Node, child Operator, static opt.Ch
 		KeepInput:    n.KeepInput,
 		Static:       static,
 		GPU:          l.prof.GPU,
-		RStats:       l.rs,
 		EstRows:      l.est(n.Children[0]),
 		Chooser:      l.prof.AdaptiveChooser,
 		GPUAvailable: l.prof.AdaptiveGPU,
@@ -100,9 +99,8 @@ type AdaptivePredict struct {
 	// Shared is the engine-level ML session pool an ML-runtime inner
 	// operator checks its sessions out of.
 	Shared *mlruntime.Pool
-	// RStats is the per-query adaptive context the breakers feed.
-	RStats *opt.RuntimeStats
-	// EstRows is the plan-time input-cardinality estimate.
+	// EstRows is the plan-time input-cardinality estimate, corrected at
+	// Open by the observations in the environment's adaptive context.
 	EstRows float64
 	// Chooser re-picks the runtime from features + corrected cardinality.
 	Chooser      opt.CardinalityAwareStrategy
@@ -127,7 +125,7 @@ type predictFeed struct {
 }
 
 func (f *predictFeed) Columns() []string          { return f.cols }
-func (f *predictFeed) Open() error                { return nil }
+func (f *predictFeed) Open(*relational.Env) error { return nil }
 func (f *predictFeed) Close() error               { return nil }
 func (f *predictFeed) Stats() *relational.OpStats { return &f.stats }
 func (f *predictFeed) Children() []Operator       { return nil }
@@ -177,19 +175,24 @@ func (a *AdaptivePredict) OutputSchema() (data.Schema, bool) {
 }
 
 // Open opens the child (draining the join builds below and populating the
-// adaptive context), fixes the runtime decision, and opens the chosen
-// inner operator over the feed.
-func (a *AdaptivePredict) Open() error {
+// environment's adaptive context), fixes the runtime decision, and opens
+// the chosen inner operator over the feed. Without an adaptive context the
+// plan-time choice stands.
+func (a *AdaptivePredict) Open(env *relational.Env) error {
 	a.stats = relational.OpStats{Name: "AdaptivePredict(" + a.Pipeline.Name + ")"}
 	defer timeOp(&a.stats)()
 	if a.dec == nil {
 		a.dec = &adaptiveDecision{}
 	}
-	if err := a.Child.Open(); err != nil {
+	if err := a.Child.Open(env); err != nil {
 		return err
 	}
-	a.decide()
-	return a.openInner()
+	var obs relational.AdaptiveContext
+	if env != nil {
+		obs = env.Observe
+	}
+	a.decide(obs)
+	return a.openInner(env)
 }
 
 // decide fixes the runtime choice once per query. A switch happens only
@@ -198,11 +201,14 @@ func (a *AdaptivePredict) Open() error {
 // corrected cardinality, and (c) the new physical form validates (MLtoSQL
 // translation or tensor compilation succeeds) — otherwise the plan-time
 // choice stands, so a failed switch can never break a running query.
-func (a *AdaptivePredict) decide() {
+func (a *AdaptivePredict) decide(obs relational.AdaptiveContext) {
 	a.dec.once.Do(func() {
 		a.dec.choice = a.Static
-		adj, trigger := a.RStats.Reoptimize(a.EstRows)
-		if !trigger || a.Chooser == nil {
+		if obs == nil || a.Chooser == nil {
+			return
+		}
+		adj, trigger := obs.Reoptimize(a.EstRows)
+		if !trigger {
 			return
 		}
 		next := a.Chooser.ChooseWithCardinality(
@@ -228,7 +234,7 @@ func (a *AdaptivePredict) decide() {
 			a.dec.dnn = &dnnShared{prog: probe.prog,
 				labelVal: probe.labelVal, scoreVal: probe.scoreVal}
 		}
-		a.RStats.RecordSwitch("predict", a.dec.choice.String(), next.String())
+		obs.RecordSwitch("predict", a.dec.choice.String(), next.String())
 		a.dec.choice = next
 	})
 }
@@ -245,7 +251,7 @@ func (a *AdaptivePredict) deviceFor(c opt.Choice) *device.Device {
 }
 
 // openInner builds and opens the physical operator for the decided choice.
-func (a *AdaptivePredict) openInner() error {
+func (a *AdaptivePredict) openInner(env *relational.Env) error {
 	a.feed = &predictFeed{cols: a.Child.Columns()}
 	if s, ok := relational.SchemaOf(a.Child); ok {
 		a.feed.schema, a.feed.typed = s, true
@@ -280,7 +286,7 @@ func (a *AdaptivePredict) openInner() error {
 			Shared:    a.Shared,
 		}
 	}
-	return a.inner.Open()
+	return a.inner.Open(env)
 }
 
 // Next pushes the next child batch through the decided inner operator.
@@ -351,7 +357,6 @@ func (a *AdaptivePredict) CloneWorker(child Operator) (Operator, error) {
 		Static:       a.Static,
 		GPU:          a.GPU,
 		Shared:       a.Shared,
-		RStats:       a.RStats,
 		EstRows:      a.EstRows,
 		Chooser:      a.Chooser,
 		GPUAvailable: a.GPUAvailable,

@@ -86,11 +86,11 @@ func (d *DNNOp) OutputSchema() (data.Schema, bool) {
 }
 
 // Open compiles the pipeline to a tensor program.
-func (d *DNNOp) Open() error {
+func (d *DNNOp) Open(env *relational.Env) error {
 	d.stats = relational.OpStats{Name: fmt.Sprintf("DNN(%s,%s)", d.Pipeline.Name, d.Device.Name)}
 	defer timeOp(&d.stats)()
 	d.ModeledNs, d.ComputeNs, d.BytesConverted = 0, 0, 0
-	if err := d.Child.Open(); err != nil {
+	if err := d.Child.Open(env); err != nil {
 		return err
 	}
 	if d.shared != nil {

@@ -10,13 +10,14 @@
 // execution from immutable optimized IR, which is what lets one cached
 // plan run concurrently.
 //
-// Execution stamps cross-cutting state onto the lowered tree in one
-// walk each: the query context (cancellation), the adaptive runtime
-// stats, and the memory budget — either a per-query MemBudget
-// (Profile.MemoryBudget) or a per-query slice of the engine-global
-// GlobalBudget (Profile.GlobalBudget, which takes precedence); the
-// budget's Cleanup is deferred for the whole query so spill files never
-// survive error, cancel or panic paths. Executed results report the
+// ExecuteContext opens the lowered tree with the query's one
+// relational.Env: the context (cancellation), the adaptive runtime stats
+// (Profile.Adaptive), the scheduler (Profile.Sched), and the query's
+// share of the engine-global GlobalBudget (Profile.GlobalBudget). Parallel
+// and budgeted queries pass admission first — the admission cap is what
+// bounds the sum of budget floors — and the budget's Cleanup is deferred
+// for the whole query so spill files never survive error, cancel or panic
+// paths. Executed results report the
 // measured wall time (the only clock the engine has), the executed
 // operator tree, boundary counters, spill volume and adaptive
 // observations back on the Result.

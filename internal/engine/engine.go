@@ -42,7 +42,8 @@ type Result struct {
 	// nil otherwise.
 	Adaptive *opt.RuntimeStats
 	// SpilledBytes is the total bytes the pipeline breakers spilled to
-	// temp files under Profile.MemoryBudget (0 without a budget).
+	// temp files under the query's share of Profile.GlobalBudget (0
+	// without a budget).
 	SpilledBytes int64
 }
 
@@ -52,81 +53,68 @@ func Run(g *ir.Graph, cat *Catalog, prof Profile) (*Result, error) {
 }
 
 // RunContext lowers and executes an IR plan under the profile, with the
-// context governing cancellation: after lowering, ctx is stamped onto the
-// cancellation-aware operators (SetContext), so a done context surfaces
-// as the query error within one batch/morsel boundary of work.
+// context governing cancellation (see ExecuteContext).
 func RunContext(ctx context.Context, g *ir.Graph, cat *Catalog, prof Profile) (*Result, error) {
-	var rs *opt.RuntimeStats
-	if prof.Adaptive {
-		rs = opt.NewRuntimeStats(prof.ReoptFactor)
-	}
-	root, err := lowerAdaptive(g, cat, prof, rs)
+	root, err := Lower(g, cat, prof)
 	if err != nil {
 		return nil, err
 	}
-	relational.SetContext(ctx, root)
-	var mb *relational.MemBudget
-	switch {
-	case prof.GlobalBudget != nil:
-		// Engine-global accounting: this query's breaker reservations draw
-		// from the shared budget, with a floor derived from the admission
-		// cap so concurrent queries cannot starve it entirely.
-		mb = prof.GlobalBudget.QueryBudgetFor(prof.scheduler().AdmitCap())
-	case prof.MemoryBudget > 0:
-		mb = relational.NewMemBudget(prof.MemoryBudget, prof.SpillDir)
-	}
-	if mb != nil {
-		// Cleanup runs on every exit — error, cancellation and panic
-		// included — so spill temp files cannot outlive the query and the
-		// query's global reservations are always returned.
-		defer mb.Cleanup()
-		relational.SetBudget(mb, root)
-	}
-	res, err := ExecuteContext(ctx, root, prof)
-	if err != nil {
-		return nil, err
-	}
-	res.Adaptive = rs
-	if mb != nil {
-		res.SpilledBytes = mb.SpilledBytes()
-	}
-	return res, nil
+	return ExecuteContext(ctx, root, prof)
 }
 
-// Execute drains a physical plan and assembles the Result. Parallel plans
-// pass admission control first: the scheduler bounds how many parallel
-// queries are in flight at once, so morsel queue depth (and tail latency)
-// stays bounded under overload. Admission is held by the query thread
-// only — scheduler workers never admit — so it cannot deadlock with
-// morsel scheduling.
+// Execute drains a physical plan and assembles the Result.
 func Execute(root Operator, prof Profile) (*Result, error) {
 	return ExecuteContext(context.Background(), root, prof)
 }
 
-// ExecuteContext is Execute under a context: admission waits are
-// cancelable (and bounded when the scheduler has an admit wait configured,
-// surfacing sched.ErrOverloaded), the drain polls ctx per output batch,
-// and the whole query-thread execution runs behind a panic boundary — a
-// panic in any operator Open/Next/Close on this thread becomes the query's
-// *relational.PanicError instead of taking down the process.
+// ExecuteContext drains a physical plan under a context and assembles the
+// Result. It builds the query's one relational.Env — ctx, the profile's
+// scheduler, a fresh opt.RuntimeStats under Profile.Adaptive, and the
+// query's share of Profile.GlobalBudget — and opens the plan with it.
+//
+// Parallel plans and budgeted plans pass admission control first: the
+// scheduler bounds how many such queries are in flight at once, which
+// keeps morsel queue depth (and tail latency) bounded under overload and
+// is what makes a budgeted query's floor (Total / AdmitCap) sound.
+// Admission is held by the query thread only — scheduler workers never
+// admit — so it cannot deadlock with morsel scheduling. Admission waits
+// are cancelable (and bounded when the scheduler has an admit wait
+// configured, surfacing sched.ErrOverloaded), the drain polls ctx per
+// output batch, and the whole query-thread execution runs behind a panic
+// boundary — a panic in any operator Open/Next/Close on this thread
+// becomes the query's *relational.PanicError instead of taking down the
+// process. The budget's Cleanup runs on every exit, so spill files cannot
+// outlive the query and its reservations are always returned.
 func ExecuteContext(ctx context.Context, root Operator, prof Profile) (res *Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if prof.ExecDOP > 1 {
-		release, aerr := prof.scheduler().AdmitContext(ctx)
+	env := &relational.Env{Ctx: ctx, Sched: prof.Sched}
+	s := env.Scheduler()
+	if prof.ExecDOP > 1 || prof.GlobalBudget != nil {
+		release, aerr := s.AdmitContext(ctx)
 		if aerr != nil {
 			return nil, aerr
 		}
 		defer release()
 	}
+	if prof.GlobalBudget != nil {
+		env.Budget = prof.GlobalBudget.QueryBudgetFor(s.AdmitCap())
+		defer env.Budget.Cleanup()
+	}
+	var rs *opt.RuntimeStats
+	if prof.Adaptive {
+		rs = opt.NewRuntimeStats(prof.ReoptFactor)
+		env.Observe = rs
+	}
 	defer relational.RecoverPanic("query execution", &err)
 	t0 := time.Now()
-	table, err := relational.DrainContext(ctx, root)
+	table, err := relational.DrainEnv(env, root)
 	if err != nil {
 		return nil, err
 	}
-	res = &Result{Table: table, Wall: time.Since(t0), Root: root}
+	res = &Result{Table: table, Wall: time.Since(t0), Root: root,
+		Adaptive: rs, SpilledBytes: env.Budget.SpilledBytes()}
 	res.countBoundary(root)
 	return res, nil
 }

@@ -29,45 +29,29 @@ import (
 // dictionary codes) see the same representation, and optimized and
 // unoptimized plans stay byte-identical across representations (asserted
 // by the differential harnesses).
+//
+// Under Profile.Adaptive the pipeline breakers carry plan-time cardinality
+// estimates (reported next to the observed ones into the RuntimeStats
+// ExecuteContext creates) and predict nodes lower to AdaptivePredict,
+// which re-decides the runtime at Open from the corrected cardinality.
 func Lower(g *ir.Graph, cat *Catalog, prof Profile) (Operator, error) {
-	return lowerAdaptive(g, cat, prof, nil)
-}
-
-// lowerAdaptive is Lower with an optional per-query adaptive context: when
-// rs is non-nil the lowered pipeline breakers carry plan-time cardinality
-// estimates and record their observed counterparts into rs, predict nodes
-// lower to AdaptivePredict (re-deciding the runtime at Open from the
-// corrected cardinality), and the parallel rewrite's exchanges clamp their
-// worker counts adaptively.
-func lowerAdaptive(g *ir.Graph, cat *Catalog, prof Profile, rs *opt.RuntimeStats) (Operator, error) {
-	l := &lowerer{cat: cat, prof: prof, rs: rs}
+	l := &lowerer{cat: cat, prof: prof}
 	root, err := l.lower(g.Root)
 	if err != nil {
 		return nil, err
 	}
-	if prof.ExecDOP > 1 {
-		var obs relational.AdaptiveContext
-		if rs != nil {
-			obs = rs
-		}
-		root, err = relational.ParallelizeAdaptive(root, prof.ExecDOP, prof.BatchSize, prof.Sched, obs)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return root, nil
+	return relational.Parallelize(root, prof.ExecDOP, prof.BatchSize)
 }
 
 type lowerer struct {
 	cat  *Catalog
 	prof Profile
-	rs   *opt.RuntimeStats // nil unless Profile.Adaptive
 }
 
 // est returns the plan-time cardinality estimate for a node, 0 when the
 // query is not running adaptively (unused then).
 func (l *lowerer) est(n *ir.Node) float64 {
-	if l.rs == nil {
+	if !l.prof.Adaptive {
 		return 0
 	}
 	return opt.EstimateRows(n, l.cat)
@@ -107,13 +91,8 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		hj := &relational.HashJoin{Left: left, Right: right,
-			LeftKey: n.LeftKey, RightKey: n.RightKey}
-		if l.rs != nil {
-			hj.Observe = l.rs
-			hj.EstBuildRows = l.est(n.Children[1])
-		}
-		return hj, nil
+		return &relational.HashJoin{Left: left, Right: right,
+			LeftKey: n.LeftKey, RightKey: n.RightKey, EstBuildRows: l.est(n.Children[1])}, nil
 	case ir.KindAggregate:
 		child, err := l.lower(n.Children[0])
 		if err != nil {
@@ -125,14 +104,9 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 			// ExecDOP > 1 the Parallelize rewrite turns this into
 			// per-worker PartialGroupAggregates under a
 			// MergeGroupAggregate breaker.
-			ga := &relational.GroupAggregate{Child: child, Keys: n.GroupBy,
-				Aggs: n.Aggs, DenseLimit: l.prof.DenseGroupLimit}
-			if l.rs != nil {
-				ga.Observe = l.rs
-				ga.EstRows = l.est(n.Children[0])
-				ga.EstGroups = l.est(n)
-			}
-			return ga, nil
+			return &relational.GroupAggregate{Child: child, Keys: n.GroupBy,
+				Aggs: n.Aggs, DenseLimit: l.prof.DenseGroupLimit,
+				EstRows: l.est(n.Children[0]), EstGroups: l.est(n)}, nil
 		}
 		return &relational.Aggregate{Child: child, Aggs: n.Aggs}, nil
 	case ir.KindHaving:
@@ -159,12 +133,8 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 		// offset widens the heap to offset+limit rows). Under ExecDOP > 1
 		// the Parallelize rewrite splits it into per-worker PartialSorts
 		// merged k-way at a MergeSortRuns breaker.
-		st := &relational.Sort{Child: child, Keys: n.OrderBy, Limit: n.Limit, Offset: n.Offset}
-		if l.rs != nil {
-			st.Observe = l.rs
-			st.EstRows = l.est(n.Children[0])
-		}
-		return st, nil
+		return &relational.Sort{Child: child, Keys: n.OrderBy, Limit: n.Limit, Offset: n.Offset,
+			EstRows: l.est(n.Children[0])}, nil
 	case ir.KindUnion:
 		inputs := make([]Operator, len(n.Children))
 		for i, c := range n.Children {

@@ -90,13 +90,13 @@ func (p *PredictOp) OutputSchema() (data.Schema, bool) {
 // executing", whether the session comes warm from the shared pool or is
 // initialized cold. MADlib mode stays eager (its two sessions are part of
 // its setup and it never runs inside an exchange).
-func (p *PredictOp) Open() error {
+func (p *PredictOp) Open(env *relational.Env) error {
 	p.stats = relational.OpStats{Name: "Predict(" + p.Pipeline.Name + ")"}
 	defer timeOp(&p.stats)()
 	p.Sessions = 0
 	p.ColdSessions = 0
 	p.BytesConverted = 0
-	if err := p.Child.Open(); err != nil {
+	if err := p.Child.Open(env); err != nil {
 		return err
 	}
 	if p.MaterializeFeatures {

@@ -63,31 +63,17 @@ type Profile struct {
 	// AdaptiveGPU tells the adaptive chooser whether a GPU target is
 	// available for a mid-query switch to MLtoDNN-GPU.
 	AdaptiveGPU bool
-	// MemoryBudget, when > 0, caps the bytes each pipeline breaker (join
-	// build, grouped-aggregation merge, sort) may keep resident; state
-	// beyond the cap spills to compressed temp files and is merged back
-	// externally, byte-identical to the in-memory execution at any DOP.
-	// 0 (the default) disables spilling.
-	MemoryBudget int64
-	// SpillDir is the directory spill files are created in; empty means
-	// the OS temp dir. Files are removed when the query finishes,
-	// including on error, cancellation and panic paths.
-	SpillDir string
-	// GlobalBudget, when non-nil, replaces the per-query MemoryBudget:
-	// every concurrent query's resident breaker bytes draw from this one
-	// engine-wide accountant, each query keeping an admission-aware floor
-	// (total divided by the scheduler's admission cap) so no query
-	// livelocks under pressure from its neighbors. Takes precedence over
-	// MemoryBudget when both are set.
+	// GlobalBudget, when non-nil, enables out-of-core execution: every
+	// concurrent query's resident breaker bytes (join build,
+	// grouped-aggregation merge, sort) draw from this one accountant, and
+	// state beyond it spills to compressed temp files under the budget's
+	// directory, merged back byte-identical to the in-memory execution at
+	// any DOP. Each budgeted query passes admission and keeps a floor of
+	// the total divided by the scheduler's admission cap, so no query
+	// livelocks under pressure from its neighbors. Spill files are removed
+	// when the query finishes, on error, cancellation and panic paths
+	// included. Nil (the default) disables spilling.
 	GlobalBudget *relational.GlobalBudget
-}
-
-// scheduler resolves the profile's scheduler.
-func (p *Profile) scheduler() *sched.Scheduler {
-	if p.Sched != nil {
-		return p.Sched
-	}
-	return sched.Default()
 }
 
 // MaxMaterializedColumns mirrors PostgreSQL's 1600-column-per-table limit

@@ -135,11 +135,9 @@ func BenchmarkExternalSortSpill(b *testing.B) {
 		}
 		memT += time.Since(t0)
 		// 64 KiB against a multi-MB input: dozens of runs, external merge.
-		mb := NewMemBudget(64<<10, dir)
-		root := mkSort()
-		SetBudget(mb, root)
+		mb := queryBudget(64<<10, dir)
 		t1 := time.Now()
-		if _, err := Drain(root); err != nil {
+		if _, err := DrainEnv(&Env{Budget: mb}, mkSort()); err != nil {
 			b.Fatal(err)
 		}
 		spillT += time.Since(t1)

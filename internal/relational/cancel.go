@@ -1,16 +1,14 @@
 // Cancellation and panic-isolation plumbing for the operator tree.
 //
-// Operators are pull-based and context-free by construction; rather than
-// threading a context through every constructor, the engine stamps the
-// query's context onto the operators that can run long between output
-// batches — the pipeline breakers (join build, aggregate/sort merges,
-// materialize) and the Exchange — after lowering, via SetContext. Each
-// stamped operator polls its context once per drained input batch (and the
-// Exchange once per morsel), which bounds the reaction time to one batch
-// or morsel of work. The hot tuple-at-a-time operators (Filter, Project)
-// are deliberately not stamped: they emit one output batch per input
-// batch, so the drain loop's own per-batch check already covers them, and
-// their gated allocs/op benchmarks stay untouched.
+// Operator constructors are context-free; the query's context reaches the
+// tree in its Env, handed to Open. The operators that can run long between
+// output batches — the pipeline breakers (join build, aggregate/sort
+// merges, materialize) and the Exchange — poll env.Ctx once per drained
+// input batch (the Exchange once per morsel), which bounds the reaction
+// time to one batch or morsel of work. The hot tuple-at-a-time operators
+// (Filter, Project) only forward the Env: they emit one output batch per
+// input batch, so the drain loop's own per-batch check already covers
+// them, and their gated allocs/op benchmarks stay untouched.
 
 package relational
 
@@ -20,8 +18,8 @@ import (
 	"runtime"
 )
 
-// canceled returns ctx.Err() if ctx is done, else nil. A nil context (an
-// operator that was never stamped) and context.Background() are both free:
+// canceled returns ctx.Err() if ctx is done, else nil. A nil context (a
+// zero Env) and context.Background() are both free:
 // Done() returns nil and the select is skipped.
 func canceled(ctx context.Context) error {
 	if ctx == nil {
@@ -75,37 +73,7 @@ func RecoverPanic(origin string, errp *error) {
 	}
 }
 
-// SetContext stamps ctx onto every cancellation-aware operator in the
-// tree. Safe to call on any tree (unknown operators are skipped, their
-// children still visited); called by the engine after lowering and
-// parallel rewrite, before Open.
-func SetContext(ctx context.Context, root Operator) {
-	if root == nil {
-		return
-	}
-	switch op := root.(type) {
-	case *Exchange:
-		op.Ctx = ctx
-	case *HashJoin:
-		op.Ctx = ctx
-	case *ParallelHashJoin:
-		op.Ctx = ctx
-	case *Aggregate:
-		op.Ctx = ctx
-	case *GroupAggregate:
-		op.Ctx = ctx
-	case *MergeAggregate:
-		op.Ctx = ctx
-	case *MergeGroupAggregate:
-		op.Ctx = ctx
-	case *Sort:
-		op.Ctx = ctx
-	case *MergeSortRuns:
-		op.Ctx = ctx
-	case *Materialize:
-		op.Ctx = ctx
-	}
-	for _, c := range root.Children() {
-		SetContext(ctx, c)
-	}
-}
+// SetContext is a no-op kept for callers written against the former
+// post-lowering stamping walk: the context now reaches every operator
+// through the Env passed to Open (engine.ExecuteContext builds it).
+func SetContext(context.Context, Operator) {}

@@ -219,9 +219,8 @@ func TestChunkedScanSpillDifferential(t *testing.T) {
 			}
 			run := func(t *testing.T, root Operator) {
 				dir := t.TempDir()
-				mb := NewMemBudget(spillBudget, dir)
-				SetBudget(mb, root)
-				got, err := Drain(root)
+				mb := queryBudget(spillBudget, dir)
+				got, err := DrainEnv(&Env{Budget: mb}, root)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -27,12 +27,22 @@
 // copied from makes invisible downstream. A zone that holds a NaN is
 // never excluded. OpStats.ChunksDecoded/ChunksSkipped count both.
 //
+// # The execution environment
+//
+// Operators carry plan data only. What one execution shares — the
+// query's context, memory budget, adaptive observer and scheduler — is
+// one Env handed to Open, which every operator forwards to its children
+// and the Exchange to each worker chain; an operator that needs it later
+// keeps the pointer it was opened with. A nil or zero Env runs the plan
+// unbudgeted, unobserved and uncancellable on the process-wide scheduler.
+//
 // # Pipeline breakers and spilling
 //
 // The three pipeline breakers (hash-join build, grouped-aggregation
-// merge, sort) materialize state and therefore carry the memory-budget
-// hooks: a MemBudget — per-query fixed limit, or a Reservation against
-// the engine-global GlobalBudget — decides when each breaker spills.
+// merge, sort) materialize state, so they reserve it against the Env's
+// MemBudget: one query's share of a GlobalBudget, whose Reservations
+// decide when each breaker spills (a budget private to one query is a
+// global budget with admission cap 1).
 // Join builds spill their build rows (typed indexes stay resident, so
 // probe order is untouched); grouped aggregation grace-hash-partitions
 // spilled partial-aggregate state with fold sequence numbers so

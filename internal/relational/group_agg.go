@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -509,42 +508,36 @@ type GroupAggregate struct {
 	// path: 0 means DefaultDenseGroupLimit, negative disables the dense
 	// path entirely (always hash). The engine sets it from the Profile.
 	DenseLimit int
-	// Observe, when set, receives the true group cardinality at the
-	// breaker ("group_merge") and drives the adaptive dense-vs-hash
-	// decision at Open. EstRows/EstGroups are the plan-time estimates for
-	// the input rows and the group count.
-	Observe   AdaptiveContext
+	// EstRows/EstGroups are the plan-time estimates for the input rows and
+	// the group count: when the environment observes, the first drives the
+	// adaptive dense-vs-hash decision at Open and the second is reported
+	// next to the true group count at the breaker ("group_merge").
 	EstRows   float64
 	EstGroups float64
-	// Ctx, when set (see SetContext), is polled per drained batch so a
-	// canceled query stops accumulating groups at the next batch boundary.
-	Ctx context.Context
-	// Budget, when set (see SetBudget), caps resident group state via
-	// grace-hash partition spill.
-	Budget *MemBudget
 
 	stats      OpStats
 	done       bool
 	denseLimit int // DenseLimit after the adaptive Open decision
 	scratch    groupScratch
+	env        *Env
 }
 
 // Columns returns the group keys followed by the aggregate outputs.
 func (a *GroupAggregate) Columns() []string { return groupedColumns(a.Keys, a.Aggs) }
 
 // Open opens the child.
-func (a *GroupAggregate) Open() error {
+func (a *GroupAggregate) Open(env *Env) error {
 	if len(a.Keys) == 0 {
 		return fmt.Errorf("relational: GroupAggregate requires at least one key (use Aggregate)")
 	}
 	a.stats = OpStats{Name: fmt.Sprintf("GroupAggregate(%d keys)", len(a.Keys))}
-	a.done = false
-	if err := a.Child.Open(); err != nil {
+	a.done, a.env = false, env.orZero()
+	if err := a.Child.Open(env); err != nil {
 		return err
 	}
 	// The child's Open drained any join build below, so the adaptive
 	// context already holds its observed cardinality here.
-	a.denseLimit = resolveDenseLimit(a.Observe, a.DenseLimit, a.EstRows, "group_agg")
+	a.denseLimit = resolveDenseLimit(a.env.Observe, a.DenseLimit, a.EstRows, "group_agg")
 	return nil
 }
 
@@ -556,9 +549,9 @@ func (a *GroupAggregate) Next() (*data.Table, error) {
 	}
 	a.done = true
 	acc := newGroupedMerge(a.Keys, a.Aggs)
-	acc.budget = a.Budget
+	acc.budget = a.env.Budget
 	for {
-		if err := canceled(a.Ctx); err != nil {
+		if err := canceled(a.env.Ctx); err != nil {
 			return nil, err
 		}
 		b, err := a.Child.Next()
@@ -576,6 +569,16 @@ func (a *GroupAggregate) Next() (*data.Table, error) {
 			return nil, err
 		}
 	}
+	return finishGrouped(a, acc, a.env, a.EstGroups, &a.stats)
+}
+
+// finishGrouped is the end of a grouped breaker (GroupAggregate or
+// MergeGroupAggregate): it finalizes acc, counts the spill volume into st
+// and — when env observes — reports the true group count next to
+// estGroups, plus the spill accounting. Zero groups yield a typed empty
+// batch, so downstream operators (and the terminal Drain) see the real
+// key column types.
+func finishGrouped(op Operator, acc *groupedMerge, env *Env, estGroups float64, st *OpStats) (*data.Table, error) {
 	if err := fault.Inject(fault.SiteGroupMerge); err != nil {
 		return nil, err
 	}
@@ -587,23 +590,22 @@ func (a *GroupAggregate) Next() (*data.Table, error) {
 	if out != nil {
 		groups = out.NumRows()
 	}
-	a.stats.SpillBytes += acc.spilledBytes()
-	if a.Observe != nil {
-		a.Observe.ObserveCardinality("group_merge", a.EstGroups, float64(groups))
-		if sb := acc.spilledBytes(); sb > 0 {
-			a.Observe.ObserveCardinality("group_spill_bytes", 0, float64(sb))
-			a.Observe.ObserveCardinality("group_spill_partitions", 0, float64(groupSpillPartitions))
+	sb := acc.spilledBytes()
+	st.SpillBytes += sb
+	if env.Observe != nil {
+		env.Observe.ObserveCardinality("group_merge", estGroups, float64(groups))
+		if sb > 0 {
+			env.Observe.ObserveCardinality("group_spill_bytes", 0, float64(sb))
+			env.Observe.ObserveCardinality("group_spill_partitions", 0, float64(groupSpillPartitions))
 		}
 	}
 	if out == nil {
-		// Zero groups: emit a typed empty batch so downstream operators
-		// (and the terminal Drain) see the real key column types.
-		if out, err = emptyGrouped(a); err != nil || out == nil {
+		if out, err = emptyGrouped(op); err != nil || out == nil {
 			return nil, err
 		}
 	}
-	a.stats.Rows += int64(out.NumRows())
-	a.stats.Batches++
+	st.Rows += int64(out.NumRows())
+	st.Batches++
 	return out, nil
 }
 
@@ -630,10 +632,10 @@ type PartialGroupAggregate struct {
 	// DenseLimit is the dense-path bound, as on GroupAggregate. Every
 	// worker clone owns a private dense array ("per-worker dense arrays").
 	DenseLimit int
-	// Observe/EstRows drive the adaptive dense-vs-hash decision at the
-	// exchange template's Open; worker clones inherit the resolved limit
-	// so the decision is made (and recorded) exactly once.
-	Observe AdaptiveContext
+	// EstRows drives the adaptive dense-vs-hash decision at the exchange
+	// template's Open (when the environment observes); worker clones
+	// inherit the resolved limit so the decision is made (and recorded)
+	// exactly once.
 	EstRows float64
 
 	stats      OpStats
@@ -649,13 +651,13 @@ func (a *PartialGroupAggregate) Columns() []string {
 
 // Open opens the child and resolves the adaptive dense-vs-hash decision
 // (once, on the exchange template; worker clones inherit the result).
-func (a *PartialGroupAggregate) Open() error {
+func (a *PartialGroupAggregate) Open(env *Env) error {
 	a.stats = OpStats{Name: "PartialGroupAggregate"}
-	if err := a.Child.Open(); err != nil {
+	if err := a.Child.Open(env); err != nil {
 		return err
 	}
 	if !a.resolved {
-		a.denseLimit = resolveDenseLimit(a.Observe, a.DenseLimit, a.EstRows, "group_agg")
+		a.denseLimit = resolveDenseLimit(env.orZero().Observe, a.DenseLimit, a.EstRows, "group_agg")
 		a.resolved = true
 	}
 	return nil
@@ -718,16 +720,10 @@ func (a *PartialGroupAggregate) Children() []Operator { return []Operator{a.Chil
 // CloneWorker implements ParallelOp: clones share the immutable specs and
 // own a private scratch (dense array, buffers). Worker clones (created
 // after the template's Open) inherit the resolved adaptive dense limit;
-// pre-Open clones (the chainify rebuild) keep the adaptive context so the
-// template resolves it once at Open.
+// pre-Open clones (the chainify rebuild) resolve it once at their Open.
 func (a *PartialGroupAggregate) CloneWorker(child Operator) (Operator, error) {
-	c := &PartialGroupAggregate{Child: child, Keys: a.Keys, Aggs: a.Aggs, DenseLimit: a.DenseLimit}
-	if a.resolved {
-		c.resolved, c.denseLimit = true, a.denseLimit
-	} else {
-		c.Observe, c.EstRows = a.Observe, a.EstRows
-	}
-	return c, nil
+	return &PartialGroupAggregate{Child: child, Keys: a.Keys, Aggs: a.Aggs, DenseLimit: a.DenseLimit,
+		EstRows: a.EstRows, resolved: a.resolved, denseLimit: a.denseLimit}, nil
 }
 
 // AbsorbWorker merges a worker clone's statistics.
@@ -743,28 +739,23 @@ type MergeGroupAggregate struct {
 	Child Operator
 	Keys  []string
 	Aggs  []AggSpec
-	// Observe/EstGroups mirror GroupAggregate: the breaker reports the
-	// true group cardinality ("group_merge") for downstream re-costing.
-	Observe   AdaptiveContext
+	// EstGroups mirrors GroupAggregate: the breaker reports the true group
+	// cardinality ("group_merge") for downstream re-costing.
 	EstGroups float64
-	// Ctx, when set (see SetContext), is polled per drained partial batch.
-	Ctx context.Context
-	// Budget, when set (see SetBudget), caps resident group state via
-	// grace-hash partition spill.
-	Budget *MemBudget
 
 	stats OpStats
 	done  bool
+	env   *Env
 }
 
 // Columns returns the group keys followed by the aggregate outputs.
 func (m *MergeGroupAggregate) Columns() []string { return groupedColumns(m.Keys, m.Aggs) }
 
 // Open opens the child.
-func (m *MergeGroupAggregate) Open() error {
+func (m *MergeGroupAggregate) Open(env *Env) error {
 	m.stats = OpStats{Name: "GroupAggregate(merge)"}
-	m.done = false
-	return m.Child.Open()
+	m.done, m.env = false, env.orZero()
+	return m.Child.Open(env)
 }
 
 // Next drains the child's partial tables and emits the merged result.
@@ -775,9 +766,9 @@ func (m *MergeGroupAggregate) Next() (*data.Table, error) {
 	}
 	m.done = true
 	acc := newGroupedMerge(m.Keys, m.Aggs)
-	acc.budget = m.Budget
+	acc.budget = m.env.Budget
 	for {
-		if err := canceled(m.Ctx); err != nil {
+		if err := canceled(m.env.Ctx); err != nil {
 			return nil, err
 		}
 		b, err := m.Child.Next()
@@ -811,33 +802,7 @@ func (m *MergeGroupAggregate) Next() (*data.Table, error) {
 			}
 		}
 	}
-	if err := fault.Inject(fault.SiteGroupMerge); err != nil {
-		return nil, err
-	}
-	out, err := acc.result()
-	if err != nil {
-		return nil, err
-	}
-	groups := 0
-	if out != nil {
-		groups = out.NumRows()
-	}
-	m.stats.SpillBytes += acc.spilledBytes()
-	if m.Observe != nil {
-		m.Observe.ObserveCardinality("group_merge", m.EstGroups, float64(groups))
-		if sb := acc.spilledBytes(); sb > 0 {
-			m.Observe.ObserveCardinality("group_spill_bytes", 0, float64(sb))
-			m.Observe.ObserveCardinality("group_spill_partitions", 0, float64(groupSpillPartitions))
-		}
-	}
-	if out == nil {
-		if out, err = emptyGrouped(m); err != nil || out == nil {
-			return nil, err
-		}
-	}
-	m.stats.Rows += int64(out.NumRows())
-	m.stats.Batches++
-	return out, nil
+	return finishGrouped(m, acc, m.env, m.EstGroups, &m.stats)
 }
 
 // emptyGrouped synthesizes a typed zero-row grouped result from the

@@ -454,7 +454,7 @@ func TestGroupAggregateDenseMatchesHash(t *testing.T) {
 func TestGroupAggregateErrors(t *testing.T) {
 	pt := data.SinglePartition(data.MustNewTable("t",
 		data.NewString("g", []string{"a"}), data.NewFloat("v", []float64{1})))
-	if err := (&GroupAggregate{Child: NewScan(pt, "", nil, 8)}).Open(); err == nil {
+	if err := (&GroupAggregate{Child: NewScan(pt, "", nil, 8)}).Open(nil); err == nil {
 		t.Fatal("expected error for GroupAggregate without keys")
 	}
 	if _, err := Drain(&GroupAggregate{Child: NewScan(pt, "", nil, 8),

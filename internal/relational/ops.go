@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"raven/internal/data"
-	"raven/internal/fault"
+	"raven/internal/sched"
 )
 
 // OpStats accumulates per-operator execution statistics. WallNs is
@@ -28,13 +28,56 @@ type OpStats struct {
 	ChunksDecoded, ChunksSkipped int64
 }
 
+// Env is the execution environment of one run of an operator tree: what
+// the host gives every operator instead of per-operator fields. Open hands
+// it down the whole tree (the Exchange to each worker chain too), and an
+// operator that needs it after Open keeps the pointer it was opened with.
+// A nil or zero Env runs unbudgeted, unobserved and uncancellable on the
+// process-wide scheduler. Fields are read-only once execution starts.
+type Env struct {
+	// Ctx is polled by the Exchange at every morsel and by every pipeline
+	// breaker once per drained input batch, so a canceled query stops
+	// within one batch of work.
+	Ctx context.Context
+	// Budget is the query's memory budget; nil keeps every breaker in
+	// memory.
+	Budget *MemBudget
+	// Observe receives the breakers' true cardinalities and drives the
+	// adaptive decisions (exchange DOP, dense-vs-hash grouping, predict
+	// runtime); nil runs the plan as lowered.
+	Observe AdaptiveContext
+	// Sched runs the exchanges' tasks; nil means sched.Default().
+	Sched *sched.Scheduler
+}
+
+// zeroEnv is what a nil *Env stands for.
+var zeroEnv Env
+
+// orZero returns env, or the zero environment when env is nil.
+func (env *Env) orZero() *Env {
+	if env == nil {
+		return &zeroEnv
+	}
+	return env
+}
+
+// Scheduler resolves the scheduler the environment runs on: Sched, or the
+// process-wide pool.
+func (env *Env) Scheduler() *sched.Scheduler {
+	if env == nil || env.Sched == nil {
+		return sched.Default()
+	}
+	return env.Sched
+}
+
 // Operator is a pull-based physical operator producing columnar batches.
 // Next returns (nil, nil) at end of stream.
 type Operator interface {
 	// Columns returns the output column names.
 	Columns() []string
-	// Open prepares the operator (and its children) for execution.
-	Open() error
+	// Open prepares the operator (and its children) for execution under
+	// env, which it forwards to its children.
+	Open(env *Env) error
 	// Next produces the next batch, or (nil, nil) at end of stream.
 	Next() (*data.Table, error)
 	// Close releases resources.
@@ -160,7 +203,7 @@ func (s *Scan) qualify(col string) string {
 }
 
 // Open resets the scan position.
-func (s *Scan) Open() error {
+func (s *Scan) Open(*Env) error {
 	s.stats = OpStats{Name: "Scan(" + s.Table.Name + ")"}
 	s.part, s.offset, s.skipped = 0, 0, 0
 	s.views = nil
@@ -338,9 +381,9 @@ type Filter struct {
 func (f *Filter) Columns() []string { return f.Child.Columns() }
 
 // Open opens the child.
-func (f *Filter) Open() error {
+func (f *Filter) Open(env *Env) error {
 	f.stats = OpStats{Name: "Filter(" + f.Pred.String() + ")"}
-	return f.Child.Open()
+	return f.Child.Open(env)
 }
 
 // Next filters the next non-empty batch. All-true masks pass the batch
@@ -406,9 +449,9 @@ func (p *Project) Columns() []string {
 }
 
 // Open opens the child.
-func (p *Project) Open() error {
+func (p *Project) Open(env *Env) error {
 	p.stats = OpStats{Name: fmt.Sprintf("Project(%d exprs)", len(p.Exprs))}
-	return p.Child.Open()
+	return p.Child.Open(env)
 }
 
 // Next projects the next batch.
@@ -455,18 +498,11 @@ func (p *Project) Children() []Operator { return []Operator{p.Child} }
 type HashJoin struct {
 	Left, Right       Operator
 	LeftKey, RightKey string
-	// Observe, when set, receives the build side's true cardinality
-	// ("join_build") as soon as it materializes at Open — before any
-	// probe row flows, so every downstream operator can re-cost itself
-	// against it. EstBuildRows is the plan-time estimate.
-	Observe      AdaptiveContext
+	// EstBuildRows is the plan-time estimate of the build side's rows,
+	// reported next to the true count ("join_build") when the environment
+	// observes — before any probe row flows, so every downstream operator
+	// can re-cost itself against it.
 	EstBuildRows float64
-	// Ctx, when set (see SetContext), is polled per build batch so a
-	// canceled query stops the build drain promptly.
-	Ctx context.Context
-	// Budget, when set (see SetBudget), spills the build rows once they
-	// exceed the per-query memory budget.
-	Budget *MemBudget
 
 	stats OpStats
 	build *joinBuild
@@ -481,39 +517,18 @@ func (j *HashJoin) Columns() []string {
 // a tree whose Open failed, so every error path here closes what this
 // operator already opened — otherwise a failed build would strand child
 // resources (e.g. checked-out ML sessions under the build side).
-func (j *HashJoin) Open() error {
+func (j *HashJoin) Open(env *Env) error {
 	j.stats = OpStats{Name: fmt.Sprintf("HashJoin(%s=%s)", j.LeftKey, j.RightKey)}
 	defer startTimer(&j.stats)()
-	if err := j.Left.Open(); err != nil {
+	if err := j.Left.Open(env); err != nil {
 		return err
 	}
-	if err := j.Right.Open(); err != nil {
+	if err := j.Right.Open(env); err != nil {
 		j.Left.Close()
 		return err
 	}
-	rows, err := drainBuild(j.Ctx, j.Right)
-	if err == nil {
-		err = fault.Inject(fault.SiteJoinBuild)
-	}
-	if err != nil {
-		j.Left.Close()
-		j.Right.Close()
-		return err
-	}
-	if j.Observe != nil {
-		j.Observe.ObserveCardinality("join_build", j.EstBuildRows, float64(rows.NumRows()))
-	}
-	j.build, err = newJoinBuild(rows, j.RightKey, 1)
-	if err == nil && j.Budget.Enabled() {
-		var spilled int64
-		if spilled, err = j.build.spillRows(j.Budget, rows); spilled > 0 {
-			j.stats.SpillBytes += spilled
-			if j.Observe != nil {
-				j.Observe.ObserveCardinality("join_spill_bytes", 0, float64(spilled))
-			}
-		}
-	}
-	if err != nil {
+	var err error
+	if j.build, err = openBuild(env.orZero(), j.Right, j.RightKey, 1, j.EstBuildRows, &j.stats); err != nil {
 		j.Left.Close()
 		j.Right.Close()
 	}
@@ -594,11 +609,10 @@ type AggSpec struct {
 type Aggregate struct {
 	Child Operator
 	Aggs  []AggSpec
-	// Ctx, when set (see SetContext), is polled per drained batch.
-	Ctx context.Context
 
 	stats OpStats
 	done  bool
+	env   *Env
 }
 
 // Columns returns the aggregate output names.
@@ -611,10 +625,10 @@ func (a *Aggregate) Columns() []string {
 }
 
 // Open opens the child.
-func (a *Aggregate) Open() error {
+func (a *Aggregate) Open(env *Env) error {
 	a.stats = OpStats{Name: "Aggregate"}
-	a.done = false
-	return a.Child.Open()
+	a.done, a.env = false, env.orZero()
+	return a.Child.Open(env)
 }
 
 // Next drains the child and emits a single-row result. Each batch is
@@ -630,7 +644,7 @@ func (a *Aggregate) Next() (*data.Table, error) {
 	a.done = true
 	acc := newAggPartial(len(a.Aggs))
 	for {
-		if err := canceled(a.Ctx); err != nil {
+		if err := canceled(a.env.Ctx); err != nil {
 			return nil, err
 		}
 		b, err := a.Child.Next()
@@ -669,8 +683,6 @@ func (a *Aggregate) Children() []Operator { return []Operator{a.Child} }
 // steps, reproducing MADlib's forced materialization.
 type Materialize struct {
 	Child Operator
-	// Ctx, when set (see SetContext), is polled per drained batch.
-	Ctx context.Context
 
 	stats OpStats
 	buf   *data.Table
@@ -684,15 +696,15 @@ func (m *Materialize) Columns() []string { return m.Child.Columns() }
 // Open drains the child into the buffer. On error the already-opened
 // child is closed here: Drain does not Close a tree whose Open failed, so
 // a failing Open must not strand child resources.
-func (m *Materialize) Open() error {
+func (m *Materialize) Open(env *Env) error {
 	m.stats = OpStats{Name: "Materialize"}
 	defer startTimer(&m.stats)()
-	if err := m.Child.Open(); err != nil {
+	if err := m.Child.Open(env); err != nil {
 		return err
 	}
 	m.buf, m.pos, m.batch = nil, 0, 10000
 	for {
-		if err := canceled(m.Ctx); err != nil {
+		if err := canceled(env.orZero().Ctx); err != nil {
 			m.Child.Close()
 			return err
 		}
@@ -756,11 +768,11 @@ func (u *Union) Columns() []string { return u.Inputs[0].Columns() }
 
 // Open opens all children; on error the already-opened prefix is closed
 // (a child whose Open failed has cleaned up after itself).
-func (u *Union) Open() error {
+func (u *Union) Open(env *Env) error {
 	u.stats = OpStats{Name: "Union"}
 	u.cur = 0
 	for i, in := range u.Inputs {
-		if err := in.Open(); err != nil {
+		if err := in.Open(env); err != nil {
 			for _, opened := range u.Inputs[:i] {
 				opened.Close()
 			}
@@ -805,22 +817,24 @@ func (u *Union) Stats() *OpStats { return &u.stats }
 // Children returns all children.
 func (u *Union) Children() []Operator { return u.Inputs }
 
-// Drain runs an operator tree to completion, concatenating all batches
-// into one table. It is the engine's terminal step.
+// Drain runs an operator tree to completion in the zero environment,
+// concatenating all batches into one table.
 func Drain(root Operator) (*data.Table, error) {
-	return DrainContext(context.Background(), root)
+	return DrainEnv(nil, root)
 }
 
-// DrainContext is Drain with cooperative cancellation: the context is
-// polled once per output batch, so a canceled query stops within one
-// batch of coordinator work. An operator whose Open fails must have
-// released its own resources — DrainContext does not Close a tree that
-// never opened (Close on a half-constructed tree is not safe in general).
-func DrainContext(ctx context.Context, root Operator) (*data.Table, error) {
-	if err := root.Open(); err != nil {
+// DrainEnv is Drain under env — the engine's terminal step: the tree opens
+// with env, and env.Ctx is polled once per output batch, so a canceled
+// query stops within one batch of coordinator work. An operator whose Open
+// fails must have released its own resources — DrainEnv does not Close a
+// tree that never opened (Close on a half-constructed tree is not safe in
+// general).
+func DrainEnv(env *Env, root Operator) (*data.Table, error) {
+	if err := root.Open(env); err != nil {
 		return nil, err
 	}
 	defer root.Close()
+	ctx := env.orZero().Ctx
 	var out *data.Table
 	for {
 		if err := canceled(ctx); err != nil {

@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -148,7 +147,7 @@ type batchSource struct {
 }
 
 func (b *batchSource) Columns() []string    { return b.cols }
-func (b *batchSource) Open() error          { return nil }
+func (b *batchSource) Open(*Env) error      { return nil }
 func (b *batchSource) Close() error         { return nil }
 func (b *batchSource) Stats() *OpStats      { return &b.stats }
 func (b *batchSource) Children() []Operator { return nil }
@@ -214,25 +213,22 @@ type worker struct {
 // slot of the whole window — so a task's result send NEVER blocks and
 // tasks never wait on each other, keeping the fixed shared pool
 // deadlock-free.
+//
+// The environment it is opened with supplies the scheduler, and its
+// context is polled at every morsel boundary: once per Next call on the
+// consumer side, and before every morsel of every scheduled task — so a
+// canceled query both stops emitting batches and releases its shared-pool
+// worker slots within one morsel of work. An observing environment turns
+// on adaptive DOP: the worker count is clamped at Open to the tasks
+// actually available (and the scheduler's worker pool), recorded as an
+// "exchange_dop" observation. Morsel-order merging makes any worker count
+// byte-identical, so the clamp is always safe.
 type Exchange struct {
 	Template   Operator
 	DOP        int
 	MorselSize int
-	// Sched is the scheduler to run on; nil means the process-wide shared
-	// pool (sched.Default()).
-	Sched *sched.Scheduler
-	// Observe, when set, enables adaptive DOP: the worker count for this
-	// exchange is clamped at Open to the tasks actually available (and
-	// the scheduler's worker pool), and the decision is recorded as an
-	// "exchange_dop" observation. Morsel-order merging makes any worker
-	// count byte-identical, so the clamp is always safe.
-	Observe AdaptiveContext
-	// Ctx, when set (see SetContext), is polled at every morsel boundary:
-	// once per Next call on the consumer side, and before every morsel of
-	// every scheduled task — so a canceled query both stops emitting batches
-	// and releases its shared-pool worker slots within one morsel of work.
-	Ctx context.Context
 
+	env     *Env
 	stats   OpStats
 	scan    *Scan
 	chain   []ParallelOp // template ops root-first, excluding the scan
@@ -285,10 +281,11 @@ func (e *Exchange) Stats() *OpStats { return &e.stats }
 
 // Open builds the morsel queue, clones the chain per worker and starts the
 // worker pool.
-func (e *Exchange) Open() error {
+func (e *Exchange) Open(env *Env) error {
 	e.stats = OpStats{Name: fmt.Sprintf("Exchange(dop=%d)", e.DOP)}
 	defer startTimer(&e.stats)()
-	if err := e.Template.Open(); err != nil {
+	e.env = env.orZero()
+	if err := e.Template.Open(env); err != nil {
 		return err
 	}
 	e.chain, e.scan = nil, nil
@@ -336,17 +333,17 @@ func (e *Exchange) Open() error {
 	// session checkouts. Results are merged by morsel sequence, so the
 	// effective worker count never affects output bytes.
 	dop := e.DOP
-	if e.Observe != nil {
+	if obs := e.env.Observe; obs != nil {
 		if n := len(e.tasks); n < dop {
 			dop = n
 		}
-		dop = e.scheduler().ClampDOP(dop)
+		dop = e.env.Scheduler().ClampDOP(dop)
 		if dop < 1 {
 			dop = 1
 		}
-		e.Observe.ObserveCardinality("exchange_dop", float64(e.DOP), float64(dop))
+		obs.ObserveCardinality("exchange_dop", float64(e.DOP), float64(dop))
 		if dop != e.DOP {
-			e.Observe.RecordSwitch("exchange_dop", fmt.Sprintf("dop=%d", e.DOP), fmt.Sprintf("dop=%d", dop))
+			obs.RecordSwitch("exchange_dop", fmt.Sprintf("dop=%d", e.DOP), fmt.Sprintf("dop=%d", dop))
 		}
 	}
 	// The reorder window bounds buffered results under skew: at most
@@ -382,7 +379,7 @@ func (e *Exchange) Open() error {
 			w.clones[j] = op
 		}
 		w.root = op
-		if err := w.root.Open(); err != nil {
+		if err := w.root.Open(env); err != nil {
 			return failWorkers(err)
 		}
 		e.workers = append(e.workers, w)
@@ -392,19 +389,11 @@ func (e *Exchange) Open() error {
 	return nil
 }
 
-// scheduler resolves the scheduler this exchange runs on.
-func (e *Exchange) scheduler() *sched.Scheduler {
-	if e.Sched != nil {
-		return e.Sched
-	}
-	return sched.Default()
-}
-
 // start registers the job and submits the initial task window (first
 // Next call).
 func (e *Exchange) start() {
 	e.started = true
-	e.job = e.scheduler().NewJob(len(e.workers))
+	e.job = e.env.Scheduler().NewJob(len(e.workers))
 	for i := 0; i < e.window; i++ {
 		e.submitTask()
 	}
@@ -469,7 +458,7 @@ func (e *Exchange) runMorsel(w *worker, t task, i int, cache *data.ChunkCache) (
 			return nil, err
 		}
 	}
-	if err := canceled(e.Ctx); err != nil {
+	if err := canceled(e.env.Ctx); err != nil {
 		return nil, err
 	}
 	if err := fault.Inject(fault.SiteExchangeMorsel); err != nil {
@@ -525,7 +514,7 @@ func (e *Exchange) Next() (*data.Table, error) {
 	if e.failed != nil {
 		return nil, e.failed
 	}
-	if err := canceled(e.Ctx); err != nil {
+	if err := canceled(e.env.Ctx); err != nil {
 		return nil, e.fail(err)
 	}
 	if !e.started {
@@ -553,14 +542,14 @@ func (e *Exchange) Next() (*data.Table, error) {
 			return nil, nil
 		}
 		var sb seqBatch
-		if e.Ctx != nil && e.Ctx.Done() != nil {
+		if ctx := e.env.Ctx; ctx != nil && ctx.Done() != nil {
 			// Don't block on a slow morsel after cancellation: the done
 			// branch fails the query immediately; the in-flight task still
 			// delivers into the buffered channel and is discarded by Close.
 			select {
 			case sb = <-e.out:
-			case <-e.Ctx.Done():
-				return nil, e.fail(e.Ctx.Err())
+			case <-ctx.Done():
+				return nil, e.fail(ctx.Err())
 			}
 		} else {
 			sb = <-e.out
@@ -673,7 +662,7 @@ func chainify(op Operator, c rwConf) (Operator, error) {
 			return nil, err
 		}
 		phj := NewParallelHashJoin(child, build, o.LeftKey, o.RightKey, c.dop)
-		phj.Observe, phj.EstBuildRows = o.Observe, o.EstBuildRows
+		phj.EstBuildRows = o.EstBuildRows
 		return phj, nil
 	}
 	p, ok := op.(ParallelOp)
@@ -698,40 +687,26 @@ func chainify(op Operator, c rwConf) (Operator, error) {
 // aggregates become per-worker PartialAggregates merged at a
 // MergeAggregate breaker, and grouped aggregates become per-worker
 // PartialGroupAggregates merged by key value at a MergeGroupAggregate
-// breaker. Materializations and unions stay serial but
-// pull from parallel children. dop <= 1 returns the plan unchanged.
+// breaker. Materializations and unions stay serial but pull from parallel
+// children. The breakers' plan-time estimates move onto the Partial/Merge
+// pairs and ParallelHashJoins that replace them, so an observing
+// environment sees the same observation points at any DOP; the scheduler,
+// context and budget come from the environment the plan is opened with.
+// dop <= 1 returns the plan unchanged.
 func Parallelize(root Operator, dop, morselSize int) (Operator, error) {
-	return ParallelizeOn(root, dop, morselSize, nil)
-}
-
-// ParallelizeOn is Parallelize with an explicit scheduler for the plan's
-// exchanges; nil uses the process-wide shared pool.
-func ParallelizeOn(root Operator, dop, morselSize int, s *sched.Scheduler) (Operator, error) {
-	return ParallelizeAdaptive(root, dop, morselSize, s, nil)
-}
-
-// ParallelizeAdaptive is ParallelizeOn with a per-query adaptive context:
-// every Exchange it creates gets adaptive worker-count clamping, and the
-// breaker operators' observation hooks survive the parallel rewrite (the
-// serial operators' Observe/estimate fields are copied onto the
-// Partial/Merge pairs and ParallelHashJoins that replace them). A nil
-// context yields exactly the static rewrite.
-func ParallelizeAdaptive(root Operator, dop, morselSize int, s *sched.Scheduler, obs AdaptiveContext) (Operator, error) {
 	if dop <= 1 {
 		return root, nil
 	}
 	if morselSize <= 0 {
 		morselSize = 10000
 	}
-	return rewrite(root, rwConf{dop: dop, morselSize: morselSize, sched: s, obs: obs})
+	return rewrite(root, rwConf{dop: dop, morselSize: morselSize})
 }
 
 // rwConf carries the parallel rewrite's configuration.
 type rwConf struct {
 	dop        int
 	morselSize int
-	sched      *sched.Scheduler
-	obs        AdaptiveContext
 }
 
 // exchangeSegment wraps op in an Exchange when it roots a segment whose
@@ -751,10 +726,7 @@ func exchangeSegment(op Operator, c rwConf) (Operator, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	ex := NewExchange(chain, c.dop, c.morselSize)
-	ex.Sched = c.sched
-	ex.Observe = c.obs
-	return ex, true, nil
+	return NewExchange(chain, c.dop, c.morselSize), true, nil
 }
 
 func rewrite(op Operator, c rwConf) (Operator, error) {
@@ -793,12 +765,12 @@ func rewrite(op Operator, c rwConf) (Operator, error) {
 		// cardinality.
 		if seg, ok, serr := exchangeSegment(&PartialGroupAggregate{
 			Child: o.Child, Keys: o.Keys, Aggs: o.Aggs, DenseLimit: o.DenseLimit,
-			Observe: o.Observe, EstRows: o.EstRows,
+			EstRows: o.EstRows,
 		}, c); serr != nil {
 			return nil, serr
 		} else if ok {
 			return &MergeGroupAggregate{Child: seg, Keys: o.Keys, Aggs: o.Aggs,
-				Observe: o.Observe, EstGroups: o.EstGroups}, nil
+				EstGroups: o.EstGroups}, nil
 		}
 		o.Child, err = rewrite(o.Child, c)
 	case *Sort:
@@ -818,7 +790,7 @@ func rewrite(op Operator, c rwConf) (Operator, error) {
 			return nil, serr
 		} else if ok {
 			return &MergeSortRuns{Child: seg, Keys: o.Keys, Limit: o.Limit, Offset: o.Offset,
-				Observe: o.Observe, EstRows: o.EstRows}, nil
+				EstRows: o.EstRows}, nil
 		}
 		o.Child, err = rewrite(o.Child, c)
 	case *HavingFilter:

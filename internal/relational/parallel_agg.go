@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"context"
 	"fmt"
 
 	"raven/internal/data"
@@ -181,9 +180,9 @@ type PartialAggregate struct {
 func (a *PartialAggregate) Columns() []string { return partialColumns(len(a.Aggs)) }
 
 // Open opens the child.
-func (a *PartialAggregate) Open() error {
+func (a *PartialAggregate) Open(env *Env) error {
 	a.stats = OpStats{Name: "PartialAggregate"}
-	return a.Child.Open()
+	return a.Child.Open(env)
 }
 
 // Next folds the next child batch into a one-row partial.
@@ -229,11 +228,10 @@ func (a *PartialAggregate) AbsorbWorker(clone Operator) { a.stats.Absorb(clone.S
 type MergeAggregate struct {
 	Child Operator
 	Aggs  []AggSpec
-	// Ctx, when set (see SetContext), is polled per drained partial batch.
-	Ctx context.Context
 
 	stats OpStats
 	done  bool
+	env   *Env
 }
 
 // Columns returns the aggregate output names.
@@ -246,10 +244,10 @@ func (m *MergeAggregate) Columns() []string {
 }
 
 // Open opens the child.
-func (m *MergeAggregate) Open() error {
+func (m *MergeAggregate) Open(env *Env) error {
 	m.stats = OpStats{Name: "Aggregate(merge)"}
-	m.done = false
-	return m.Child.Open()
+	m.done, m.env = false, env.orZero()
+	return m.Child.Open(env)
 }
 
 // Next drains the child's partial rows and emits the merged result.
@@ -261,7 +259,7 @@ func (m *MergeAggregate) Next() (*data.Table, error) {
 	m.done = true
 	acc := newAggPartial(len(m.Aggs))
 	for {
-		if err := canceled(m.Ctx); err != nil {
+		if err := canceled(m.env.Ctx); err != nil {
 			return nil, err
 		}
 		b, err := m.Child.Next()

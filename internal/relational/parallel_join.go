@@ -106,6 +106,36 @@ func drainBuild(ctx context.Context, right Operator) (*data.Table, error) {
 	return rows, nil
 }
 
+// openBuild drains an opened build side and indexes it by key under env —
+// the one build step of HashJoin and ParallelHashJoin: it polls env.Ctx per
+// batch, reports the true build cardinality ("join_build", next to the
+// estimate) when env observes, and moves the rows to disk when env's
+// budget denies them, counting the spilled bytes into st.
+func openBuild(env *Env, right Operator, key string, dop int, estRows float64, st *OpStats) (*joinBuild, error) {
+	rows, err := drainBuild(env.Ctx, right)
+	if err == nil {
+		err = fault.Inject(fault.SiteJoinBuild)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if env.Observe != nil {
+		env.Observe.ObserveCardinality("join_build", estRows, float64(rows.NumRows()))
+	}
+	bu, err := newJoinBuild(rows, key, dop)
+	if err != nil || env.Budget == nil {
+		return bu, err
+	}
+	spilled, err := bu.spillRows(env.Budget, rows)
+	if spilled > 0 {
+		st.SpillBytes += spilled
+		if env.Observe != nil {
+			env.Observe.ObserveCardinality("join_spill_bytes", 0, float64(spilled))
+		}
+	}
+	return bu, err
+}
+
 // buildIndexMinChunk is the smallest per-worker row range worth spawning
 // an indexing goroutine for; below dop*buildIndexMinChunk rows the index
 // is built serially.
@@ -340,15 +370,9 @@ type ParallelHashJoin struct {
 	LeftKey, RightKey string
 	// DOP bounds the workers used for parallel index construction.
 	DOP int
-	// Observe/EstBuildRows mirror HashJoin: the template reports the
-	// build side's true cardinality ("join_build") once it materializes.
-	Observe      AdaptiveContext
+	// EstBuildRows mirrors HashJoin: the template reports the build side's
+	// true cardinality ("join_build") once it materializes.
 	EstBuildRows float64
-	// Ctx, when set (see SetContext), is polled per build batch.
-	Ctx context.Context
-	// Budget, when set (see SetBudget), spills the shared build rows once
-	// they exceed the per-query memory budget.
-	Budget *MemBudget
 
 	rightCols []string
 	stats     OpStats
@@ -389,10 +413,10 @@ func (j *ParallelHashJoin) Children() []Operator {
 // survives Close so worker clones created afterwards can share it. On a
 // build-side failure the already-opened probe chain is closed again, so
 // pooled resources it holds (worker ML sessions) are returned.
-func (j *ParallelHashJoin) Open() (err error) {
+func (j *ParallelHashJoin) Open(env *Env) (err error) {
 	j.stats = OpStats{Name: fmt.Sprintf("ParallelHashJoin(%s=%s)", j.LeftKey, j.RightKey)}
 	defer startTimer(&j.stats)()
-	if err := j.Child.Open(); err != nil {
+	if err := j.Child.Open(env); err != nil {
 		return err
 	}
 	if j.Build == nil {
@@ -404,30 +428,10 @@ func (j *ParallelHashJoin) Open() (err error) {
 			j.Child.Close()
 		}
 	}()
-	if err := j.Build.Open(); err != nil {
+	if err := j.Build.Open(env); err != nil {
 		return err
 	}
-	rows, err := drainBuild(j.Ctx, j.Build)
-	if err == nil {
-		err = fault.Inject(fault.SiteJoinBuild)
-	}
-	if err != nil {
-		j.Build.Close()
-		return err
-	}
-	if j.Observe != nil {
-		j.Observe.ObserveCardinality("join_build", j.EstBuildRows, float64(rows.NumRows()))
-	}
-	bu, err := newJoinBuild(rows, j.RightKey, j.DOP)
-	if err == nil && j.Budget.Enabled() {
-		var spilled int64
-		if spilled, err = bu.spillRows(j.Budget, rows); spilled > 0 {
-			j.stats.SpillBytes += spilled
-			if j.Observe != nil {
-				j.Observe.ObserveCardinality("join_spill_bytes", 0, float64(spilled))
-			}
-		}
-	}
+	bu, err := openBuild(env.orZero(), j.Build, j.RightKey, j.DOP, j.EstBuildRows, &j.stats)
 	if err != nil {
 		j.Build.Close()
 		return err

@@ -222,7 +222,7 @@ func TestExchangeOpenStartsNoWorkers(t *testing.T) {
 	pt := bigFixture(t, 4000)
 	root := mustParallelize(t, segment(pt, 64), 4, 64)
 	before := runtime.NumGoroutine()
-	if err := root.Open(); err != nil {
+	if err := root.Open(nil); err != nil {
 		t.Fatal(err)
 	}
 	if after := runtime.NumGoroutine(); after > before {

@@ -313,9 +313,9 @@ type HavingFilter struct {
 func (h *HavingFilter) Columns() []string { return h.Child.Columns() }
 
 // Open opens the child.
-func (h *HavingFilter) Open() error {
+func (h *HavingFilter) Open(env *Env) error {
 	h.stats = OpStats{Name: "Having(" + h.Pred.String() + ")"}
-	return h.Child.Open()
+	return h.Child.Open(env)
 }
 
 // Next filters the next non-empty grouped batch, with the same zero-copy
@@ -380,7 +380,7 @@ type Limit struct {
 func (l *Limit) Columns() []string { return l.Child.Columns() }
 
 // Open opens the child.
-func (l *Limit) Open() error {
+func (l *Limit) Open(env *Env) error {
 	name := fmt.Sprintf("Limit(%d)", l.N)
 	if l.Offset > 0 {
 		name = fmt.Sprintf("Limit(%d offset=%d)", l.N, l.Offset)
@@ -388,7 +388,7 @@ func (l *Limit) Open() error {
 	l.stats = OpStats{Name: name}
 	l.emitted = 0
 	l.skipped = 0
-	return l.Child.Open()
+	return l.Child.Open(env)
 }
 
 // Next forwards batches until the limit is reached, slicing the batches
@@ -455,36 +455,30 @@ type Sort struct {
 	// Offset skips the first Offset ordered rows (the OFFSET clause); the
 	// top-(Offset+Limit) heap finds the window without sorting the rest.
 	Offset int
-	// Observe, when set, receives the true input row count at the sort
-	// breaker ("sort_merge"); EstRows is the plan-time estimate.
-	Observe AdaptiveContext
+	// EstRows is the plan-time estimate of the input rows, reported next to
+	// the true count at the sort breaker ("sort_merge") when the
+	// environment observes. Under a budget the accumulated input is cut
+	// into sorted runs spilled to disk and k-way merged externally,
+	// reproducing the in-memory stable sort byte-for-byte.
 	EstRows float64
-
-	// Ctx, when set (see SetContext), is polled per drained batch.
-	Ctx context.Context
-
-	// Budget, when set (see SetBudget), caps the resident input: once the
-	// accumulated batches exceed it they are cut into sorted runs spilled
-	// to disk and k-way merged externally, reproducing the in-memory
-	// stable sort byte-for-byte.
-	Budget *MemBudget
 
 	stats   OpStats
 	done    bool
 	scratch sortScratch
+	env     *Env
 }
 
 // Columns returns the child's columns (sorting preserves the schema).
 func (s *Sort) Columns() []string { return s.Child.Columns() }
 
 // Open opens the child.
-func (s *Sort) Open() error {
+func (s *Sort) Open(env *Env) error {
 	if len(s.Keys) == 0 {
 		return fmt.Errorf("relational: Sort requires at least one key (use Limit)")
 	}
 	s.stats = OpStats{Name: "Sort(" + sortKeysString(s.Keys) + ")"}
-	s.done = false
-	return s.Child.Open()
+	s.done, s.env = false, env.orZero()
+	return s.Child.Open(env)
 }
 
 // Next drains the child and emits the ordered result as one batch.
@@ -494,22 +488,22 @@ func (s *Sort) Next() (*data.Table, error) {
 		return nil, nil
 	}
 	s.done = true
-	if s.Budget.Enabled() {
+	if s.env.Budget != nil {
 		return s.nextSpill()
 	}
-	buf, err := drainConcat(s.Ctx, s.Child)
+	buf, err := drainConcat(s.env.Ctx, s.Child)
 	if err == nil {
 		err = fault.Inject(fault.SiteSortMerge)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if s.Observe != nil {
+	if s.env.Observe != nil {
 		rows := 0
 		if buf != nil {
 			rows = buf.NumRows()
 		}
-		s.Observe.ObserveCardinality("sort_merge", s.EstRows, float64(rows))
+		s.env.Observe.ObserveCardinality("sort_merge", s.EstRows, float64(rows))
 	}
 	if buf == nil {
 		return nil, nil
@@ -538,10 +532,10 @@ func (s *Sort) nextSpill() (*data.Table, error) {
 	var es *externalSort
 	var buf *data.Table
 	var retained int64
-	res := s.Budget.Reserve()
+	res := s.env.Budget.Reserve()
 	total := 0
 	for {
-		if err := canceled(s.Ctx); err != nil {
+		if err := canceled(s.env.Ctx); err != nil {
 			return nil, err
 		}
 		b, err := s.Child.Next()
@@ -569,7 +563,7 @@ func (s *Sort) nextSpill() (*data.Table, error) {
 			return nil, err
 		}
 		if es == nil {
-			if es, err = newExternalSort(s.Budget); err != nil {
+			if es, err = newExternalSort(s.env.Budget); err != nil {
 				return nil, err
 			}
 		}
@@ -583,8 +577,8 @@ func (s *Sort) nextSpill() (*data.Table, error) {
 	if err := fault.Inject(fault.SiteSortMerge); err != nil {
 		return nil, err
 	}
-	if s.Observe != nil {
-		s.Observe.ObserveCardinality("sort_merge", s.EstRows, float64(total))
+	if s.env.Observe != nil {
+		s.env.Observe.ObserveCardinality("sort_merge", s.EstRows, float64(total))
 	}
 	if es == nil {
 		// The input never exceeded the budget: the plain in-memory sort.
@@ -608,22 +602,7 @@ func (s *Sort) nextSpill() (*data.Table, error) {
 			es.addRunMem(run)
 		}
 	}
-	s.stats.SpillBytes += es.bytes()
-	if s.Observe != nil {
-		s.Observe.ObserveCardinality("sort_spill_bytes", 0, float64(es.bytes()))
-		s.Observe.ObserveCardinality("sort_spill_runs", 0, float64(len(es.runs)))
-	}
-	out, err := es.merge(s.Keys, s.Limit, s.Offset, &s.scratch)
-	if err != nil {
-		return nil, err
-	}
-	es.release()
-	if out == nil {
-		return nil, nil
-	}
-	s.stats.Rows += int64(out.NumRows())
-	s.stats.Batches++
-	return out, nil
+	return es.finish(s.env, s.Keys, s.Limit, s.Offset, &s.scratch, &s.stats)
 }
 
 // Close closes the child.
@@ -749,9 +728,9 @@ type PartialSort struct {
 func (p *PartialSort) Columns() []string { return p.Child.Columns() }
 
 // Open opens the child.
-func (p *PartialSort) Open() error {
+func (p *PartialSort) Open(env *Env) error {
 	p.stats = OpStats{Name: "PartialSort(" + sortKeysString(p.Keys) + ")"}
-	return p.Child.Open()
+	return p.Child.Open(env)
 }
 
 // Next drains the child's remaining batches (one morsel's worth inside
@@ -805,37 +784,31 @@ type MergeSortRuns struct {
 	Keys   []SortKey
 	Limit  int
 	Offset int
-	// Observe/EstRows mirror Sort, with one caveat fixed here: when a
-	// Limit is set the per-worker runs arrive already truncated to their
+	// EstRows mirrors Sort, with one caveat fixed here: when a Limit is
+	// set the per-worker runs arrive already truncated to their
 	// top-(Offset+Limit) windows, so the merged row count is NOT the
 	// operator's true input cardinality. Those observations are reported
 	// under "sort_merge_truncated" (never "sort_merge"), which the
-	// re-optimizer excludes from selectivity evidence.
-	Observe AdaptiveContext
-	EstRows float64
-	// Ctx, when set (see SetContext), is polled per collected run so a
-	// canceled ranking query stops collecting at the next run boundary.
-	Ctx context.Context
-
-	// Budget, when set (see SetBudget), caps the resident runs: once the
-	// collected runs exceed it they move to disk and every later run is
-	// written directly, with the same earlier-run-preferring external
+	// re-optimizer excludes from selectivity evidence. Under a budget the
+	// collected runs move to disk once they exceed it and every later run
+	// is written directly, with the same earlier-run-preferring external
 	// merge as the in-memory heap.
-	Budget *MemBudget
+	EstRows float64
 
 	stats   OpStats
 	done    bool
 	scratch sortScratch
+	env     *Env
 }
 
 // Columns returns the child's columns.
 func (m *MergeSortRuns) Columns() []string { return m.Child.Columns() }
 
 // Open opens the child.
-func (m *MergeSortRuns) Open() error {
+func (m *MergeSortRuns) Open(env *Env) error {
 	m.stats = OpStats{Name: "Sort(merge " + sortKeysString(m.Keys) + ")"}
-	m.done = false
-	return m.Child.Open()
+	m.done, m.env = false, env.orZero()
+	return m.Child.Open(env)
 }
 
 // Next drains the runs and emits the merged ordered result as one batch.
@@ -853,10 +826,10 @@ func (m *MergeSortRuns) Next() (*data.Table, error) {
 	var runs [][2]int
 	var es *externalSort
 	var retained int64
-	res := m.Budget.Reserve()
+	res := m.env.Budget.Reserve()
 	total := 0
 	for {
-		if err := canceled(m.Ctx); err != nil {
+		if err := canceled(m.env.Ctx); err != nil {
 			return nil, err
 		}
 		b, err := m.Child.Next()
@@ -897,7 +870,7 @@ func (m *MergeSortRuns) Next() (*data.Table, error) {
 		}
 		// Over budget: migrate the collected runs to disk, each as its
 		// own run so the merge's earlier-run tie-break is unchanged.
-		if es, err = newExternalSort(m.Budget); err != nil {
+		if es, err = newExternalSort(m.env.Budget); err != nil {
 			return nil, err
 		}
 		src := buf
@@ -920,7 +893,7 @@ func (m *MergeSortRuns) Next() (*data.Table, error) {
 	if err := fault.Inject(fault.SiteSortMerge); err != nil {
 		return nil, err
 	}
-	if m.Observe != nil {
+	if m.env.Observe != nil {
 		// With a Limit the runs were truncated upstream, so the merged
 		// count is a lower bound, not the input cardinality — report it
 		// under a point the re-optimizer knows to skip.
@@ -928,25 +901,10 @@ func (m *MergeSortRuns) Next() (*data.Table, error) {
 		if m.Limit >= 0 {
 			point = "sort_merge_truncated"
 		}
-		m.Observe.ObserveCardinality(point, m.EstRows, float64(total))
+		m.env.Observe.ObserveCardinality(point, m.EstRows, float64(total))
 	}
 	if es != nil {
-		m.stats.SpillBytes += es.bytes()
-		if m.Observe != nil {
-			m.Observe.ObserveCardinality("sort_spill_bytes", 0, float64(es.bytes()))
-			m.Observe.ObserveCardinality("sort_spill_runs", 0, float64(len(es.runs)))
-		}
-		out, err := es.merge(m.Keys, m.Limit, m.Offset, &m.scratch)
-		if err != nil {
-			return nil, err
-		}
-		es.release()
-		if out == nil {
-			return nil, nil
-		}
-		m.stats.Rows += int64(out.NumRows())
-		m.stats.Batches++
-		return out, nil
+		return es.finish(m.env, m.Keys, m.Limit, m.Offset, &m.scratch, &m.stats)
 	}
 	if buf == nil || m.Limit == 0 {
 		return nil, nil

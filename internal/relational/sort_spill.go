@@ -51,7 +51,29 @@ func (e *externalSort) addRunMem(t *data.Table) {
 }
 
 func (e *externalSort) bytes() int64 { return e.sf.bytesWritten() }
-func (e *externalSort) release()     { e.sf.release() }
+
+// finish is the end of a spilled sort breaker (Sort or MergeSortRuns): it
+// counts the spill volume into st — reporting it with the run count when
+// env observes — merges the runs into the ordered result and releases the
+// spill file (on error the query's Cleanup removes it).
+func (e *externalSort) finish(env *Env, keys []SortKey, limit, offset int, scratch *sortScratch, st *OpStats) (*data.Table, error) {
+	st.SpillBytes += e.bytes()
+	if env.Observe != nil {
+		env.Observe.ObserveCardinality("sort_spill_bytes", 0, float64(e.bytes()))
+		env.Observe.ObserveCardinality("sort_spill_runs", 0, float64(len(e.runs)))
+	}
+	out, err := e.merge(keys, limit, offset, scratch)
+	if err != nil {
+		return nil, err
+	}
+	e.sf.release()
+	if out == nil {
+		return nil, nil
+	}
+	st.Rows += int64(out.NumRows())
+	st.Batches++
+	return out, nil
+}
 
 // runCursor walks one run a row at a time, holding one decoded slab.
 type runCursor struct {

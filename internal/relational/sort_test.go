@@ -336,7 +336,7 @@ func TestPartialSortSingleRowNoAlloc(t *testing.T) {
 	batch := tbl.Slice(0, 1)
 	src := &batchSource{cols: []string{"s", "f"}}
 	ps := &PartialSort{Child: src, Keys: []SortKey{{Col: "s"}, {Col: "f", Desc: true}}, Limit: -1}
-	if err := ps.Open(); err != nil {
+	if err := ps.Open(nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -441,7 +441,7 @@ type stubRuns struct {
 }
 
 func (s *stubRuns) Columns() []string    { return s.cols }
-func (s *stubRuns) Open() error          { s.pos = 0; return nil }
+func (s *stubRuns) Open(*Env) error      { s.pos = 0; return nil }
 func (s *stubRuns) Close() error         { return nil }
 func (s *stubRuns) Stats() *OpStats      { return &s.stats }
 func (s *stubRuns) Children() []Operator { return nil }
@@ -489,7 +489,7 @@ func TestSortMissingKeyErrorsUniformly(t *testing.T) {
 	}
 	src := &stubRuns{cols: []string{"v"}, runs: []*data.Table{mk(1)}}
 	m := &MergeSortRuns{Child: src, Keys: []SortKey{{Col: "ghost"}}, Limit: -1}
-	if err := m.Open(); err != nil {
+	if err := m.Open(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Next(); err == nil || !strings.Contains(err.Error(), "missing") {
@@ -507,7 +507,7 @@ func TestPartialSortDrainsMultiBatchInput(t *testing.T) {
 	b2 := data.MustNewTable("b2", data.NewInt("k", []int64{4, 8, 0}))
 	src := &stubRuns{cols: []string{"k"}, runs: []*data.Table{b1, b2}}
 	ps := &PartialSort{Child: src, Keys: []SortKey{{Col: "k"}}, Limit: -1}
-	if err := ps.Open(); err != nil {
+	if err := ps.Open(nil); err != nil {
 		t.Fatal(err)
 	}
 	run, err := ps.Next()

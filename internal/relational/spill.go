@@ -10,9 +10,13 @@ import (
 	"raven/internal/fault"
 )
 
-// Out-of-core execution: a per-query memory budget under which every
-// pipeline breaker bounds its resident working set by spilling encoded
-// column blocks (internal/data's block format) to temp files.
+// Out-of-core execution: a memory budget under which every pipeline
+// breaker bounds its resident working set by spilling encoded column
+// blocks (internal/data's block format) to temp files. There is one budget
+// mode: a query's MemBudget always draws its breakers' reservations from a
+// GlobalBudget shared with every concurrent query; a budget private to one
+// query is NewGlobalBudget(bytes, dir).QueryBudgetFor(1), whose floor is
+// the whole total.
 //
 // The three breakers spill differently because each has a different
 // invariant to preserve (all three keep the byte-identity contract —
@@ -37,31 +41,23 @@ import (
 //     externally with the same earlier-run tie-break the in-memory merge
 //     uses, so the merged permutation stays the serial stable sort.
 //
-// Lifecycle: the engine creates one MemBudget per query, stamps it onto
-// the breakers (SetBudget) and defers Cleanup, so every error, cancel
-// and panic path removes all spill files — including the join build's,
-// which must outlive operator Close (worker clones are created after the
-// template closes). fault.Inject sites spill.write/spill.read cover the
-// new IO boundaries.
+// Lifecycle: the engine creates one MemBudget per query, hands it to the
+// breakers in the Env it opens the plan with and defers Cleanup, so every
+// error, cancel and panic path removes all spill files — including the
+// join build's, which must outlive operator Close (worker clones are
+// created after the template closes). fault.Inject sites
+// spill.write/spill.read cover the IO boundaries.
 
-// MemBudget is a query-scoped spilling budget. In fixed mode Limit bounds
-// the bytes any single pipeline breaker keeps resident (<= 0 disables
-// spilling). In global mode (QueryBudgetFor) the query instead draws
-// breaker reservations from an engine-wide GlobalBudget shared by every
-// concurrent query, with a per-query floor always granted so no query
-// livelocks under pressure from its neighbors. Either way the budget
-// tracks every spill file created under it so one Cleanup call releases
-// whatever execution left behind.
+// MemBudget is one query's share of a GlobalBudget: every breaker of the
+// query reserves its resident bytes from the shared accountant, with the
+// query's floor always granted so no query livelocks under pressure from
+// its neighbors. It tracks every spill file created under it so one
+// Cleanup call releases whatever execution left behind.
 type MemBudget struct {
-	// Limit is the per-breaker resident byte bound; <= 0 disables spill
-	// unless the budget draws from a GlobalBudget.
-	Limit int64
-	dir   string
-
-	// global, when non-nil, is the engine-wide accountant this query's
-	// breaker reservations draw from; floor is the query's guaranteed
-	// resident allowance under it. reserved (guarded by global.mu) is the
-	// query's total granted reservation bytes.
+	// global is the accountant this query's breaker reservations draw
+	// from; floor is the query's guaranteed resident allowance under it.
+	// reserved (guarded by global.mu) is the query's total granted
+	// reservation bytes.
 	global   *GlobalBudget
 	floor    int64
 	reserved int64
@@ -73,44 +69,16 @@ type MemBudget struct {
 	spills  int
 }
 
-// NewMemBudget returns a budget writing spill files under dir (empty
-// selects the OS temp directory).
-func NewMemBudget(limit int64, dir string) *MemBudget {
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	return &MemBudget{Limit: limit, dir: dir, files: make(map[*spillFile]bool)}
-}
-
-// Enabled reports whether the budget triggers spilling at all.
-func (b *MemBudget) Enabled() bool { return b != nil && (b.Limit > 0 || b.global != nil) }
-
-// Over reports whether a breaker holding retained resident bytes must
-// spill under the fixed per-breaker limit. Breakers go through a
-// Reservation (whose Over handles both modes); this remains the fixed-mode
-// primitive.
-func (b *MemBudget) Over(retained int64) bool {
-	return b != nil && b.Limit > 0 && retained > b.Limit
-}
-
 // spillUnit returns the resident byte bound a spilling breaker should
-// buffer against once it has switched to spilling: the fixed per-breaker
-// limit, or the query's guaranteed floor in global mode.
-func (b *MemBudget) spillUnit() int64 {
-	if b.Limit > 0 {
-		return b.Limit
-	}
-	if b.global != nil && b.floor > 0 {
-		return b.floor
-	}
-	return 1
-}
+// buffer against once it has switched to spilling: the query's guaranteed
+// floor.
+func (b *MemBudget) spillUnit() int64 { return max(b.floor, 1) }
 
 // Reservation is one breaker's claim on the budget. Breakers call Over
-// with their current resident byte count; in global mode a granted call
-// sets the reservation to exactly that count (reservations shrink as well
-// as grow), so the engine-wide accountant tracks the true sum of resident
-// breaker bytes across concurrent queries.
+// with their current resident byte count; a granted call sets the
+// reservation to exactly that count (reservations shrink as well as grow),
+// so the accountant tracks the true sum of resident breaker bytes across
+// concurrent queries.
 type Reservation struct {
 	b *MemBudget
 	n int64
@@ -126,28 +94,20 @@ func (b *MemBudget) Reserve() *Reservation {
 }
 
 // Over reports whether the breaker, now holding retained resident bytes,
-// must spill. Fixed mode compares against the per-breaker limit. Global
-// mode tries to set the reservation to retained: shrinking always
-// succeeds, and growth is granted while the query sits within its floor
-// or the global budget has headroom; a denied grow leaves the reservation
-// unchanged and tells the breaker to spill.
+// must spill. It tries to set the reservation to retained: shrinking
+// always succeeds, and growth is granted while the query sits within its
+// floor or the global budget has headroom; a denied grow leaves the
+// reservation unchanged and tells the breaker to spill.
 func (r *Reservation) Over(retained int64) bool {
-	if r == nil || r.b == nil {
-		return false
-	}
-	if r.b.global == nil {
-		return r.b.Over(retained)
-	}
-	return !r.b.global.setReservation(r.b, r, retained)
+	return r != nil && !r.b.global.setReservation(r.b, r, retained)
 }
 
-// Release returns the reservation to the accountant (global mode); the
-// query-level Cleanup also releases anything still held.
+// Release returns the reservation to the accountant; the query-level
+// Cleanup also releases anything still held.
 func (r *Reservation) Release() {
-	if r == nil || r.b == nil || r.b.global == nil {
-		return
+	if r != nil {
+		r.b.global.setReservation(r.b, r, 0)
 	}
-	r.b.global.setReservation(r.b, r, 0)
 }
 
 // GlobalBudget is the engine-wide memory accountant: the resident breaker
@@ -177,16 +137,16 @@ func NewGlobalBudget(total int64, dir string) *GlobalBudget {
 }
 
 // QueryBudgetFor registers a query against the global budget and returns
-// its MemBudget. admitCap is the scheduler's admission cap: the floor is
-// Total/admitCap, so even with every admission slot spilling concurrently
-// the floors cannot oversubscribe the total. The caller must defer
-// Cleanup, which releases the query's reservations and spill files.
+// its MemBudget. admitCap is the admission cap bounding how many budgeted
+// queries run at once: the floor is Total/admitCap, so even with every
+// admission slot spilling concurrently the floors cannot oversubscribe the
+// total (admitCap 1 gives one query the whole total). The caller must
+// defer Cleanup, which releases the query's reservations and spill files.
 func (g *GlobalBudget) QueryBudgetFor(admitCap int) *MemBudget {
 	if g == nil {
 		return nil
 	}
-	b := NewMemBudget(0, g.dir)
-	b.global = g
+	b := &MemBudget{global: g, files: make(map[*spillFile]bool)}
 	if admitCap > 0 {
 		b.floor = g.total / int64(admitCap)
 	}
@@ -285,7 +245,7 @@ func (g *GlobalBudget) ActiveQueries() int {
 
 // newSpillFile creates and registers a temp spill file.
 func (b *MemBudget) newSpillFile(label string) (*spillFile, error) {
-	f, err := os.CreateTemp(b.dir, "raven-spill-"+label+"-*.bin")
+	f, err := os.CreateTemp(b.global.dir, "raven-spill-"+label+"-*.bin")
 	if err != nil {
 		return nil, err
 	}
@@ -294,9 +254,7 @@ func (b *MemBudget) newSpillFile(label string) (*spillFile, error) {
 	b.files[sf] = true
 	b.spills++
 	b.mu.Unlock()
-	if b.global != nil {
-		b.global.addSpilled(0, 1)
-	}
+	b.global.addSpilled(0, 1)
 	return sf, nil
 }
 
@@ -304,9 +262,7 @@ func (b *MemBudget) addSpilled(n int64) {
 	b.mu.Lock()
 	b.spilled += n
 	b.mu.Unlock()
-	if b.global != nil {
-		b.global.addSpilled(n, 0)
-	}
+	b.global.addSpilled(n, 0)
 }
 
 // SpilledBytes returns the total bytes written to spill files under this
@@ -348,9 +304,7 @@ func (b *MemBudget) Cleanup() {
 	for _, sf := range files {
 		sf.close()
 	}
-	if b.global != nil {
-		b.global.releaseQuery(b)
-	}
+	b.global.releaseQuery(b)
 }
 
 // spillFile is one temp file of encoded column blocks, append-written and
@@ -509,31 +463,11 @@ func writeTableSlabs(sf *spillFile, t *data.Table) ([]spillTable, error) {
 	return slabs, nil
 }
 
-// SetBudget stamps the per-query memory budget onto every spill-capable
-// breaker in the tree, mirroring SetContext's walk. Safe on any tree;
-// called by the engine after lowering, before Open.
-func SetBudget(b *MemBudget, root Operator) {
-	if root == nil {
-		return
-	}
-	switch op := root.(type) {
-	case *HashJoin:
-		op.Budget = b
-	case *ParallelHashJoin:
-		op.Budget = b
-	case *GroupAggregate:
-		op.Budget = b
-	case *MergeGroupAggregate:
-		op.Budget = b
-	case *Sort:
-		op.Budget = b
-	case *MergeSortRuns:
-		op.Budget = b
-	}
-	for _, c := range root.Children() {
-		SetBudget(b, c)
-	}
-}
+// SetBudget is a no-op kept for callers written against the former
+// post-lowering stamping walk: the budget now reaches every breaker through
+// the Env passed to Open (engine.ExecuteContext builds it from
+// Profile.GlobalBudget).
+func SetBudget(*MemBudget, Operator) {}
 
 // buildRows abstracts where a join's build rows live: resident (memRows)
 // or spilled (spilledBuildRows). Gather returns the rows at the given

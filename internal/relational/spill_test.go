@@ -22,6 +22,12 @@ import (
 // spillBudget is small enough that every shape below spills.
 const spillBudget = 2048
 
+// queryBudget is a budget of limit bytes private to one query: a global
+// budget whose only admission slot gets the whole total as its floor.
+func queryBudget(limit int64, dir string) *MemBudget {
+	return NewGlobalBudget(limit, dir).QueryBudgetFor(1)
+}
+
 // assertNoSpillFiles asserts the spill dir holds no files.
 func assertNoSpillFiles(t *testing.T, dir string) {
 	t.Helper()
@@ -98,10 +104,8 @@ func TestSpillDifferential(t *testing.T) {
 			// Serial with budget.
 			t.Run("serial", func(t *testing.T) {
 				dir := t.TempDir()
-				mb := NewMemBudget(spillBudget, dir)
-				root := mk()
-				SetBudget(mb, root)
-				got, err := Drain(root)
+				mb := queryBudget(spillBudget, dir)
+				got, err := DrainEnv(&Env{Budget: mb}, mk())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,10 +120,8 @@ func TestSpillDifferential(t *testing.T) {
 			for _, dop := range dops {
 				t.Run(fmt.Sprintf("dop=%d", dop), func(t *testing.T) {
 					dir := t.TempDir()
-					mb := NewMemBudget(spillBudget, dir)
-					root := mustParallelize(t, mk(), dop, 128)
-					SetBudget(mb, root)
-					got, err := Drain(root)
+					mb := queryBudget(spillBudget, dir)
+					got, err := DrainEnv(&Env{Budget: mb}, mustParallelize(t, mk(), dop, 128))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -143,12 +145,10 @@ func TestSpillStatsReported(t *testing.T) {
 	for name, mk := range spillShapes(t) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			mb := NewMemBudget(spillBudget, dir)
+			mb := queryBudget(spillBudget, dir)
 			obs := &captureAdaptive{}
 			root := mk()
-			SetBudget(mb, root)
-			setObserve(root, obs)
-			if _, err := Drain(root); err != nil {
+			if _, err := DrainEnv(&Env{Budget: mb, Observe: obs}, root); err != nil {
 				t.Fatal(err)
 			}
 			var spillBytes int64
@@ -198,21 +198,6 @@ func (c *captureAdaptive) Reoptimize(est float64) (float64, bool) { return est, 
 
 func (c *captureAdaptive) RecordSwitch(point, from, to string) {}
 
-// setObserve stamps the capture context onto the breakers under test.
-func setObserve(root Operator, obs AdaptiveContext) {
-	switch op := root.(type) {
-	case *HashJoin:
-		op.Observe = obs
-	case *GroupAggregate:
-		op.Observe = obs
-	case *Sort:
-		op.Observe = obs
-	}
-	for _, c := range root.Children() {
-		setObserve(c, obs)
-	}
-}
-
 // TestSpillFaultPaths injects failures, cancellation and panics at the
 // spill-write and spill-read sites and asserts the query surfaces the
 // fault while budget cleanup leaves no temp files (and, for parallel
@@ -227,10 +212,8 @@ func TestSpillFaultPaths(t *testing.T) {
 				f := testfix.InjectFaults(t)
 				f.FailAt(site, 1, boom)
 				dir := t.TempDir()
-				mb := NewMemBudget(spillBudget, dir)
-				root := mustParallelize(t, mk(), 2, 128)
-				SetBudget(mb, root)
-				_, err := Drain(root)
+				mb := queryBudget(spillBudget, dir)
+				_, err := DrainEnv(&Env{Budget: mb}, mustParallelize(t, mk(), 2, 128))
 				if f.Hits(site) == 0 {
 					t.Skipf("site %s not crossed by shape %s", site, name)
 				}
@@ -248,11 +231,8 @@ func TestSpillFaultPaths(t *testing.T) {
 			defer cancel()
 			f.CallAt(fault.SiteSpillWrite, 2, cancel)
 			dir := t.TempDir()
-			mb := NewMemBudget(spillBudget, dir)
-			root := mustParallelize(t, mk(), 2, 128)
-			SetContext(ctx, root)
-			SetBudget(mb, root)
-			_, err := DrainContext(ctx, root)
+			mb := queryBudget(spillBudget, dir)
+			_, err := DrainEnv(&Env{Ctx: ctx, Budget: mb}, mustParallelize(t, mk(), 2, 128))
 			if f.Hits(fault.SiteSpillWrite) < 2 {
 				t.Skipf("spill.write not crossed twice by shape %s", name)
 			}
@@ -267,12 +247,10 @@ func TestSpillFaultPaths(t *testing.T) {
 			f := testfix.InjectFaults(t)
 			f.PanicAt(fault.SiteSpillWrite, 1, "injected spill panic")
 			dir := t.TempDir()
-			mb := NewMemBudget(spillBudget, dir)
-			root := mk()
-			SetBudget(mb, root)
+			mb := queryBudget(spillBudget, dir)
 			err := func() (err error) {
 				defer RecoverPanic("spill test", &err)
-				_, err = Drain(root)
+				_, err = DrainEnv(&Env{Budget: mb}, mk())
 				return err
 			}()
 			if f.Hits(fault.SiteSpillWrite) == 0 {
@@ -288,27 +266,35 @@ func TestSpillFaultPaths(t *testing.T) {
 	}
 }
 
-// TestSpillBudgetDisabled asserts a nil or non-positive budget keeps the
-// in-memory paths (no spill file is ever created).
+// TestSpillBudgetDisabled asserts that no budget — a nil GlobalBudget
+// yields a nil query budget — and a budget every shape fits in both keep
+// the in-memory paths (no spill file is ever created).
 func TestSpillBudgetDisabled(t *testing.T) {
-	var nilBudget *MemBudget
-	if nilBudget.Enabled() {
-		t.Fatal("nil budget enabled")
-	}
-	if NewMemBudget(0, "").Enabled() {
-		t.Fatal("zero budget enabled")
+	var none *GlobalBudget
+	if mb := none.QueryBudgetFor(1); mb != nil {
+		t.Fatalf("nil global budget yields query budget %v", mb)
 	}
 	dir := t.TempDir()
-	mb := NewMemBudget(0, dir)
+	roomy := NewGlobalBudget(1<<40, dir)
+	for _, env := range []*Env{nil, {}, {Budget: none.QueryBudgetFor(1)}} {
+		for _, mk := range spillShapes(t) {
+			if _, err := DrainEnv(env, mk()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mb := roomy.QueryBudgetFor(1)
 	for _, mk := range spillShapes(t) {
-		root := mk()
-		SetBudget(mb, root)
-		if _, err := Drain(root); err != nil {
+		if _, err := DrainEnv(&Env{Budget: mb}, mk()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if mb.Spills() != 0 {
-		t.Fatalf("disabled budget spilled %d times", mb.Spills())
+	mb.Cleanup()
+	if mb.Spills() != 0 || roomy.Spills() != 0 {
+		t.Fatalf("roomy budget spilled %d times", mb.Spills())
+	}
+	if roomy.Reserved() != 0 || roomy.ActiveQueries() != 0 {
+		t.Fatalf("budget not drained: reserved=%d active=%d", roomy.Reserved(), roomy.ActiveQueries())
 	}
 	assertNoSpillFiles(t, dir)
 }

@@ -6,8 +6,12 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"raven/internal/data"
+	"raven/internal/fault"
+	"raven/internal/sched"
+	"raven/internal/testfix"
 )
 
 // End-to-end out-of-core tests: a chunk-backed catalog much larger than
@@ -169,5 +173,79 @@ func TestGlobalMemoryBudgetConcurrentQueriesSpill(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("%d spill files outlived the queries", len(ents))
+	}
+}
+
+// TestGlobalMemoryBudgetSerialQueriesStayWithinTotal is the regression
+// test for serial budgeted queries skipping admission: a query's floor is
+// Total / AdmitCap, granted even when the pool is exhausted, which is sound
+// only while admission caps how many budgeted queries run at once. More
+// concurrent serial clients than the admission cap, each sorting a table
+// that fits its floor, must never hold more than the total together —
+// sampled every time a sort crosses its merge, with the sort lingering
+// there so unadmitted neighbors would pile up — and every result must be
+// byte-identical to the unbudgeted one.
+func TestGlobalMemoryBudgetSerialQueriesStayWithinTotal(t *testing.T) {
+	const admitCap, clients, rows = 2, 6, 20000
+	ids := make([]int64, rows)
+	vs := make([]float64, rows)
+	for i := range ids {
+		ids[i] = int64(i)
+		vs[i] = float64((i * 7919) % rows)
+	}
+	tbl := data.MustNewTable("t", data.NewInt("id", ids), data.NewFloat("v", vs))
+	const query = `SELECT id, v FROM t ORDER BY v`
+	ref := NewSession(WithParallelism(1))
+	ref.RegisterTable(tbl)
+	want, err := ref.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each sort keeps the whole table resident: it fits the floor, and
+	// admitCap of them fit the total, but clients of them do not.
+	total := tbl.ByteSize() * admitCap * 11 / 10
+	dir := t.TempDir()
+	s := NewSession(WithGlobalMemoryBudget(total, dir), WithParallelism(1))
+	s.RegisterTable(tbl)
+	pool := sched.New(2)
+	defer pool.Close()
+	pool.SetAdmissionLimit(admitCap)
+	s.profile.Sched = pool
+	f := testfix.InjectFaults(t)
+	var mu sync.Mutex
+	var peak int64
+	for n := 1; n <= clients; n++ {
+		f.CallAt(fault.SiteSortMerge, n, func() {
+			mu.Lock()
+			peak = max(peak, s.MemoryStats().ReservedBytes)
+			mu.Unlock()
+			time.Sleep(20 * time.Millisecond)
+		})
+	}
+	results := make([]*Result, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[c], errs[c] = s.Query(query)
+		}()
+	}
+	wg.Wait()
+	for c := range clients {
+		if errs[c] != nil {
+			t.Fatalf("client %d: %v", c, errs[c])
+		}
+		assertResultIdentical(t, want, results[c])
+	}
+	if hits := f.Hits(fault.SiteSortMerge); hits != clients {
+		t.Fatalf("sort.merge crossed %d times, want %d", hits, clients)
+	}
+	if peak == 0 || peak > total {
+		t.Fatalf("peak reserved %d bytes, want within (0, %d]", peak, total)
+	}
+	if mem := s.MemoryStats(); mem.ActiveQueries != 0 || mem.ReservedBytes != 0 {
+		t.Fatalf("budget not drained: %+v", mem)
 	}
 }

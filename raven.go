@@ -184,10 +184,6 @@ type Session struct {
 	// adaptive is the WithAdaptive request, applied after all options so
 	// it sees the final strategy and GPU declaration.
 	adaptive bool
-	// memBudget/spillDir are the WithMemoryBudget request, applied after
-	// all options so they compose with WithProfile in any order.
-	memBudget int64
-	spillDir  string
 	// globalBudget, when non-nil, is the engine-global memory accountant
 	// shared by every query this session runs (WithGlobalMemoryBudget).
 	globalBudget *relational.GlobalBudget
@@ -255,33 +251,21 @@ func WithAdaptive() Option {
 	return func(s *Session) { s.adaptive = true }
 }
 
-// WithMemoryBudget enables out-of-core execution: each pipeline breaker
-// (join build, grouped-aggregation merge, sort) keeps at most bytes of
-// state resident and spills the rest to compressed temp files, merged
-// back externally. Results — including row order — stay byte-identical
-// to the in-memory execution at any parallelism; Result.SpilledBytes
-// reports the spill volume. dir is the spill directory (empty = the OS
-// temp dir); files are removed when the query finishes, on error,
-// cancellation and panic paths included. bytes <= 0 disables spilling
-// (the default).
-func WithMemoryBudget(bytes int64, dir string) Option {
-	return func(s *Session) {
-		s.memBudget = bytes
-		s.spillDir = dir
-	}
-}
-
-// WithGlobalMemoryBudget enables out-of-core execution under one
-// engine-global accountant: the resident breaker bytes of every query the
-// session runs — including concurrent ones — draw from a single budget of
-// the given size, so total memory pressure is bounded for the whole
-// session rather than per query. Each query keeps an admission-aware
-// floor (budget divided by the scheduler's admission cap) that is always
-// granted, so concurrent neighbors can force a query to spill earlier but
-// never livelock it. dir is the spill directory (empty = the OS temp
-// dir). Result.SpilledBytes still reports per-query spill volume;
-// MemoryStats exposes the global pressure. Takes precedence over
-// WithMemoryBudget when both are given.
+// WithGlobalMemoryBudget enables out-of-core execution: the resident
+// state of every pipeline breaker (join build, grouped-aggregation merge,
+// sort) of every query the session runs — including concurrent ones —
+// draws from a single budget of the given size, so total memory pressure
+// is bounded for the whole session; state beyond it spills to compressed
+// temp files, merged back externally. Results — including row order —
+// stay byte-identical to the in-memory execution at any parallelism.
+// Budgeted queries pass the scheduler's admission control, and each keeps
+// a floor (budget divided by the admission cap) that is always granted,
+// so concurrent neighbors can force a query to spill earlier but never
+// livelock it. dir is the spill directory (empty = the OS temp dir);
+// files are removed when the query finishes, on error, cancellation and
+// panic paths included. Result.SpilledBytes reports per-query spill
+// volume; MemoryStats exposes the global pressure. bytes <= 0 disables
+// spilling (the default).
 func WithGlobalMemoryBudget(bytes int64, dir string) Option {
 	return func(s *Session) {
 		if bytes > 0 {
@@ -334,10 +318,6 @@ func NewSession(options ...Option) *Session {
 		if c, ok := s.opts.Strategy.(opt.CardinalityAwareStrategy); ok {
 			s.profile.AdaptiveChooser = c
 		}
-	}
-	if s.memBudget > 0 {
-		s.profile.MemoryBudget = s.memBudget
-		s.profile.SpillDir = s.spillDir
 	}
 	if s.globalBudget != nil {
 		s.profile.GlobalBudget = s.globalBudget
