@@ -13,10 +13,18 @@ SHELL := /bin/bash
 # BENCH_OUT=bench.out).
 BENCH_OUT ?= /tmp/raven-bench.out
 
-.PHONY: test stress stress-spill docs-check bench-run bench-baseline benchcmp bench-e2e
+.PHONY: test loc stress stress-spill docs-check bench-run bench-baseline benchcmp bench-e2e
 
 test:
 	go build ./... && go test ./...
+
+# loc prints the non-test Go line count — `wc -l` over every *.go file git
+# tracks or would add, _test.go files excluded — per package directory and
+# for the whole repository: the number simplicity changes report.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; if (!sub(/\/[^/]*$$/, "", d)) d = "."; n[d] += $$1; sum += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", sum }'
 
 # docs-check enforces the documentation gates without a staticcheck
 # install: every package carries exactly one package comment (CI also

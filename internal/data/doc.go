@@ -11,18 +11,23 @@
 // []int32 code vector, see dict.go). Encoding happens once at CSV load /
 // datagen time; Slice, Gather, Filter, Clone and partitioning preserve
 // the dictionary (pointer equality identifies "same dictionary", which
-// per-dictionary caches key on), and every accessor works identically on
-// both representations, so operators only opt into the integer-shaped
-// fast paths (code-indexed joins, predicates, ML encoders) when a
-// dictionary is present and fall back to raw strings otherwise. New code
-// must keep this invariant: never reach into Col.Str on a path that can
-// see catalog data — use AsString or a dict-aware kernel.
+// per-dictionary caches key on), and appends across mismatched
+// dictionaries fall back to raw strings. Every accessor works identically
+// on both representations, so operators only opt into the integer-shaped
+// fast paths when a dictionary is present and fall back to raw strings
+// otherwise: hash joins index dictionary codes in an array (no hashing),
+// string equality and IN predicates compare codes after one dictionary
+// probe, one-hot and label encoders use a per-(session, dictionary)
+// code→category table. New code must keep this invariant: never reach
+// into Col.Str on a path that can see catalog data — use AsString or a
+// dict-aware kernel.
 //
 // # Chunked storage
 //
 // For working sets larger than memory, EncodeColumn/DecodeColumn turn
 // one column into a compact (BlockMeta, payload) block:
-// frame-of-reference bit-packed integers, dict codes, packed bools, raw
+// frame-of-reference bit-packed integers (a constant column packs to
+// width 0 with an empty payload), dict codes, packed bools, raw
 // float bits, length-prefixed strings, plus an optional null bitmap.
 // BlockMeta keeps the live *Dictionary pointer — metadata never hits
 // disk — so decoded columns share the original dictionary by pointer
@@ -30,16 +35,20 @@
 // ChunkReader store tables as per-chunk encoded blocks. A ChunkView is
 // one scan's reading plan over them — the projection resolved to block
 // indexes once, plus the chunks its zone predicates left live — and its
-// Range decodes an arbitrary row range of the live chunks (zero-copy
-// when it falls inside one chunk) through the caller's one-chunk
-// ChunkCache; DecodeRange is the same without zone predicates.
-// ChunkPartitioned wraps a ChunkedTable as a chunk-backed Partition so
-// catalog scans decode on demand instead of holding tables resident, and
-// keeps one zone map per chunk (Partition.ChunkStats) beside the merged
-// partition statistics. ColStats.HasNaN records NaN presence, which
+// Range decodes an arbitrary row range of the live chunks through the
+// caller's one-chunk ChunkCache — a zero-copy Slice when it falls inside
+// one chunk, Clone plus AppendFrom when it spans chunks (the Clone is
+// load-bearing: a slice shares the cached chunk's arrays, and appending
+// into it would write through the cache); DecodeRange is the same without
+// zone predicates. ChunkPartitioned wraps a ChunkedTable as a chunk-backed
+// Partition so catalog scans decode on demand instead of holding tables
+// resident, and keeps one zone map per chunk (Partition.ChunkStats) beside
+// the merged partition statistics, computed by streaming one chunk at a
+// time so statistics never materialize the table either. ColStats.HasNaN records NaN presence, which
 // min/max cannot express. ReadCSVChunked streams a CSV file straight
-// into chunks without materializing the table; empty numeric/bool fields
-// become nulls (decoded as zero values).
+// into chunks without materializing the table — its dictionaries are
+// frozen at end of file and patched into every chunk; empty numeric/bool
+// fields become nulls (decoded as zero values).
 //
 // Decoding is exact: integers, bools, dict codes and float bit patterns
 // round-trip unchanged, which is what lets chunk-backed scans satisfy

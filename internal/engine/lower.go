@@ -12,11 +12,12 @@ import (
 // given profile. When the profile requests real parallelism (ExecDOP > 1)
 // partition-parallel segments are rewritten into morsel-driven Exchange
 // operators; hash joins inside such segments probe in parallel against a
-// shared build table, global aggregates fold per-worker partial
-// accumulators, and grouped aggregates fold per-worker grouped
-// accumulators (dense code-indexed or hashed per Profile.DenseGroupLimit)
-// merged by key value at a breaker, so join- and aggregate-heavy
-// prediction queries scale past one core too. The profile batch size
+// shared build table, and the global aggregate, the grouped aggregate and
+// the sort fold partials their exchange workers computed (per-worker
+// accumulators — grouped ones dense code-indexed or hashed per
+// Profile.DenseGroupLimit — and sorted runs) instead of computing them
+// inline, so join-, aggregate- and sort-heavy prediction queries scale
+// past one core too. Each breaker is one operator either way. The profile batch size
 // doubles as the morsel size,
 // which keeps parallel batch boundaries aligned with serial ones — the
 // property the partial-aggregation fold relies on for bit-identical
@@ -101,9 +102,8 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 		if len(n.GroupBy) > 0 {
 			// Grouped aggregation: the profile picks dense code-indexed
 			// grouping vs hashed typed keys (DenseGroupLimit); under
-			// ExecDOP > 1 the Parallelize rewrite turns this into
-			// per-worker PartialGroupAggregates under a
-			// MergeGroupAggregate breaker.
+			// ExecDOP > 1 the Parallelize rewrite moves the per-batch
+			// grouping into PartialGroupAggregate workers below it.
 			return &relational.GroupAggregate{Child: child, Keys: n.GroupBy,
 				Aggs: n.Aggs, DenseLimit: l.prof.DenseGroupLimit,
 				EstRows: l.est(n.Children[0]), EstGroups: l.est(n)}, nil
@@ -114,9 +114,8 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		// HAVING evaluates above the grouped aggregation — under
-		// ExecDOP > 1 that means above the MergeGroupAggregate breaker,
-		// where group keys and aggregate outputs exist as columns.
+		// HAVING evaluates above the grouped aggregation breaker, where
+		// group keys and aggregate outputs exist as columns.
 		return &relational.HavingFilter{Child: child, Pred: n.Pred}, nil
 	case ir.KindSort:
 		child, err := l.lower(n.Children[0])
@@ -131,8 +130,8 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 		// ORDER BY [LIMIT] [OFFSET]: a sort breaker with a typed multi-key
 		// comparator; a non-negative limit turns it into a top-k heap (an
 		// offset widens the heap to offset+limit rows). Under ExecDOP > 1
-		// the Parallelize rewrite splits it into per-worker PartialSorts
-		// merged k-way at a MergeSortRuns breaker.
+		// the Parallelize rewrite moves the per-batch run sorting into
+		// PartialSort workers below it.
 		return &relational.Sort{Child: child, Keys: n.OrderBy, Limit: n.Limit, Offset: n.Offset,
 			EstRows: l.est(n.Children[0])}, nil
 	case ir.KindUnion:

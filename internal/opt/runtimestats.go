@@ -139,11 +139,11 @@ func (rs *RuntimeStats) Reoptimize(est float64) (adj float64, trigger bool) {
 // cardinality usable as a selectivity correction. Excluded:
 //
 //   - "exchange_dop": records a DOP choice, not a row count.
-//   - "sort_merge_truncated": a MergeSortRuns count under a LIMIT — the
-//     per-worker runs were already cut to their top-k windows, so the
-//     merged count is a lower bound on the input cardinality; treating
-//     it as a ratio would fabricate a downstream underestimate and could
-//     mis-trigger a strategy switch.
+//   - "sort_merge_truncated": a Sort's count of exchanged runs under a
+//     LIMIT — the per-worker runs were already cut to their top-k
+//     windows, so the merged count is a lower bound on the input
+//     cardinality; treating it as a ratio would fabricate a downstream
+//     underestimate and could mis-trigger a strategy switch.
 //   - "*_spill*" points ("join_spill_bytes", "group_spill_partitions",
 //     "sort_spill_runs", ...): byte/partition/run accounting with a zero
 //     estimate, not cardinalities at all.

@@ -2,9 +2,9 @@
 //
 // Operator constructors are context-free; the query's context reaches the
 // tree in its Env, handed to Open. The operators that can run long between
-// output batches — the pipeline breakers (join build, aggregate/sort
-// merges, materialize) and the Exchange — poll env.Ctx once per drained
-// input batch (the Exchange once per morsel), which bounds the reaction
+// output batches — the pipeline breakers (join build, aggregates, sort,
+// materialize) and the Exchange — poll env.Ctx once per drained input
+// batch (pull; the Exchange once per morsel), which bounds the reaction
 // time to one batch or morsel of work. The hot tuple-at-a-time operators
 // (Filter, Project) only forward the Env: they emit one output batch per
 // input batch, so the drain loop's own per-batch check already covers

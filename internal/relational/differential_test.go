@@ -23,7 +23,8 @@ import (
 // shapes that includes the row order itself. The engine-level twin
 // (internal/engine/differential_test.go) drives the same property
 // through SQL planning, optimization and ML predict plans over the
-// datagen datasets.
+// datagen datasets. TestBreakersMatchNaiveReferences anchors the breakers
+// to naive references outside the engine as well.
 
 // edgeValues exercises aggregation and join arithmetic at the extremes
 // the fold must keep bit-stable: zeros, huge and tiny magnitudes, exact
@@ -228,7 +229,7 @@ func diffShapes(f *diffFixture, batch int) map[string]func() Operator {
 				Keys: []string{"grp", "dim3_s"}, Aggs: aggs}
 		},
 		// Ordered output: row order is now semantically asserted — the
-		// parallel PartialSort runs k-way merged at MergeSortRuns must
+		// parallel PartialSort runs k-way merged at the Sort must
 		// reproduce the serial stable sort byte-for-byte, for ascending
 		// and descending keys over both string representations, with
 		// LIMITs smaller than, equal to and larger than the input.
@@ -349,5 +350,75 @@ func TestDifferentialReuse(t *testing.T) {
 			t.Fatalf("%s second: %v", name, err)
 		}
 		assertTablesEqual(t, first, second)
+	}
+}
+
+// TestBreakersMatchNaiveReferences anchors every pipeline breaker to code
+// outside the engine: on randomized fixtures under both string
+// representations, the hash join (integer, string and chained keys), the
+// global and the grouped aggregate and the sort run with their partial step
+// inline (DOP 1) and in exchange workers (DOP 2, 4), and each result must
+// equal its naive reference — nested-loop join, one-pass aggregates,
+// stable sort — exactly, except SUM/AVG, whose batched addition tree may
+// differ from the reference's row-order pass in the last bits.
+func TestBreakersMatchNaiveReferences(t *testing.T) {
+	aggs := []AggSpec{
+		{Fn: AggCount, As: "n"},
+		{Fn: AggSum, Col: "v", As: "sum_v"},
+		{Fn: AggAvg, Col: "v", As: "avg_v"},
+		{Fn: AggMin, Col: "v", As: "min_v"},
+		{Fn: AggMax, Col: "edge", As: "max_edge"},
+	}
+	groupKeys := []string{"grp", "dim_s"}
+	sortKeys := []SortKey{{Col: "dim3_v", Desc: true}, {Col: "sk"}, {Col: "id"}}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fact, dim, dim2, dim3 := randTables(t, rng)
+		batch := []int{64, 256, 1024}[rng.Intn(3)]
+		for _, encode := range []bool{false, true} {
+			f := fixtureFrom(t, fact, dim, dim2, dim3, encode)
+			shapes := diffShapes(f, batch)
+			drain := func(op Operator) *data.Table {
+				out, err := Drain(op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			table := func(pt *data.PartitionedTable) *data.Table { return drain(NewScan(pt, "", nil, batch)) }
+			probe := drain(shapes["scan-chain"]())
+			joined := refJoin(probe, table(f.dim), "k", "dk")
+			joinedTwice := refJoin(joined, table(f.dim2), "k2", "dk2")
+			joinedStr := refJoin(probe, table(f.dim3), "sk", "dk3")
+			for _, dop := range []int{1, 2, 4} {
+				label := fmt.Sprintf("seed=%d encode=%v dop=%d", seed, encode, dop)
+				run := func(op Operator) *data.Table { return drain(mustParallelize(t, op, dop, batch)) }
+				for name, want := range map[string]*data.Table{
+					"join": joined, "join-join": joinedTwice, "join-str": joinedStr,
+				} {
+					if want.NumRows() == 0 {
+						t.Fatalf("%s %s: reference join is empty; the fixture no longer exercises it", label, name)
+					}
+					assertTablesEqual(t, want, run(shapes[name]()))
+				}
+				global := run(&Aggregate{Child: shapes["join-join"](), Aggs: aggs})
+				assertMatchesReference(t, label+" global", global, nil, aggs,
+					[]*refGroup{refAggregate(joinedTwice, aggs)}, false)
+				none := run(&Aggregate{Child: shapes["filter-all-false"](), Aggs: aggs})
+				assertMatchesReference(t, label+" global-empty", none, nil, aggs,
+					[]*refGroup{refAggregate(probe.Slice(0, 0), aggs)}, true)
+				grouped := run(&GroupAggregate{Child: shapes["join-join"](), Keys: groupKeys, Aggs: aggs})
+				assertMatchesReference(t, label+" grouped", grouped, groupKeys, aggs,
+					refGroupAggregate(joinedTwice, groupKeys, aggs), false)
+				for _, limit := range []int{-1, 0, 30} {
+					want := refSort(t, NewScan(data.SinglePartition(joinedStr), "", nil, joinedStr.NumRows()+1), sortKeys, limit)
+					got := run(&Sort{Child: shapes["join-str"](), Keys: sortKeys, Limit: limit})
+					if want.NumRows() == 0 && got.NumRows() == 0 {
+						continue
+					}
+					assertTablesEqual(t, want, got)
+				}
+			}
+		}
 	}
 }

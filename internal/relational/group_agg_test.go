@@ -57,14 +57,7 @@ func refGroupAggregate(tb *data.Table, keys []string, aggs []AggSpec) []*refGrou
 			for i, c := range keyCols {
 				vals[i] = c.AsString(r)
 			}
-			g = &refGroup{keys: vals,
-				sums: make([]float64, len(aggs)),
-				mins: make([]float64, len(aggs)),
-				maxs: make([]float64, len(aggs))}
-			for i := range aggs {
-				g.mins[i] = 1e308
-				g.maxs[i] = -1e308
-			}
+			g = newRefGroup(vals, len(aggs))
 			idx[key] = g
 			order = append(order, g)
 		}
@@ -84,6 +77,30 @@ func refGroupAggregate(tb *data.Table, keys []string, aggs []AggSpec) []*refGrou
 		}
 	}
 	return order
+}
+
+// newRefGroup is an empty reference group: MIN/MAX at ±Inf, which every
+// value replaces.
+func newRefGroup(keys []string, nAggs int) *refGroup {
+	g := &refGroup{keys: keys,
+		sums: make([]float64, nAggs),
+		mins: make([]float64, nAggs),
+		maxs: make([]float64, nAggs)}
+	for i := range g.mins {
+		g.mins[i] = math.Inf(1)
+		g.maxs[i] = math.Inf(-1)
+	}
+	return g
+}
+
+// refAggregate is the naive reference global aggregate: the reference
+// grouping with no keys, whose one group is every row — or, over an empty
+// table, the identity row.
+func refAggregate(tb *data.Table, aggs []AggSpec) *refGroup {
+	if groups := refGroupAggregate(tb, nil, aggs); len(groups) == 1 {
+		return groups[0]
+	}
+	return newRefGroup(nil, len(aggs))
 }
 
 // ---- property test --------------------------------------------------------
@@ -184,7 +201,9 @@ func assertMatchesReference(t *testing.T, label string, got *data.Table, keys []
 			case AggSum:
 				want = g.sums[gi]
 			case AggAvg:
-				want = g.sums[gi] / g.count
+				if g.count > 0 {
+					want = g.sums[gi] / g.count
+				}
 			case AggMin:
 				want = g.mins[gi]
 			case AggMax:
@@ -321,7 +340,7 @@ func TestGroupAggregateEmptyViews(t *testing.T) {
 			// Identity results: COUNT/SUM/AVG zero, MIN/MAX at their fold
 			// identities.
 			for col, want := range map[string]float64{
-				"n": 0, "s": 0, "m": 0, "lo": 1e308, "hi": -1e308} {
+				"n": 0, "s": 0, "m": 0, "lo": math.Inf(1), "hi": math.Inf(-1)} {
 				if got := global.Col(col).F64[0]; got != want {
 					t.Fatalf("%s global dop=%d: %s = %v, want %v", name, dop, col, got, want)
 				}
@@ -464,5 +483,47 @@ func TestGroupAggregateErrors(t *testing.T) {
 	if _, err := Drain(&GroupAggregate{Child: NewScan(pt, "", nil, 8),
 		Keys: []string{"g"}, Aggs: []AggSpec{{Fn: AggSum, Col: "nope", As: "s"}}}); err == nil {
 		t.Fatal("expected error for missing aggregate column")
+	}
+}
+
+// TestAggregateMinMaxFoldIdentity pins the MIN/MAX fold identities at ±Inf:
+// values at or beyond ±1e308 — including ±Inf, which CSV input parses —
+// must come back from MIN and MAX as they are, not as a finite stand-in
+// identity, grouped and global, with the partial step inline (DOP 1) and in
+// exchange workers (DOP 2).
+func TestAggregateMinMaxFoldIdentity(t *testing.T) {
+	inf := math.Inf(1)
+	tb := data.MustNewTable("t",
+		data.NewString("g", []string{"big", "big", "big", "inf", "inf", "inf", "neg", "neg", "neg"}),
+		data.NewFloat("x", []float64{1.5e308, 1.7e308, 1.6e308, inf, inf, inf, -inf, -inf, -inf}))
+	aggs := []AggSpec{{Fn: AggMin, Col: "x", As: "lo"}, {Fn: AggMax, Col: "x", As: "hi"}}
+	want := map[string][2]float64{"big": {1.5e308, 1.7e308}, "inf": {inf, inf}, "neg": {-inf, -inf}}
+	scan := func() Operator { return NewScan(data.SinglePartition(tb), "", nil, 2) }
+	check := func(label string, out *data.Table, row int, w [2]float64) {
+		t.Helper()
+		if lo, hi := out.Col("lo").F64[row], out.Col("hi").F64[row]; lo != w[0] || hi != w[1] {
+			t.Fatalf("%s: MIN, MAX = %v, %v, want %v, %v", label, lo, hi, w[0], w[1])
+		}
+	}
+	for _, dop := range []int{1, 2} {
+		grouped, err := Drain(mustParallelize(t, &GroupAggregate{Child: scan(), Keys: []string{"g"}, Aggs: aggs}, dop, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grouped.NumRows() != len(want) {
+			t.Fatalf("dop=%d: %d groups, want %d", dop, grouped.NumRows(), len(want))
+		}
+		for r := 0; r < grouped.NumRows(); r++ {
+			g := grouped.Col("g").AsString(r)
+			check(fmt.Sprintf("dop=%d grouped %s", dop, g), grouped, r, want[g])
+		}
+		for g, w := range want {
+			global, err := Drain(mustParallelize(t, &Aggregate{
+				Child: &Filter{Child: scan(), Pred: NewBinOp(OpEq, Col("g"), Str(g))}, Aggs: aggs}, dop, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("dop=%d global %s", dop, g), global, 0, w)
+		}
 	}
 }

@@ -104,34 +104,11 @@ func (g *groupSpill) add(keyBytes []byte, keyCols []*data.Column, r int, p *aggP
 
 // flush encodes a partition's buffered rows as one spill slab.
 func (g *groupSpill) flush(part *groupSpillPart) error {
-	n := len(part.seqs)
-	if n == 0 {
+	if len(part.seqs) == 0 {
 		return nil
 	}
-	cols := make([]*data.Column, 0, len(g.keyNames)+2+3*len(g.aggs))
-	for _, kb := range part.keys {
-		cols = append(cols, kb.column())
-	}
-	cols = append(cols, data.NewFloat(groupSeqCol, part.seqs))
-	counts := make([]float64, n)
-	for i, p := range part.partials {
-		counts[i] = p.count
-	}
-	cols = append(cols, data.NewFloat("__count", counts))
-	for gi := range g.aggs {
-		sums := make([]float64, n)
-		mins := make([]float64, n)
-		maxs := make([]float64, n)
-		for i, p := range part.partials {
-			sums[i] = p.sums[gi]
-			mins[i] = p.mins[gi]
-			maxs[i] = p.maxs[gi]
-		}
-		cols = append(cols,
-			data.NewFloat(fmt.Sprintf("__sum%d", gi), sums),
-			data.NewFloat(fmt.Sprintf("__min%d", gi), mins),
-			data.NewFloat(fmt.Sprintf("__max%d", gi), maxs))
-	}
+	cols := append(builtColumns(part.keys), data.NewFloat(groupSeqCol, part.seqs))
+	cols = append(cols, encodePartials(part.partials, len(g.aggs))...)
 	t, err := data.NewTable("group_spill", cols...)
 	if err != nil {
 		return err
@@ -163,33 +140,18 @@ func (f *seqFold) fold(keyCols []*data.Column, encs []groupKeyEnc, r int, p *agg
 	return nil
 }
 
-// foldTable folds every row of a spilled slab (or a partition's buffered
-// tail rendered as a table) in row order.
-func (f *seqFold) foldTable(t *data.Table, keyNames []string, nAggs int) error {
-	keyCols := make([]*data.Column, len(keyNames))
-	encs := make([]groupKeyEnc, len(keyNames))
-	for i, k := range keyNames {
-		c := t.Col(k)
-		if c == nil {
-			return fmt.Errorf("relational: group spill slab lacks key column %q", k)
-		}
-		keyCols[i] = c
-		enc, err := keyEncoder(c)
-		if err != nil {
-			return err
-		}
-		encs[i] = enc
+// foldTable folds every row of a spilled slab in row order.
+func (f *seqFold) foldTable(t *data.Table, keyNames, state []string) error {
+	keyCols, encs, pc, err := resolveGroupedPartials(t, keyNames, state)
+	if err != nil {
+		return err
 	}
 	seqCol := t.Col(groupSeqCol)
 	if seqCol == nil {
 		return fmt.Errorf("relational: group spill slab lacks %s", groupSeqCol)
 	}
 	for r := 0; r < t.NumRows(); r++ {
-		p, err := decodePartialRow(t, r, nAggs)
-		if err != nil {
-			return err
-		}
-		if err := f.fold(keyCols, encs, r, p, seqCol.F64[r]); err != nil {
+		if err := f.fold(keyCols, encs, r, pc.row(r), seqCol.F64[r]); err != nil {
 			return err
 		}
 	}
@@ -208,6 +170,7 @@ func (g *groupSpill) finalize() (*data.Table, error) {
 	}
 	var refs []groupRef
 	var proto *data.Table
+	state := partialColumns(len(g.aggs))
 	for pi := range g.parts {
 		part := &g.parts[pi]
 		f := &seqFold{gm: newGroupedMerge(g.keyNames, g.aggs)}
@@ -216,22 +179,17 @@ func (g *groupSpill) finalize() (*data.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := f.foldTable(t, g.keyNames, len(g.aggs)); err != nil {
+			if err := f.foldTable(t, g.keyNames, state); err != nil {
 				return nil, err
 			}
 		}
 		// The partition's unflushed tail, folded in the same row order it
 		// was buffered.
 		if len(part.seqs) > 0 {
-			keyCols := make([]*data.Column, len(part.keys))
-			encs := make([]groupKeyEnc, len(part.keys))
-			for i, kb := range part.keys {
-				keyCols[i] = kb.column()
-				enc, err := keyEncoder(keyCols[i])
-				if err != nil {
-					return nil, err
-				}
-				encs[i] = enc
+			keyCols := builtColumns(part.keys)
+			encs, err := keyEncoders(keyCols)
+			if err != nil {
+				return nil, err
 			}
 			for r := range part.seqs {
 				if err := f.fold(keyCols, encs, r, part.partials[r], part.seqs[r]); err != nil {

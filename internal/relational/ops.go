@@ -490,11 +490,18 @@ func (p *Project) Stats() *OpStats { return &p.stats }
 // Children returns the single child.
 func (p *Project) Children() []Operator { return []Operator{p.Child} }
 
-// HashJoin is an inner equi-join. The right (build) side is drained into a
-// hash table at Open; the left (probe) side streams. Join keys may be
-// Int64, String or Float64 columns. Under parallel execution (see
-// parallel_join.go) the rewrite converts it into a ParallelHashJoin
-// sharing the same build/probe helpers, so results stay byte-identical.
+// HashJoin is an inner equi-join: the right (build) side is drained into a
+// hash table at Open (see joinBuild), the left (probe) side streams against
+// it. Join keys may be Int64, String or Float64 columns. Output follows
+// probe row order, each row expanded by its matches in ascending build row
+// order.
+//
+// The same operator is the chain operator of an exchange segment: when
+// Parallelize moves a join below an Exchange, the template (Right != nil)
+// builds once at Open, on the query thread, indexing with up to DOP workers,
+// and each worker clone (Right == nil) probes its own Left chain against
+// that shared, immutable build. The exchange re-emits probe batches in
+// morsel order, so the join is byte-identical at any DOP.
 type HashJoin struct {
 	Left, Right       Operator
 	LeftKey, RightKey string
@@ -504,31 +511,52 @@ type HashJoin struct {
 	// can re-cost itself against it.
 	EstBuildRows float64
 
-	stats OpStats
-	build *joinBuild
+	// dop bounds the workers that index the build side; Parallelize sets
+	// it on the joins it moves into an exchange segment.
+	dop int
+	// rightCols names the build columns on worker clones, which hold no
+	// Right.
+	rightCols []string
+	stats     OpStats
+	build     *joinBuild // shared by worker clones, immutable once built
 }
 
 // Columns returns left columns followed by right columns.
 func (j *HashJoin) Columns() []string {
-	return append(append([]string{}, j.Left.Columns()...), j.Right.Columns()...)
+	return append(append([]string{}, j.Left.Columns()...), j.buildColumns()...)
 }
 
-// Open drains the build side and indexes it by key. Drain does not Close
-// a tree whose Open failed, so every error path here closes what this
+func (j *HashJoin) buildColumns() []string {
+	if j.Right == nil {
+		return j.rightCols
+	}
+	return j.Right.Columns()
+}
+
+// Open opens the probe side and — unless this is a worker clone — drains
+// the build side and indexes it by key. The build survives Close, since an
+// exchange clones its template's workers after closing it. Drain does not
+// Close a tree whose Open failed, so every error path here closes what this
 // operator already opened — otherwise a failed build would strand child
-// resources (e.g. checked-out ML sessions under the build side).
-func (j *HashJoin) Open(env *Env) error {
-	j.stats = OpStats{Name: fmt.Sprintf("HashJoin(%s=%s)", j.LeftKey, j.RightKey)}
+// resources (e.g. checked-out ML sessions under either side).
+func (j *HashJoin) Open(env *Env) (err error) {
+	name := "HashJoin"
+	if j.dop > 1 {
+		name = "ParallelHashJoin"
+	}
+	j.stats = OpStats{Name: fmt.Sprintf("%s(%s=%s)", name, j.LeftKey, j.RightKey)}
 	defer startTimer(&j.stats)()
 	if err := j.Left.Open(env); err != nil {
 		return err
+	}
+	if j.Right == nil {
+		return nil
 	}
 	if err := j.Right.Open(env); err != nil {
 		j.Left.Close()
 		return err
 	}
-	var err error
-	if j.build, err = openBuild(env.orZero(), j.Right, j.RightKey, 1, j.EstBuildRows, &j.stats); err != nil {
+	if j.build, err = openBuild(env.orZero(), j.Right, j.RightKey, j.dop, j.EstBuildRows, &j.stats); err != nil {
 		j.Left.Close()
 		j.Right.Close()
 	}
@@ -556,34 +584,46 @@ func (j *HashJoin) Next() (*data.Table, error) {
 	}
 }
 
-// Close closes both children.
+// Close closes the probe side and, outside worker clones, the build side.
 func (j *HashJoin) Close() error {
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
-	if err1 != nil {
-		return err1
+	err := j.Left.Close()
+	if j.Right != nil {
+		if rerr := j.Right.Close(); err == nil {
+			err = rerr
+		}
 	}
-	return err2
+	return err
 }
 
 // Stats returns the join statistics.
 func (j *HashJoin) Stats() *OpStats { return &j.stats }
 
-// Children returns probe and build children.
-func (j *HashJoin) Children() []Operator { return []Operator{j.Left, j.Right} }
-
-func emptyLike(cols []string) (*data.Table, error) {
-	t, err := data.NewTable("empty")
-	if err != nil {
-		return nil, err
+// Children returns the probe side and, outside worker clones, the build
+// side.
+func (j *HashJoin) Children() []Operator {
+	if j.Right == nil {
+		return []Operator{j.Left}
 	}
-	for _, c := range cols {
-		if err := t.AddColumn(data.NewFloat(c, nil)); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return []Operator{j.Left, j.Right}
 }
+
+// ChainChild implements chainOp: an exchange segment continues through the
+// probe side; the build side is private to the operator.
+func (j *HashJoin) ChainChild() Operator { return j.Left }
+
+// CloneWorker implements ParallelOp: the clone probes its own chain against
+// the template's build.
+func (j *HashJoin) CloneWorker(child Operator) (Operator, error) {
+	if j.build == nil {
+		return nil, fmt.Errorf("relational: hash join %s=%s cloned before its build side was drained",
+			j.LeftKey, j.RightKey)
+	}
+	return &HashJoin{Left: child, LeftKey: j.LeftKey, RightKey: j.RightKey, dop: j.dop,
+		rightCols: j.buildColumns(), build: j.build}, nil
+}
+
+// AbsorbWorker merges a worker clone's statistics.
+func (j *HashJoin) AbsorbWorker(clone Operator) { j.stats.Absorb(clone.Stats()) }
 
 // AggFn enumerates aggregate functions.
 type AggFn uint8
@@ -605,14 +645,23 @@ type AggSpec struct {
 }
 
 // Aggregate computes global aggregates over its input (the SQL Server
-// experiments add an aggregate over prediction results).
+// experiments add an aggregate over prediction results). It folds one
+// partial accumulator per input batch in stream order (parallel_agg.go),
+// computed inline from each batch when lowered serially, or read from the
+// one-row partials an exchange of PartialAggregate workers emits in morsel
+// order when Parallelize moved the partial step below it. Both fold the
+// same partials in the same order, so the aggregates are bit-identical at
+// any DOP.
 type Aggregate struct {
 	Child Operator
 	Aggs  []AggSpec
 
-	stats OpStats
-	done  bool
-	env   *Env
+	// exchanged marks a Child that is an Exchange of PartialAggregates (set
+	// by Parallelize).
+	exchanged bool
+	stats     OpStats
+	done      bool
+	env       *Env
 }
 
 // Columns returns the aggregate output names.
@@ -627,15 +676,15 @@ func (a *Aggregate) Columns() []string {
 // Open opens the child.
 func (a *Aggregate) Open(env *Env) error {
 	a.stats = OpStats{Name: "Aggregate"}
+	if a.exchanged {
+		a.stats.Name = "Aggregate(merge)"
+	}
 	a.done, a.env = false, env.orZero()
 	return a.Child.Open(env)
 }
 
-// Next drains the child and emits a single-row result. Each batch is
-// folded through the same per-batch accumulator the parallel
-// PartialAggregate/MergeAggregate pair uses (parallel_agg.go), so serial
-// and parallel plans share one addition tree and produce bit-identical
-// aggregates.
+// Next drains the child, folding its partials, and emits a single-row
+// result.
 func (a *Aggregate) Next() (*data.Table, error) {
 	defer startTimer(&a.stats)()
 	if a.done {
@@ -643,22 +692,30 @@ func (a *Aggregate) Next() (*data.Table, error) {
 	}
 	a.done = true
 	acc := newAggPartial(len(a.Aggs))
+	state := partialColumns(len(a.Aggs))
 	for {
-		if err := canceled(a.env.Ctx); err != nil {
-			return nil, err
-		}
-		b, err := a.Child.Next()
+		b, err := pull(a.env.Ctx, a.Child)
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
 			break
 		}
-		p, err := accumulateBatch(b, a.Aggs)
+		if !a.exchanged {
+			p, err := accumulateBatch(b, a.Aggs)
+			if err != nil {
+				return nil, err
+			}
+			acc.fold(p)
+			continue
+		}
+		pc, err := resolvePartials(b, state)
 		if err != nil {
 			return nil, err
 		}
-		acc.fold(p)
+		for r := 0; r < b.NumRows(); r++ {
+			acc.fold(pc.row(r))
+		}
 	}
 	out, err := acc.finalize(a.Aggs)
 	if err != nil {
@@ -687,8 +744,10 @@ type Materialize struct {
 	stats OpStats
 	buf   *data.Table
 	pos   int
-	batch int
 }
+
+// materializeBatch is the row count of the batches Materialize streams.
+const materializeBatch = 10000
 
 // Columns returns the child's columns.
 func (m *Materialize) Columns() []string { return m.Child.Columns() }
@@ -702,30 +761,12 @@ func (m *Materialize) Open(env *Env) error {
 	if err := m.Child.Open(env); err != nil {
 		return err
 	}
-	m.buf, m.pos, m.batch = nil, 0, 10000
-	for {
-		if err := canceled(env.orZero().Ctx); err != nil {
-			m.Child.Close()
-			return err
-		}
-		b, err := m.Child.Next()
-		if err != nil {
-			m.Child.Close()
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		if m.batch < b.NumRows() {
-			m.batch = b.NumRows()
-		}
-		if m.buf == nil {
-			m.buf = b.Clone()
-		} else if err := m.buf.AppendFrom(b); err != nil {
-			m.Child.Close()
-			return err
-		}
+	m.pos = 0
+	var err error
+	if m.buf, err = drainConcat(env.orZero().Ctx, m.Child, false); err != nil {
+		m.Child.Close()
 	}
+	return err
 }
 
 // Next streams the buffered rows.
@@ -734,10 +775,7 @@ func (m *Materialize) Next() (*data.Table, error) {
 	if m.buf == nil || m.pos >= m.buf.NumRows() {
 		return nil, nil
 	}
-	hi := m.pos + m.batch
-	if hi > m.buf.NumRows() {
-		hi = m.buf.NumRows()
-	}
+	hi := min(m.pos+materializeBatch, m.buf.NumRows())
 	out := m.buf.Slice(m.pos, hi)
 	m.pos = hi
 	m.stats.Rows += int64(out.NumRows())
@@ -834,40 +872,59 @@ func DrainEnv(env *Env, root Operator) (*data.Table, error) {
 		return nil, err
 	}
 	defer root.Close()
-	ctx := env.orZero().Ctx
-	var out *data.Table
+	out, err := drainConcat(env.orZero().Ctx, root, true)
+	if err == nil && out == nil {
+		// Zero batches: an empty result carrying the plan's real column
+		// types.
+		out, err = emptyOf(root)
+	}
+	return out, err
+}
+
+// pull polls ctx, then returns child's next batch. Every breaker drains its
+// input through it, so a canceled query stops within one batch of work; a
+// nil ctx — inside exchange tasks, which poll per morsel — skips the check.
+func pull(ctx context.Context, child Operator) (*data.Table, error) {
+	if err := canceled(ctx); err != nil {
+		return nil, err
+	}
+	return child.Next()
+}
+
+// drainConcat drains an opened operator into one table in stream order,
+// nil when it produced no batch, pulling under ctx. A lone batch comes back
+// as is, so the common one-batch input pays no copy; the first batch is
+// cloned only when a second must be appended to it, because it may be a
+// view of shared storage. own clones a lone batch too, for callers that
+// hand the table on as their own.
+func drainConcat(ctx context.Context, child Operator, own bool) (*data.Table, error) {
+	var first, all *data.Table
 	for {
-		if err := canceled(ctx); err != nil {
-			return nil, err
-		}
-		b, err := root.Next()
+		b, err := pull(ctx, child)
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
 			break
 		}
-		if out == nil {
-			out = b.Clone()
-		} else if err := out.AppendFrom(b); err != nil {
+		switch {
+		case first == nil:
+			first = b
+			continue
+		case all == nil:
+			all = first.Clone()
+		}
+		if err := all.AppendFrom(b); err != nil {
 			return nil, err
 		}
 	}
-	if out == nil {
-		// Zero batches: synthesize an empty result carrying the plan's real
-		// column types (SchemaOf), falling back to all-Float64 only when an
-		// operator's schema cannot be derived statically.
-		var err error
-		if schema, ok := SchemaOf(root); ok {
-			out, err = emptyTyped(schema)
-		} else {
-			out, err = emptyLike(root.Columns())
-		}
-		if err != nil {
-			return nil, err
-		}
+	if all == nil && own && first != nil {
+		all = first.Clone()
 	}
-	return out, nil
+	if all == nil {
+		return first, nil
+	}
+	return all, nil
 }
 
 // CollectStats walks the operator tree and returns every operator's stats

@@ -19,8 +19,11 @@ import (
 // (Filter/Project/Predict) checked out from the exchange's clone set.
 // Results are merged back in morsel order at the Exchange, so parallel
 // plans produce byte-identical output to serial ones and the operators
-// above the Exchange (joins, aggregates) stay oblivious — at any DOP and
-// any concurrency level.
+// above the Exchange stay oblivious — at any DOP and any concurrency level.
+// A pipeline breaker above an exchange folds the partials its partial step
+// (PartialAggregate, PartialGroupAggregate, PartialSort) computed in the
+// workers, in that same order, exactly as it folds the partials it computes
+// inline from serial input batches.
 
 // Morsel is one batch of parallel work: a row range of one partition, and
 // one result slot of the exchange.
@@ -53,11 +56,23 @@ type serialOnly interface {
 }
 
 // chainOp is implemented by chain operators whose morsel flow passes
-// through one designated child (the ParallelHashJoin's probe side); other
-// children (the build side) are private to the operator and not part of
-// the exchange segment.
+// through one designated child (the HashJoin's probe side); other children
+// (the build side) are private to the operator and not part of the
+// exchange segment.
 type chainOp interface {
 	ChainChild() Operator
+}
+
+// chainChild returns the operator an exchange segment continues through
+// below op: a chain operator's designated child, or op's only child.
+func chainChild(op Operator) (Operator, bool) {
+	if co, ok := op.(chainOp); ok {
+		return co.ChainChild(), true
+	}
+	if ch := op.Children(); len(ch) == 1 {
+		return ch[0], true
+	}
+	return nil, false
 }
 
 // Absorb adds the clone's counters into s (single-threaded merge after the
@@ -261,8 +276,8 @@ type Exchange struct {
 }
 
 // NewExchange wraps a parallelizable segment: a chain of single-child
-// ParallelOps (plus ParallelHashJoins, whose probe child continues the
-// chain) ending at a Scan, as validated and built by the rewrite's
+// ParallelOps (plus HashJoins, whose probe child continues the chain)
+// ending at a Scan, as validated and prepared by the rewrite's
 // segmentable + chainify pair.
 func NewExchange(segment Operator, dop, morselSize int) *Exchange {
 	return &Exchange{Template: segment, DOP: dop, MorselSize: morselSize}
@@ -299,12 +314,8 @@ func (e *Exchange) Open(env *Env) error {
 			e.Template.Close()
 			return fmt.Errorf("relational: exchange segment has non-parallel operator %T", op)
 		}
-		var next Operator
-		if co, ok := op.(chainOp); ok {
-			next = co.ChainChild()
-		} else if ch := op.Children(); len(ch) == 1 {
-			next = ch[0]
-		} else {
+		next, ok := chainChild(op)
+		if !ok {
 			e.Template.Close()
 			return fmt.Errorf("relational: exchange segment operator %T has no chain child", op)
 		}
@@ -475,34 +486,7 @@ func (e *Exchange) execMorsel(w *worker, m Morsel, cache *data.ChunkCache) (*dat
 		return nil, err
 	}
 	w.src.reset(batch)
-	var first *data.Table
-	var merged *data.Table
-	for {
-		b, err := w.root.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		switch {
-		case first == nil:
-			first = b
-		case merged == nil:
-			// Rare multi-batch morsel: clone before appending, because the
-			// first batch's columns may be zero-copy views of shared data.
-			merged = first.Clone()
-			fallthrough
-		default:
-			if err := merged.AppendFrom(b); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if merged != nil {
-		return merged, nil
-	}
-	return first, nil
+	return drainConcat(nil, w.root, false)
 }
 
 // Next returns the next non-empty batch in morsel order. The query's
@@ -617,82 +601,58 @@ func (e *Exchange) Close() error {
 }
 
 // segmentable reports whether op roots an exchange-compatible segment: a
-// chain of single-child ParallelOps ending at a Scan, in which hash joins
-// may appear as long as their probe (left) side is itself segmentable —
-// the join build side is materialized at Open and may be any subplan.
-// Joins are carried across the breaker by converting them into
-// ParallelHashJoin chain operators (see chainify).
+// chain of ParallelOps ending at a Scan, each continuing through its only
+// child or — a hash join — its probe side (the join build side is
+// materialized at Open and may be any subplan).
 func segmentable(op Operator) bool {
-	switch o := op.(type) {
-	case *Scan:
+	if _, ok := op.(*Scan); ok {
 		return true
-	case *HashJoin:
-		return segmentable(o.Left)
 	}
-	p, ok := op.(ParallelOp)
-	if !ok {
+	if _, ok := op.(ParallelOp); !ok {
 		return false
 	}
 	if so, ok := op.(serialOnly); ok && !so.CanParallelize() {
 		return false
 	}
-	ch := p.Children()
-	if len(ch) != 1 {
-		return false
-	}
-	return segmentable(ch[0])
+	next, ok := chainChild(op)
+	return ok && segmentable(next)
 }
 
-// chainify rewrites a segmentable segment for execution inside an
-// exchange: every HashJoin becomes a ParallelHashJoin probing on the
-// worker chain (its build side is independently parallelized), and the
-// operators above a converted join are rebuilt over the new child via
-// their worker-clone hook. Segments without joins are returned unchanged.
-func chainify(op Operator, c rwConf) (Operator, error) {
-	switch o := op.(type) {
-	case *Scan:
-		return o, nil
-	case *HashJoin:
-		child, err := chainify(o.Left, c)
-		if err != nil {
-			return nil, err
+// chainify prepares a segmentable segment for execution inside an
+// exchange: every hash join on the chain gets its build side rewritten —
+// the build is drained on the query thread at Open and parallelizes on its
+// own — and indexes it with up to c.dop workers.
+func chainify(op Operator, c rwConf) error {
+	for {
+		if j, ok := op.(*HashJoin); ok {
+			var err error
+			if j.Right, err = rewrite(j.Right, c); err != nil {
+				return err
+			}
+			j.dop = c.dop
 		}
-		build, err := rewrite(o.Right, c)
-		if err != nil {
-			return nil, err
+		next, ok := chainChild(op)
+		if !ok {
+			return nil
 		}
-		phj := NewParallelHashJoin(child, build, o.LeftKey, o.RightKey, c.dop)
-		phj.EstBuildRows = o.EstBuildRows
-		return phj, nil
+		op = next
 	}
-	p, ok := op.(ParallelOp)
-	if !ok || len(p.Children()) != 1 {
-		return nil, fmt.Errorf("relational: cannot chainify operator %T", op)
-	}
-	child, err := chainify(p.Children()[0], c)
-	if err != nil {
-		return nil, err
-	}
-	if child == p.Children()[0] {
-		return op, nil
-	}
-	return p.CloneWorker(child)
 }
 
 // Parallelize rewrites a physical plan for real data-parallel execution
 // at the given DOP: every maximal partition-parallel segment big enough
 // to split (more rows than one morsel) is wrapped in an Exchange. The
-// former pipeline breakers scale too: hash joins become ParallelHashJoins
-// probed inside the exchange workers against a shared build table, global
-// aggregates become per-worker PartialAggregates merged at a
-// MergeAggregate breaker, and grouped aggregates become per-worker
-// PartialGroupAggregates merged by key value at a MergeGroupAggregate
-// breaker. Materializations and unions stay serial but pull from parallel
-// children. The breakers' plan-time estimates move onto the Partial/Merge
-// pairs and ParallelHashJoins that replace them, so an observing
-// environment sees the same observation points at any DOP; the scheduler,
-// context and budget come from the environment the plan is opened with.
-// dop <= 1 returns the plan unchanged.
+// pipeline breakers scale too: hash joins move into the segment and probe
+// inside the exchange workers against one shared build, and the partial
+// step of the global aggregate, the grouped aggregate and the sort moves
+// below an exchange (PartialAggregate, PartialGroupAggregate, PartialSort)
+// while the breaker itself stays above it, folding the partials in morsel
+// order. Materializations and unions stay serial but pull from parallel
+// children. The breakers keep their plan-time estimates (the adaptive
+// dense-vs-hash estimate moves to the PartialGroupAggregate), so an
+// observing environment sees the same observation points at any DOP; the
+// scheduler, context and budget come from the environment the plan is
+// opened with. dop <= 1 returns the plan unchanged.
 func Parallelize(root Operator, dop, morselSize int) (Operator, error) {
 	if dop <= 1 {
 		return root, nil
@@ -722,11 +682,23 @@ func exchangeSegment(op Operator, c rwConf) (Operator, bool, error) {
 	if s.Table.NumRows() <= c.morselSize {
 		return nil, false, nil
 	}
-	chain, err := chainify(op, c)
-	if err != nil {
+	if err := chainify(op, c); err != nil {
 		return nil, false, err
 	}
-	return NewExchange(chain, c.dop, c.morselSize), true, nil
+	return NewExchange(op, c.dop, c.morselSize), true, nil
+}
+
+// splitBreaker moves a breaker's partial step below an exchange when the
+// breaker's input *child is a big-enough segment, making the exchange the
+// new input; otherwise it rewrites the input in place.
+func splitBreaker(child *Operator, partial Operator, c rwConf) (bool, error) {
+	seg, ok, err := exchangeSegment(partial, c)
+	if ok {
+		*child = seg
+	} else if err == nil {
+		*child, err = rewrite(*child, c)
+	}
+	return ok, err
 }
 
 func rewrite(op Operator, c rwConf) (Operator, error) {
@@ -747,52 +719,20 @@ func rewrite(op Operator, c rwConf) (Operator, error) {
 		}
 		o.Right, err = rewrite(o.Right, c)
 	case *Aggregate:
-		// Partial aggregation: when the input is a big-enough segment,
-		// fold per-batch accumulators inside the exchange workers and
-		// merge them (in morsel order) above it.
-		if seg, ok, serr := exchangeSegment(&PartialAggregate{Child: o.Child, Aggs: o.Aggs}, c); serr != nil {
-			return nil, serr
-		} else if ok {
-			return &MergeAggregate{Child: seg, Aggs: o.Aggs}, nil
-		}
-		o.Child, err = rewrite(o.Child, c)
+		o.exchanged, err = splitBreaker(&o.Child, &PartialAggregate{Child: o.Child, Aggs: o.Aggs}, c)
 	case *GroupAggregate:
-		// Grouped partial aggregation: per-worker grouped accumulators
-		// (dense arrays or hash tables) inside the exchange, merged by
-		// key value in morsel order at the breaker. The adaptive hooks
-		// move with the split: the partial side inherits the
-		// dense-vs-hash decision, the merge side reports the true group
-		// cardinality.
-		if seg, ok, serr := exchangeSegment(&PartialGroupAggregate{
+		// Per-worker grouped accumulators (dense arrays or hash tables);
+		// the partial side makes the adaptive dense-vs-hash decision.
+		o.exchanged, err = splitBreaker(&o.Child, &PartialGroupAggregate{
 			Child: o.Child, Keys: o.Keys, Aggs: o.Aggs, DenseLimit: o.DenseLimit,
 			EstRows: o.EstRows,
-		}, c); serr != nil {
-			return nil, serr
-		} else if ok {
-			return &MergeGroupAggregate{Child: seg, Keys: o.Keys, Aggs: o.Aggs,
-				EstGroups: o.EstGroups}, nil
-		}
-		o.Child, err = rewrite(o.Child, c)
+		}, c)
 	case *Sort:
-		// Parallel sort: per-worker sorted runs (one per morsel, truncated
-		// to the limit) inside the exchange, k-way merged in morsel order
-		// at the breaker — byte-identical to the serial stable sort. With
-		// an OFFSET the runs keep offset+limit rows (a row outside a run's
-		// top-(offset+limit) cannot be in the global window); the merge
-		// drops the leading offset rows.
-		partialLimit := o.Limit
-		if o.Limit >= 0 && o.Offset > 0 {
-			partialLimit = o.Limit + o.Offset
-		}
-		if seg, ok, serr := exchangeSegment(&PartialSort{
-			Child: o.Child, Keys: o.Keys, Limit: partialLimit,
-		}, c); serr != nil {
-			return nil, serr
-		} else if ok {
-			return &MergeSortRuns{Child: seg, Keys: o.Keys, Limit: o.Limit, Offset: o.Offset,
-				EstRows: o.EstRows}, nil
-		}
-		o.Child, err = rewrite(o.Child, c)
+		// Per-worker sorted runs, one per morsel, cut to the Offset+Limit
+		// window.
+		o.exchanged, err = splitBreaker(&o.Child, &PartialSort{
+			Child: o.Child, Keys: o.Keys, Limit: fetchRows(o.Limit, o.Offset),
+		}, c)
 	case *HavingFilter:
 		// HAVING stays above the grouped-aggregation breaker; only its
 		// input parallelizes.
@@ -846,18 +786,10 @@ func scanOf(op Operator) (*Scan, error) {
 		if depth > maxChainDepth {
 			return nil, fmt.Errorf("relational: operator chain exceeds depth %d without reaching a Scan leaf", maxChainDepth)
 		}
-		if j, ok := op.(*HashJoin); ok {
-			op = j.Left
-			continue
-		}
-		if co, ok := op.(chainOp); ok {
-			op = co.ChainChild()
-			continue
-		}
-		ch := op.Children()
-		if len(ch) == 0 {
+		next, ok := chainChild(op)
+		if !ok {
 			return nil, fmt.Errorf("relational: segment leaf %T is not a Scan", op)
 		}
-		op = ch[0]
+		op = next
 	}
 }

@@ -2,15 +2,16 @@ package relational
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"raven/internal/data"
 )
 
-// Tests for the parallel pipeline breakers: hash joins probed inside
-// exchange workers against a shared build table, and global aggregates
-// folded from per-worker partials.
+// Tests for the pipeline breakers under Parallelize: hash joins probed
+// inside exchange workers against a shared build table, and global
+// aggregates folding per-worker partials.
 
 // joinFixture builds a partitioned probe table (n rows, keys cycling over
 // dimRows*2 so half the keys miss) and a dimension table of dimRows.
@@ -44,6 +45,35 @@ func breakerJoinFixture(t *testing.T, n, dimRows int) (*data.PartitionedTable, *
 	return pf, dim
 }
 
+// refJoin is the naive reference inner equi-join: a nested loop over every
+// (probe, build) row pair in probe-then-build row order, matching keys by
+// value — float bits (NaNs match each other, -0 and +0 do not), integers
+// as integers, anything else by rendered string. It shares none of the
+// engine's build indexes.
+func refJoin(left, right *data.Table, leftKey, rightKey string) *data.Table {
+	lk, rk := left.Col(leftKey), right.Col(rightKey)
+	match := func(i, j int) bool {
+		switch {
+		case lk.Type == data.Float64 && rk.Type == data.Float64:
+			a, b := lk.F64[i], rk.F64[j]
+			return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+		case lk.Type == data.Int64 && rk.Type == data.Int64:
+			return lk.I64[i] == rk.I64[j]
+		}
+		return lk.AsString(i) == rk.AsString(j)
+	}
+	var li, ri []int
+	for i := 0; i < left.NumRows(); i++ {
+		for j := 0; j < right.NumRows(); j++ {
+			if match(i, j) {
+				li = append(li, i)
+				ri = append(ri, j)
+			}
+		}
+	}
+	return data.MustNewTable("ref_join", append(left.Gather(li).Cols, right.Gather(ri).Cols...)...)
+}
+
 // findOp returns the first operator in the tree satisfying pred.
 func findOp(root Operator, pred func(Operator) bool) Operator {
 	if pred(root) {
@@ -75,9 +105,9 @@ func TestParallelJoinPlanShape(t *testing.T) {
 	if !ok {
 		t.Fatalf("expected Exchange root, got %T", root)
 	}
-	phj := findOp(ex.Template, func(op Operator) bool { _, ok := op.(*ParallelHashJoin); return ok })
+	phj := findOp(ex.Template, func(op Operator) bool { j, ok := op.(*HashJoin); return ok && j.dop == 4 })
 	if phj == nil {
-		t.Fatal("no ParallelHashJoin in the exchange segment")
+		t.Fatal("no HashJoin chain operator in the exchange segment")
 	}
 	got, err := Drain(root)
 	if err != nil {
@@ -110,13 +140,13 @@ func TestParallelJoinBigBuildSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := mustParallelize(t, mk(), 4, 256)
-	phjOp := findOp(root, func(op Operator) bool { _, ok := op.(*ParallelHashJoin); return ok })
+	phjOp := findOp(root, func(op Operator) bool { j, ok := op.(*HashJoin); return ok && j.dop == 4 })
 	if phjOp == nil {
-		t.Fatal("no ParallelHashJoin in plan")
+		t.Fatal("no HashJoin chain operator in plan")
 	}
-	phj := phjOp.(*ParallelHashJoin)
-	if _, ok := phj.Build.(*Exchange); !ok {
-		t.Fatalf("big build side should be an Exchange, got %T", phj.Build)
+	phj := phjOp.(*HashJoin)
+	if _, ok := phj.Right.(*Exchange); !ok {
+		t.Fatalf("big build side should be an Exchange, got %T", phj.Right)
 	}
 	got, err := Drain(root)
 	if err != nil {
@@ -186,13 +216,13 @@ func TestParallelAggregatePlanShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := mustParallelize(t, mk(), 4, 256)
-	ma, ok := root.(*MergeAggregate)
-	if !ok {
-		t.Fatalf("expected MergeAggregate root, got %T", root)
+	ma, ok := root.(*Aggregate)
+	if !ok || !ma.exchanged {
+		t.Fatalf("expected an Aggregate over exchanged partials at the root, got %T", root)
 	}
 	ex, ok := ma.Child.(*Exchange)
 	if !ok {
-		t.Fatalf("expected Exchange under MergeAggregate, got %T", ma.Child)
+		t.Fatalf("expected Exchange under the Aggregate, got %T", ma.Child)
 	}
 	if _, ok := ex.Template.(*PartialAggregate); !ok {
 		t.Fatalf("expected PartialAggregate exchange template, got %T", ex.Template)

@@ -35,21 +35,16 @@ func SchemaOf(op Operator) (data.Schema, bool) {
 		}
 		return out, true
 	case *HashJoin:
-		return joinSchema(o.Left, o.Right)
-	case *ParallelHashJoin:
-		if o.Build == nil {
+		if o.Right == nil {
+			// A worker clone: the template holds the build side.
 			return nil, false
 		}
-		return joinSchema(o.Child, o.Build)
+		return joinSchema(o.Left, o.Right)
 	case *Aggregate:
-		return aggSchema(o.Aggs), true
-	case *MergeAggregate:
 		return aggSchema(o.Aggs), true
 	case *PartialAggregate:
 		return floatSchema(o.Columns()), true
 	case *GroupAggregate:
-		return groupedSchema(o.Child, o.Keys, o.Aggs)
-	case *MergeGroupAggregate:
 		return groupedSchema(o.Child, o.Keys, o.Aggs)
 	case *PartialGroupAggregate:
 		keys, ok := keySchema(o.Child, o.Keys)
@@ -60,8 +55,6 @@ func SchemaOf(op Operator) (data.Schema, bool) {
 	case *Sort:
 		return SchemaOf(o.Child)
 	case *PartialSort:
-		return SchemaOf(o.Child)
-	case *MergeSortRuns:
 		return SchemaOf(o.Child)
 	case *HavingFilter:
 		return SchemaOf(o.Child)
@@ -185,6 +178,25 @@ func exprType(e Expr, child data.Schema) data.Type {
 	// LitFloat, arithmetic BinOps, Func, Case and unknown expressions all
 	// evaluate to float columns.
 	return data.Float64
+}
+
+// emptyOf synthesizes op's zero-row result: typed columns from its static
+// schema (SchemaOf), or — only when that cannot be derived — all-Float64
+// columns named by Columns.
+func emptyOf(op Operator) (*data.Table, error) {
+	if s, ok := SchemaOf(op); ok {
+		return emptyTyped(s)
+	}
+	t, err := data.NewTable("empty")
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range op.Columns() {
+		if err := t.AddColumn(data.NewFloat(c, nil)); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }
 
 // emptyTyped builds a zero-row table matching the schema, preserving

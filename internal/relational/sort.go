@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -20,12 +19,11 @@ import (
 // guarantee): row order is now *semantically* part of the result, so the
 // comparator is a total order — key comparison first, ties broken by the
 // row's position in the serial batch stream (first-occurrence row order).
-// The serial Sort stable-sorts the concatenated input under that order;
-// the parallel pair sorts per-worker runs (PartialSort, one sorted run
-// per morsel) and k-way merges them at the MergeSortRuns breaker,
-// preferring the earlier run on equal keys. Because the Exchange re-emits
-// runs in morsel order — which equals serial batch order — the merged
-// permutation is exactly the serial stable sort, so ordered results are
+// The Sort breaker merges one stable sorted run per input batch — sorted
+// inline, or by the PartialSort workers of an exchange, one run per morsel
+// re-emitted in morsel order, which equals serial batch order — k-way,
+// preferring the earlier run on equal keys. The merged permutation is
+// exactly the stable sort of the whole input, so ordered results are
 // byte-identical at any DOP.
 //
 // Typed key comparators:
@@ -300,8 +298,8 @@ func identityPerm(idx []int) bool {
 // clause. It reuses the vectorized expression kernels of Filter
 // (dictionary-aware string comparisons included) but is a distinct,
 // deliberately serial operator: it evaluates *above* the grouped
-// aggregation breaker (GroupAggregate, or MergeGroupAggregate under
-// parallel execution), where group keys and aggregate outputs exist.
+// aggregation breaker (GroupAggregate), where group keys and aggregate
+// outputs exist.
 type HavingFilter struct {
 	Child Operator
 	Pred  Expr
@@ -438,34 +436,54 @@ func (l *Limit) Stats() *OpStats { return &l.stats }
 // Children returns the single child.
 func (l *Limit) Children() []Operator { return []Operator{l.Child} }
 
-// Sort is the serial ORDER BY pipeline breaker: it drains its child,
-// concatenates the batches and emits them reordered under the typed
-// multi-key comparator, ties broken by input row order (a stable sort).
-// A non-negative Limit turns the full sort into a bounded top-k heap —
-// the rows emitted are exactly the first Limit rows of the stable sort,
-// found without ordering the rest. The parallel rewrite replaces Sort
-// with MergeSortRuns over per-worker PartialSorts (see Parallelize),
-// which reproduces the same permutation byte-for-byte.
+// fetchRows is the window a sort run is cut to: its top offset+limit rows
+// when a limit is set (a row outside its run's window can never enter the
+// global one), every row otherwise.
+func fetchRows(limit, offset int) int {
+	if limit >= 0 && offset > 0 {
+		return limit + offset
+	}
+	return limit
+}
+
+// Sort is the ORDER BY pipeline breaker. It merges one sorted run per input
+// batch, in stream order: each batch sorted inline under the typed
+// multi-key comparator with the row-order tie-break when lowered serially,
+// or sorted by the PartialSort workers of an exchange — one run per morsel,
+// re-emitted in morsel order — when Parallelize moved that step below it.
+// Either way the runs cover the serial batch stream in serial order and are
+// each stable, so a k-way merge preferring the earlier run on equal keys
+// yields exactly the stable sort of the whole input.
+//
+// A non-negative Limit cuts every run to its top Offset+Limit rows, found
+// with a bounded heap, and stops the merge there: the rows emitted are the
+// [Offset, Offset+Limit) window of the stable sort, found without ordering
+// the rest. Under a budget the held runs migrate to disk once they exceed
+// it and every later run is written directly; the external merge keeps the
+// earlier-run tie-break, so spilled output is byte-identical too.
 type Sort struct {
 	Child Operator
 	Keys  []SortKey
 	// Limit is the row cutoff folded into the sort; negative means no
 	// limit (sort everything).
 	Limit int
-	// Offset skips the first Offset ordered rows (the OFFSET clause); the
-	// top-(Offset+Limit) heap finds the window without sorting the rest.
+	// Offset skips the first Offset ordered rows (the OFFSET clause).
 	Offset int
 	// EstRows is the plan-time estimate of the input rows, reported next to
-	// the true count at the sort breaker ("sort_merge") when the
-	// environment observes. Under a budget the accumulated input is cut
-	// into sorted runs spilled to disk and k-way merged externally,
-	// reproducing the in-memory stable sort byte-for-byte.
+	// the true count at the merge ("sort_merge") when the environment
+	// observes. Runs from an exchange under a Limit arrive truncated, so
+	// their merged count is not the input cardinality: that observation is
+	// reported as "sort_merge_truncated", which the re-optimizer excludes
+	// from selectivity evidence.
 	EstRows float64
 
-	stats   OpStats
-	done    bool
-	scratch sortScratch
-	env     *Env
+	// exchanged marks a Child that is an Exchange of PartialSorts (set by
+	// Parallelize): its batches arrive as sorted runs.
+	exchanged bool
+	stats     OpStats
+	done      bool
+	scratch   sortScratch
+	env       *Env
 }
 
 // Columns returns the child's columns (sorting preserves the schema).
@@ -477,38 +495,114 @@ func (s *Sort) Open(env *Env) error {
 		return fmt.Errorf("relational: Sort requires at least one key (use Limit)")
 	}
 	s.stats = OpStats{Name: "Sort(" + sortKeysString(s.Keys) + ")"}
+	if s.exchanged {
+		s.stats.Name = "Sort(merge " + sortKeysString(s.Keys) + ")"
+	}
 	s.done, s.env = false, env.orZero()
 	return s.Child.Open(env)
 }
 
-// Next drains the child and emits the ordered result as one batch.
+// Next drains the child's runs and emits the ordered result as one batch.
+// The runs are held in one table — the first batch as is, a concatenated
+// copy once a second arrives — and the merged order is gathered from it
+// once.
 func (s *Sort) Next() (*data.Table, error) {
 	defer startTimer(&s.stats)()
 	if s.done {
 		return nil, nil
 	}
 	s.done = true
-	if s.env.Budget != nil {
-		return s.nextSpill()
+	fetch := fetchRows(s.Limit, s.Offset)
+	var first, buf *data.Table // the first held batch; all of them once a second arrives
+	var runs []sortRun
+	var es *externalSort
+	var retained int64
+	held, total := 0, 0
+	res := s.env.Budget.Reserve()
+	for {
+		b, err := pull(s.env.Ctx, s.Child)
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		n := b.NumRows()
+		if n == 0 {
+			continue
+		}
+		total += n
+		run := sortRun{hi: n}
+		if !s.exchanged {
+			if run.idx, err = s.sortBatch(b, fetch); err != nil {
+				return nil, err
+			}
+			if len(run.idx) == 0 {
+				continue
+			}
+		}
+		if es != nil {
+			// Already spilling: every run goes straight to disk.
+			if err := es.addRun(run.table(b)); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		switch {
+		case first == nil:
+			first = b
+		case buf == nil:
+			buf = first.Clone()
+			fallthrough
+		default:
+			if err := buf.AppendFrom(b); err != nil {
+				return nil, err
+			}
+		}
+		runs = append(runs, run.at(held))
+		held += n
+		retained += b.ByteSize()
+		if !res.Over(retained) {
+			continue
+		}
+		// Over budget: migrate the held runs to disk, each as its own run so
+		// the merge's earlier-run tie-break is unchanged, and hand the
+		// reservation back — from now on at most one arriving batch is
+		// resident.
+		if es, err = newExternalSort(s.env.Budget); err != nil {
+			return nil, err
+		}
+		if buf == nil {
+			buf = first
+		}
+		for _, r := range runs {
+			if err := es.addRun(r.table(buf)); err != nil {
+				return nil, err
+			}
+		}
+		first, buf, runs, held, retained = nil, nil, nil, 0, 0
+		res.Release()
 	}
-	buf, err := drainConcat(s.env.Ctx, s.Child)
-	if err == nil {
-		err = fault.Inject(fault.SiteSortMerge)
-	}
-	if err != nil {
+	if err := fault.Inject(fault.SiteSortMerge); err != nil {
 		return nil, err
 	}
 	if s.env.Observe != nil {
-		rows := 0
-		if buf != nil {
-			rows = buf.NumRows()
+		point := "sort_merge"
+		if s.exchanged && s.Limit >= 0 {
+			point = "sort_merge_truncated"
 		}
-		s.env.Observe.ObserveCardinality("sort_merge", s.EstRows, float64(rows))
+		s.env.Observe.ObserveCardinality(point, s.EstRows, float64(total))
+	}
+	if es != nil {
+		return es.finish(s.env, s.Keys, s.Limit, s.Offset, &s.scratch, &s.stats)
 	}
 	if buf == nil {
+		buf = first
+	}
+	if buf == nil || s.Limit == 0 {
 		return nil, nil
 	}
-	out, err := sortTable(buf, s.Keys, s.Limit, s.Offset, &s.scratch)
+	out, err := s.merge(buf, runs, fetch)
 	if err != nil || out == nil {
 		return nil, err
 	}
@@ -517,92 +611,115 @@ func (s *Sort) Next() (*data.Table, error) {
 	return out, nil
 }
 
-// nextSpill is the budgeted drain: batches accumulate until the resident
-// bytes exceed the budget, at which point the buffer is stable-sorted
-// into a run (truncated to the top Offset+Limit rows when a limit is set
-// — a row below a run's own window can never enter the global window)
-// and spilled. Runs are cut at batch boundaries in input order and the
-// external merge prefers earlier runs on equal keys, so the merged
-// permutation equals the serial in-memory stable sort exactly.
-func (s *Sort) nextSpill() (*data.Table, error) {
-	fetch := s.Limit
-	if s.Limit >= 0 && s.Offset > 0 {
-		fetch = s.Limit + s.Offset
-	}
-	var es *externalSort
-	var buf *data.Table
-	var retained int64
-	res := s.env.Budget.Reserve()
-	total := 0
-	for {
-		if err := canceled(s.env.Ctx); err != nil {
-			return nil, err
-		}
-		b, err := s.Child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if b.NumRows() == 0 {
-			continue
-		}
-		total += b.NumRows()
-		if buf == nil {
-			buf = b.Clone()
-		} else if err := buf.AppendFrom(b); err != nil {
-			return nil, err
-		}
-		retained += b.ByteSize()
-		if !res.Over(retained) {
-			continue
-		}
-		run, err := sortTable(buf, s.Keys, fetch, 0, &s.scratch)
-		if err != nil {
-			return nil, err
-		}
-		if es == nil {
-			if es, err = newExternalSort(s.env.Budget); err != nil {
-				return nil, err
-			}
-		}
-		if run != nil {
-			if err := es.addRun(run); err != nil {
-				return nil, err
-			}
-		}
-		buf, retained = nil, 0
-	}
-	if err := fault.Inject(fault.SiteSortMerge); err != nil {
+// sortBatch sorts one serial input batch into a run: its row positions in
+// stable order under the comparator, cut to the top fetch rows. The
+// positions are the run's own — the scratch index buffer is handed over,
+// not reused — so the run outlives the next batch's sort.
+func (s *Sort) sortBatch(b *data.Table, fetch int) ([]int, error) {
+	cmp, err := s.scratch.comparator(b, s.Keys)
+	if err != nil {
 		return nil, err
 	}
-	if s.env.Observe != nil {
-		s.env.Observe.ObserveCardinality("sort_merge", s.EstRows, float64(total))
+	idx := s.scratch.sortIndexes(b.NumRows(), fetch, cmp)
+	s.scratch.idx = nil
+	return idx, nil
+}
+
+// merge k-way merges the runs held in buf and emits the OFFSET/LIMIT
+// window of the result: buf itself, or a view of it, when that is already
+// in order, one gather otherwise.
+func (s *Sort) merge(buf *data.Table, runs []sortRun, fetch int) (*data.Table, error) {
+	for _, k := range s.Keys {
+		if buf.Col(k.Col) == nil {
+			return nil, fmt.Errorf("relational: sort key column %q missing", k.Col)
+		}
 	}
-	if es == nil {
-		// The input never exceeded the budget: the plain in-memory sort.
-		if buf == nil {
+	want := 0
+	for _, r := range runs {
+		want += r.len()
+	}
+	if fetch >= 0 && fetch < want {
+		want = fetch
+	}
+	var perm []int
+	switch {
+	case len(runs) > 1:
+		var err error
+		if perm, err = s.mergeRuns(buf, runs, want); err != nil {
+			return nil, err
+		}
+	case runs[0].idx != nil:
+		perm = runs[0].idx[:want]
+	default:
+		// One run of an exchange task is in order already.
+		if s.Offset >= want {
 			return nil, nil
 		}
-		out, err := sortTable(buf, s.Keys, s.Limit, s.Offset, &s.scratch)
-		if err != nil || out == nil {
-			return nil, err
+		if s.Offset == 0 && want == buf.NumRows() {
+			return buf, nil
 		}
-		s.stats.Rows += int64(out.NumRows())
-		s.stats.Batches++
-		return out, nil
+		return buf.Slice(s.Offset, want), nil
 	}
-	if buf != nil {
-		run, err := sortTable(buf, s.Keys, fetch, 0, &s.scratch)
-		if err != nil {
-			return nil, err
-		}
-		if run != nil {
-			es.addRunMem(run)
-		}
+	if s.Offset >= len(perm) {
+		return nil, nil
 	}
-	return es.finish(s.env, s.Keys, s.Limit, s.Offset, &s.scratch, &s.stats)
+	perm = perm[s.Offset:]
+	if identityPerm(perm) {
+		if len(perm) == buf.NumRows() {
+			return buf, nil
+		}
+		return buf.Slice(0, len(perm)), nil
+	}
+	return buf.Gather(perm), nil
+}
+
+// mergeRuns merges the runs held in buf into the buffer rows of the first
+// want merged rows. Each run is cut to want rows (a later row of a run
+// cannot make the window) and adjacent runs merge pairwise, pass after
+// pass, with ties going to the earlier run: that keeps the runs in stream
+// order, so the result is exactly the stable sort's first-occurrence
+// tie-break, in log2(runs) comparisons per row.
+func (s *Sort) mergeRuns(buf *data.Table, runs []sortRun, want int) ([]int, error) {
+	cmp, err := s.scratch.comparator(buf, s.Keys)
+	if err != nil {
+		return nil, err
+	}
+	// The runs laid end to end in src, run i ending at ends[i].
+	n := 0
+	for _, r := range runs {
+		n += min(r.len(), want)
+	}
+	src := make([]int, 0, n)
+	ends := make([]int, len(runs))
+	for i, r := range runs {
+		for p := 0; p < min(r.len(), want); p++ {
+			src = append(src, r.row(p))
+		}
+		ends[i] = len(src)
+	}
+	dst := make([]int, len(src))
+	for len(ends) > 1 {
+		lo, next := 0, ends[:0]
+		for i := 0; i < len(ends); i += 2 {
+			mid, hi := ends[i], ends[i]
+			if i+1 < len(ends) {
+				hi = ends[i+1]
+			}
+			a, b, out := src[lo:mid], src[mid:hi], dst[lo:lo]
+			for len(a) > 0 && len(b) > 0 {
+				if cmp(b[0], a[0]) < 0 {
+					out, b = append(out, b[0]), b[1:]
+				} else {
+					out, a = append(out, a[0]), a[1:]
+				}
+			}
+			out = append(append(out, a...), b...)
+			next = append(next, hi)
+			lo = hi
+		}
+		src, dst, ends = dst, src, next
+	}
+	return src[:want], nil
 }
 
 // Close closes the child.
@@ -614,44 +731,45 @@ func (s *Sort) Stats() *OpStats { return &s.stats }
 // Children returns the single child.
 func (s *Sort) Children() []Operator { return []Operator{s.Child} }
 
-// drainConcat drains an operator into one table (nil when the child
-// produced no rows), polling ctx once per batch (nil ctx skips the
-// check — PartialSort runs inside exchange tasks, which poll at the
-// morsel boundary already). A single batch is returned as-is — the common
-// case (e.g. a Sort above an aggregation breaker) pays no copy; the clone
-// happens lazily only when a second batch must be appended, since the
-// first may be a zero-copy view of shared storage.
-func drainConcat(ctx context.Context, child Operator) (*data.Table, error) {
-	var first, merged *data.Table
-	for {
-		if err := canceled(ctx); err != nil {
-			return nil, err
-		}
-		b, err := child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			if merged != nil {
-				return merged, nil
-			}
-			return first, nil
-		}
-		if b.NumRows() == 0 {
-			continue
-		}
-		switch {
-		case first == nil:
-			first = b
-		case merged == nil:
-			merged = first.Clone()
-			fallthrough
-		default:
-			if err := merged.AppendFrom(b); err != nil {
-				return nil, err
-			}
-		}
+// sortRun is one sorted run held in the Sort's buffer: the rows [lo, hi) in
+// order or — sorted inline from a serial input batch — the rows at idx,
+// already cut to the run's window.
+type sortRun struct {
+	lo, hi int
+	idx    []int
+}
+
+func (r sortRun) len() int {
+	if r.idx != nil {
+		return len(r.idx)
 	}
+	return r.hi - r.lo
+}
+
+// row returns the buffer row at position i of the run.
+func (r sortRun) row(i int) int {
+	if r.idx != nil {
+		return r.idx[i]
+	}
+	return r.lo + i
+}
+
+// at moves a run sorted from a batch of its own to that batch's place in
+// the buffer, starting at row lo.
+func (r sortRun) at(lo int) sortRun {
+	for i := range r.idx {
+		r.idx[i] += lo
+	}
+	r.lo, r.hi = r.lo+lo, r.hi+lo
+	return r
+}
+
+// table materializes the run from the table holding it.
+func (r sortRun) table(t *data.Table) *data.Table {
+	if r.idx != nil {
+		return t.Gather(r.idx)
+	}
+	return t.Slice(r.lo, r.hi)
 }
 
 // sortTable orders buf's rows under keys (row-order tie-break), skipping
@@ -675,18 +793,14 @@ func sortTable(buf *data.Table, keys []SortKey, limit, offset int, scratch *sort
 	if n == 1 {
 		return buf, nil
 	}
-	// An OFFSET widens the top-k window: the heap finds the first
-	// offset+limit ordered rows and the leading offset rows are dropped
-	// from the permutation.
-	fetch := limit
-	if limit >= 0 && offset > 0 {
-		fetch = limit + offset
-	}
 	cmp, err := scratch.comparator(buf, keys)
 	if err != nil {
 		return nil, err
 	}
-	idx := scratch.sortIndexes(n, fetch, cmp)
+	// An OFFSET widens the top-k window: the heap finds the first
+	// offset+limit ordered rows and the leading offset rows are dropped
+	// from the permutation.
+	idx := scratch.sortIndexes(n, fetchRows(limit, offset), cmp)
 	if offset > 0 {
 		if offset >= len(idx) {
 			return nil, nil
@@ -702,19 +816,18 @@ func sortTable(buf *data.Table, keys []SortKey, limit, offset int, scratch *sort
 	return buf.Gather(idx), nil
 }
 
-// PartialSort produces one sorted run per morsel inside an exchange
-// worker: each Next drains its child to exhaustion (the worker chain
-// yields the current morsel's batches and then reports end-of-stream),
-// concatenates the batches in order, and emits them reordered under the
-// same comparator and tie-break the serial Sort uses, truncated to the
-// limit (a row outside its run's top-k cannot be in the global top-k).
-// Draining structurally guarantees one internally sorted run per morsel
-// even if an operator below ever emits several batches for one morsel —
-// the invariant MergeSortRuns' k-way merge depends on for correctness
-// (unlike the aggregate partials, where a violated boundary only
-// perturbs fold order, an unsorted "run" would order rows wrongly). The
-// exchange re-emits the runs in morsel order, so the breaker sees runs
-// covering the serial batch stream in serial order.
+// PartialSort is the partial step of the sort moved below an exchange: each
+// Next drains its child to exhaustion (the worker chain yields the current
+// morsel's batches and then reports end-of-stream), concatenates the
+// batches in order, and emits them as one run, reordered under the Sort's
+// comparator and tie-break and truncated to Limit (the Sort's Offset+Limit
+// window). Draining structurally guarantees one internally sorted run per
+// morsel even if an operator below ever emits several batches for one
+// morsel — the invariant the k-way merge depends on for correctness
+// (unlike the aggregate partials, where a violated boundary only perturbs
+// fold order, an unsorted "run" would order rows wrongly). The exchange
+// re-emits the runs in morsel order, so the Sort above sees runs covering
+// the serial batch stream in serial order.
 type PartialSort struct {
 	Child Operator
 	Keys  []SortKey
@@ -740,7 +853,7 @@ func (p *PartialSort) Open(env *Env) error {
 // scratch (index buffer, per-dictionary rank tables) across morsels.
 func (p *PartialSort) Next() (*data.Table, error) {
 	defer startTimer(&p.stats)()
-	buf, err := drainConcat(nil, p.Child)
+	buf, err := drainConcat(nil, p.Child, false)
 	if err != nil || buf == nil {
 		return nil, err
 	}
@@ -771,258 +884,10 @@ func (p *PartialSort) CloneWorker(child Operator) (Operator, error) {
 // AbsorbWorker merges a worker clone's statistics.
 func (p *PartialSort) AbsorbWorker(clone Operator) { p.stats.Absorb(clone.Stats()) }
 
-// MergeSortRuns is the pipeline breaker above an exchange of
-// PartialSorts: it collects the per-morsel sorted runs (in morsel order)
-// and k-way merges them with a run heap, preferring the earlier run on
-// equal keys. Runs arrive in serial batch order and are each internally
-// stable, so the merged permutation equals the serial Sort's stable sort
-// of the whole input — ordered parallel results are byte-identical to
-// serial ones. With a limit, the merge stops after offset+limit rows and
-// the leading offset rows are dropped — the serial Sort's OFFSET window.
-type MergeSortRuns struct {
-	Child  Operator
-	Keys   []SortKey
-	Limit  int
-	Offset int
-	// EstRows mirrors Sort, with one caveat fixed here: when a Limit is
-	// set the per-worker runs arrive already truncated to their
-	// top-(Offset+Limit) windows, so the merged row count is NOT the
-	// operator's true input cardinality. Those observations are reported
-	// under "sort_merge_truncated" (never "sort_merge"), which the
-	// re-optimizer excludes from selectivity evidence. Under a budget the
-	// collected runs move to disk once they exceed it and every later run
-	// is written directly, with the same earlier-run-preferring external
-	// merge as the in-memory heap.
-	EstRows float64
-
-	stats   OpStats
-	done    bool
-	scratch sortScratch
-	env     *Env
-}
-
-// Columns returns the child's columns.
-func (m *MergeSortRuns) Columns() []string { return m.Child.Columns() }
-
-// Open opens the child.
-func (m *MergeSortRuns) Open(env *Env) error {
-	m.stats = OpStats{Name: "Sort(merge " + sortKeysString(m.Keys) + ")"}
-	m.done, m.env = false, env.orZero()
-	return m.Child.Open(env)
-}
-
-// Next drains the runs and emits the merged ordered result as one batch.
-func (m *MergeSortRuns) Next() (*data.Table, error) {
-	defer startTimer(&m.stats)()
-	if m.done {
-		return nil, nil
-	}
-	m.done = true
-	// Concatenate the runs into one table (so one comparator covers every
-	// row), remembering each run's [start, end) global row range. A
-	// single run needs no copy at all; the clone happens lazily when a
-	// second run arrives.
-	var first, buf *data.Table
-	var runs [][2]int
-	var es *externalSort
-	var retained int64
-	res := m.env.Budget.Reserve()
-	total := 0
-	for {
-		if err := canceled(m.env.Ctx); err != nil {
-			return nil, err
-		}
-		b, err := m.Child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		n := b.NumRows()
-		if n == 0 {
-			continue
-		}
-		total += n
-		if es != nil {
-			// Already spilling: each arriving run goes straight to disk.
-			if err := es.addRun(b); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if first == nil {
-			first = b
-			runs = append(runs, [2]int{0, n})
-		} else {
-			if buf == nil {
-				buf = first.Clone()
-			}
-			start := buf.NumRows()
-			if err := buf.AppendFrom(b); err != nil {
-				return nil, err
-			}
-			runs = append(runs, [2]int{start, start + n})
-		}
-		retained += b.ByteSize()
-		if !res.Over(retained) {
-			continue
-		}
-		// Over budget: migrate the collected runs to disk, each as its
-		// own run so the merge's earlier-run tie-break is unchanged.
-		if es, err = newExternalSort(m.env.Budget); err != nil {
-			return nil, err
-		}
-		src := buf
-		if src == nil {
-			src = first
-		}
-		for _, r := range runs {
-			if err := es.addRun(src.Slice(r[0], r[1])); err != nil {
-				return nil, err
-			}
-		}
-		first, buf, runs, retained = nil, nil, nil, 0
-		// Every later run goes straight to disk; the resident state is at
-		// most one arriving batch, so hand the reservation back.
-		res.Release()
-	}
-	if buf == nil {
-		buf = first
-	}
-	if err := fault.Inject(fault.SiteSortMerge); err != nil {
-		return nil, err
-	}
-	if m.env.Observe != nil {
-		// With a Limit the runs were truncated upstream, so the merged
-		// count is a lower bound, not the input cardinality — report it
-		// under a point the re-optimizer knows to skip.
-		point := "sort_merge"
-		if m.Limit >= 0 {
-			point = "sort_merge_truncated"
-		}
-		m.env.Observe.ObserveCardinality(point, m.EstRows, float64(total))
-	}
-	if es != nil {
-		return es.finish(m.env, m.Keys, m.Limit, m.Offset, &m.scratch, &m.stats)
-	}
-	if buf == nil || m.Limit == 0 {
-		return nil, nil
-	}
-	out, err := m.merge(buf, runs)
-	if err != nil || out == nil {
-		return nil, err
-	}
-	m.stats.Rows += int64(out.NumRows())
-	m.stats.Batches++
-	return out, nil
-}
-
-// merge k-way merges the runs of buf into the output permutation.
-func (m *MergeSortRuns) merge(buf *data.Table, runs [][2]int) (*data.Table, error) {
-	for _, k := range m.Keys {
-		if buf.Col(k.Col) == nil {
-			return nil, fmt.Errorf("relational: sort key column %q missing", k.Col)
-		}
-	}
-	if len(runs) == 1 {
-		// A single run is already the serial order; only the offset/limit
-		// window applies.
-		n := buf.NumRows()
-		if m.Offset >= n {
-			return nil, nil
-		}
-		end := n
-		if m.Limit >= 0 && m.Offset+m.Limit < n {
-			end = m.Offset + m.Limit
-		}
-		if m.Offset > 0 || end < n {
-			return buf.Slice(m.Offset, end), nil
-		}
-		return buf, nil
-	}
-	cmp, err := m.scratch.comparator(buf, m.Keys)
-	if err != nil {
-		return nil, err
-	}
-	// Min-heap of run indices ordered by each run's current row; equal
-	// keys prefer the earlier run — with in-run stability this reproduces
-	// the global stable sort's tie-break (serial first-occurrence order).
-	cursor := make([]int, len(runs))
-	for i, r := range runs {
-		cursor[i] = r[0]
-	}
-	less := func(a, b int) bool {
-		if c := cmp(cursor[a], cursor[b]); c != 0 {
-			return c < 0
-		}
-		return a < b
-	}
-	heap := make([]int, 0, len(runs))
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(heap) && less(heap[l], heap[small]) {
-				small = l
-			}
-			if r < len(heap) && less(heap[r], heap[small]) {
-				small = r
-			}
-			if small == i {
-				return
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-	}
-	for i := range runs {
-		heap = append(heap, i)
-		for c := len(heap) - 1; c > 0; {
-			p := (c - 1) / 2
-			if !less(heap[c], heap[p]) {
-				break
-			}
-			heap[p], heap[c] = heap[c], heap[p]
-			c = p
-		}
-	}
-	total := buf.NumRows()
-	want := total
-	if m.Limit >= 0 && m.Offset+m.Limit < total {
-		want = m.Offset + m.Limit
-	}
-	perm := make([]int, 0, want)
-	for len(perm) < want && len(heap) > 0 {
-		run := heap[0]
-		perm = append(perm, cursor[run])
-		cursor[run]++
-		if cursor[run] >= runs[run][1] {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		down(0)
-	}
-	if m.Offset > 0 {
-		if m.Offset >= len(perm) {
-			return nil, nil
-		}
-		perm = perm[m.Offset:]
-	}
-	if len(perm) == 0 {
-		return nil, nil
-	}
-	if identityPerm(perm) && len(perm) == total {
-		return buf, nil
-	}
-	return buf.Gather(perm), nil
-}
-
-// Close closes the child.
-func (m *MergeSortRuns) Close() error { return m.Child.Close() }
-
-// Stats returns the operator statistics.
-func (m *MergeSortRuns) Stats() *OpStats { return &m.stats }
-
-// Children returns the single child.
-func (m *MergeSortRuns) Children() []Operator { return []Operator{m.Child} }
+// MergeSortRuns exists only so that callers written against the former
+// separate merge breaker — the type switch of the frozen bench/e2e/trace.go
+// — still compile: Parallelize now leaves a Sort over the exchange of
+// PartialSorts, and nothing builds this type. It is a distinct type rather
+// than an alias because an alias would repeat the Sort case in such a
+// switch, which does not compile.
+type MergeSortRuns struct{ Sort }

@@ -9,22 +9,16 @@ import (
 
 // External sort: sorted runs written to a spill file as slab sequences
 // and k-way merged with the same comparator semantics and earlier-run
-// tie-break as the in-memory MergeSortRuns heap. Runs are added in input
+// tie-break as the Sort's in-memory merge. Runs are added in input
 // (serial batch / morsel) order and are each internally stable, so the
 // external merge reproduces the serial stable sort's permutation exactly
 // — spilled ordered output is byte-identical to the in-memory result.
 
-// sortRun is one sorted run: spilled as slabs, or resident (the
-// under-budget tail the serial Sort keeps in memory).
-type sortRun struct {
-	slabs []spillTable
-	mem   *data.Table
-}
-
-// externalSort accumulates runs against one spill file and merges them.
+// externalSort accumulates runs against one spill file and merges them;
+// each run is its slab sequence.
 type externalSort struct {
 	sf   *spillFile
-	runs []sortRun
+	runs [][]spillTable
 }
 
 func newExternalSort(b *MemBudget) (*externalSort, error) {
@@ -41,21 +35,16 @@ func (e *externalSort) addRun(t *data.Table) error {
 	if err != nil {
 		return err
 	}
-	e.runs = append(e.runs, sortRun{slabs: slabs})
+	e.runs = append(e.runs, slabs)
 	return nil
-}
-
-// addRunMem appends a resident run (no IO).
-func (e *externalSort) addRunMem(t *data.Table) {
-	e.runs = append(e.runs, sortRun{mem: t})
 }
 
 func (e *externalSort) bytes() int64 { return e.sf.bytesWritten() }
 
-// finish is the end of a spilled sort breaker (Sort or MergeSortRuns): it
-// counts the spill volume into st — reporting it with the run count when
-// env observes — merges the runs into the ordered result and releases the
-// spill file (on error the query's Cleanup removes it).
+// finish is the end of a spilled Sort: it counts the spill volume into st
+// — reporting it with the run count when env observes — merges the runs
+// into the ordered result and releases the spill file (on error the
+// query's Cleanup removes it).
 func (e *externalSort) finish(env *Env, keys []SortKey, limit, offset int, scratch *sortScratch, st *OpStats) (*data.Table, error) {
 	st.SpillBytes += e.bytes()
 	if env.Observe != nil {
@@ -75,34 +64,21 @@ func (e *externalSort) finish(env *Env, keys []SortKey, limit, offset int, scrat
 	return out, nil
 }
 
-// runCursor walks one run a row at a time, holding one decoded slab.
+// runCursor walks one spilled run a row at a time, holding one decoded
+// slab.
 type runCursor struct {
-	e    *externalSort
-	run  sortRun
-	slab int
-	cur  *data.Table
-	pos  int
-	keys []*data.Column
-}
-
-func (c *runCursor) loadKeys(keyNames []string) error {
-	if c.keys == nil {
-		c.keys = make([]*data.Column, len(keyNames))
-	}
-	for i, k := range keyNames {
-		col := c.cur.Col(k)
-		if col == nil {
-			return fmt.Errorf("relational: sort run lacks key column %q", k)
-		}
-		c.keys[i] = col
-	}
-	return nil
+	e     *externalSort
+	slabs []spillTable
+	slab  int
+	cur   *data.Table
+	pos   int
+	keys  []*data.Column
 }
 
 // nextSlab decodes the run's next non-empty slab; false at end of run.
 func (c *runCursor) nextSlab(keyNames []string) (bool, error) {
-	for c.slab < len(c.run.slabs) {
-		t, err := readTable(c.e.sf, c.run.slabs[c.slab])
+	for c.slab < len(c.slabs) {
+		t, err := readTable(c.e.sf, c.slabs[c.slab])
 		if err != nil {
 			return false, err
 		}
@@ -111,22 +87,17 @@ func (c *runCursor) nextSlab(keyNames []string) (bool, error) {
 			continue
 		}
 		c.cur, c.pos = t, 0
-		return true, c.loadKeys(keyNames)
+		if c.keys == nil {
+			c.keys = make([]*data.Column, len(keyNames))
+		}
+		for i, k := range keyNames {
+			if c.keys[i] = t.Col(k); c.keys[i] == nil {
+				return false, fmt.Errorf("relational: sort run lacks key column %q", k)
+			}
+		}
+		return true, nil
 	}
 	return false, nil
-}
-
-// start positions the cursor at the run's first row; false for an empty
-// run.
-func (c *runCursor) start(keyNames []string) (bool, error) {
-	if c.run.mem != nil {
-		if c.run.mem.NumRows() == 0 {
-			return false, nil
-		}
-		c.cur, c.pos = c.run.mem, 0
-		return true, c.loadKeys(keyNames)
-	}
-	return c.nextSlab(keyNames)
 }
 
 // advance moves to the next row; false at end of run.
@@ -134,9 +105,6 @@ func (c *runCursor) advance(keyNames []string) (bool, error) {
 	c.pos++
 	if c.pos < c.cur.NumRows() {
 		return true, nil
-	}
-	if c.run.mem != nil {
-		return false, nil
 	}
 	return c.nextSlab(keyNames)
 }
@@ -191,9 +159,9 @@ func (e *externalSort) merge(keys []SortKey, limit, offset int, scratch *sortScr
 		keyNames[i] = k.Col
 	}
 	var cursors []*runCursor
-	for i := range e.runs {
-		c := &runCursor{e: e, run: e.runs[i]}
-		ok, err := c.start(keyNames)
+	for _, slabs := range e.runs {
+		c := &runCursor{e: e, slabs: slabs}
+		ok, err := c.nextSlab(keyNames)
 		if err != nil {
 			return nil, err
 		}
@@ -210,27 +178,22 @@ func (e *externalSort) merge(keys []SortKey, limit, offset int, scratch *sortScr
 			return nil, err
 		}
 	}
-	cmp := func(a, b *runCursor) int {
+	// Min-heap of cursor indices; index order equals run arrival order, so
+	// the index tie-break is the earlier-run preference.
+	less := func(a, b int) bool {
+		ca, cb := cursors[a], cursors[b]
 		for ki, k := range keys {
-			c := cmpKeyAt(scratch, a.keys[ki], a.pos, b.keys[ki], b.pos)
+			c := cmpKeyAt(scratch, ca.keys[ki], ca.pos, cb.keys[ki], cb.pos)
 			if k.Desc {
 				c = -c
 			}
 			if c != 0 {
-				return c
+				return c < 0
 			}
-		}
-		return 0
-	}
-	// Min-heap of cursor indices; index order equals run arrival order, so
-	// the index tie-break is the earlier-run preference.
-	less := func(a, b int) bool {
-		if c := cmp(cursors[a], cursors[b]); c != 0 {
-			return c < 0
 		}
 		return a < b
 	}
-	heap := make([]int, 0, len(cursors))
+	heap := make([]int, len(cursors))
 	down := func(i int) {
 		for {
 			l, r := 2*i+1, 2*i+2
@@ -248,16 +211,11 @@ func (e *externalSort) merge(keys []SortKey, limit, offset int, scratch *sortScr
 			i = small
 		}
 	}
-	for i := range cursors {
-		heap = append(heap, i)
-		for c := len(heap) - 1; c > 0; {
-			p := (c - 1) / 2
-			if !less(heap[c], heap[p]) {
-				break
-			}
-			heap[p], heap[c] = heap[c], heap[p]
-			c = p
-		}
+	for i := range heap {
+		heap[i] = i
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
 	}
 	out := data.NewTableLike(cursors[0].cur)
 	skipped, emitted := 0, 0

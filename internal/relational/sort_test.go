@@ -126,7 +126,7 @@ func TestSortMatchesReference(t *testing.T) {
 }
 
 // TestSortParallelByteIdentical pins the tentpole guarantee: ordered
-// output (PartialSort runs merged k-way at MergeSortRuns) is
+// output (PartialSort runs merged k-way at the Sort above the exchange) is
 // byte-identical to the serial stable sort at every DOP, under both
 // string representations, with and without a top-k limit.
 func TestSortParallelByteIdentical(t *testing.T) {
@@ -146,8 +146,8 @@ func TestSortParallelByteIdentical(t *testing.T) {
 				for _, dop := range []int{2, 4, 7} {
 					root := mustParallelize(t,
 						&Sort{Child: NewScan(pt, "", nil, 128), Keys: keys, Limit: limit}, dop, 128)
-					if _, ok := root.(*MergeSortRuns); !ok {
-						t.Fatalf("expected MergeSortRuns root, got %T", root)
+					if s, ok := root.(*Sort); !ok || !s.exchanged {
+						t.Fatalf("expected a Sort over exchanged runs at the root, got %T", root)
 					}
 					got, err := Drain(root)
 					if err != nil {
@@ -389,7 +389,8 @@ func TestPartialSortSingleRowNoAlloc(t *testing.T) {
 
 // TestMergeSortRunsTieBreak pins the k-way merge determinism: equal keys
 // must come out in run (= serial batch) order even when later runs hold
-// "earlier-looking" rows.
+// "earlier-looking" rows — for runs arriving sorted from an exchange and
+// for runs the Sort cuts from its serial input batches alike.
 func TestMergeSortRunsTieBreak(t *testing.T) {
 	mkRun := func(tag string, keys ...int64) *data.Table {
 		tags := make([]string, len(keys))
@@ -403,31 +404,36 @@ func TestMergeSortRunsTieBreak(t *testing.T) {
 		mkRun("b", 1, 1, 2, 9),
 		mkRun("c", 2),
 	}
-	src := &stubRuns{cols: []string{"k", "tag"}, runs: runs}
-	m := &MergeSortRuns{Child: src, Keys: []SortKey{{Col: "k"}}, Limit: -1}
-	got, err := Drain(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantTags := []string{"a0", "b0", "b1", "a1", "a2", "b2", "c0", "a3", "b3"}
-	if got.NumRows() != len(wantTags) {
-		t.Fatalf("got %d rows, want %d", got.NumRows(), len(wantTags))
-	}
-	for i, w := range wantTags {
-		if g := got.Col("tag").AsString(i); g != w {
-			t.Fatalf("row %d: tag %s, want %s", i, g, w)
+	for _, exchanged := range []bool{true, false} {
+		src := &stubRuns{cols: []string{"k", "tag"}, runs: runs}
+		m := &Sort{Child: src, Keys: []SortKey{{Col: "k"}}, Limit: -1, exchanged: exchanged}
+		got, err := Drain(m)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// With a limit the merge cuts after limit rows of the same order.
-	src2 := &stubRuns{cols: []string{"k", "tag"}, runs: runs}
-	m2 := &MergeSortRuns{Child: src2, Keys: []SortKey{{Col: "k"}}, Limit: 4}
-	got2, err := Drain(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range wantTags[:4] {
-		if g := got2.Col("tag").AsString(i); g != w {
-			t.Fatalf("limit row %d: tag %s, want %s", i, g, w)
+		if got.NumRows() != len(wantTags) {
+			t.Fatalf("exchanged=%v: got %d rows, want %d", exchanged, got.NumRows(), len(wantTags))
+		}
+		for i, w := range wantTags {
+			if g := got.Col("tag").AsString(i); g != w {
+				t.Fatalf("exchanged=%v row %d: tag %s, want %s", exchanged, i, g, w)
+			}
+		}
+		// With a limit the merge cuts after limit rows of the same order.
+		src2 := &stubRuns{cols: []string{"k", "tag"}, runs: runs}
+		m2 := &Sort{Child: src2, Keys: []SortKey{{Col: "k"}}, Limit: 4, exchanged: exchanged}
+		got2, err := Drain(m2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got2.NumRows() != 4 {
+			t.Fatalf("exchanged=%v limit: got %d rows, want 4", exchanged, got2.NumRows())
+		}
+		for i, w := range wantTags[:4] {
+			if g := got2.Col("tag").AsString(i); g != w {
+				t.Fatalf("exchanged=%v limit row %d: tag %s, want %s", exchanged, i, g, w)
+			}
 		}
 	}
 }
@@ -487,13 +493,15 @@ func TestSortMissingKeyErrorsUniformly(t *testing.T) {
 			t.Fatalf("n=%d: err = %v", n, err)
 		}
 	}
-	src := &stubRuns{cols: []string{"v"}, runs: []*data.Table{mk(1)}}
-	m := &MergeSortRuns{Child: src, Keys: []SortKey{{Col: "ghost"}}, Limit: -1}
-	if err := m.Open(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Next(); err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("single-run merge err = %v", err)
+	for _, exchanged := range []bool{true, false} {
+		src := &stubRuns{cols: []string{"v"}, runs: []*data.Table{mk(1)}}
+		m := &Sort{Child: src, Keys: []SortKey{{Col: "ghost"}}, Limit: -1, exchanged: exchanged}
+		if err := m.Open(nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Next(); err == nil || !strings.Contains(err.Error(), "missing") {
+			t.Fatalf("exchanged=%v single-run merge err = %v", exchanged, err)
+		}
 	}
 }
 

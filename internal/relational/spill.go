@@ -36,10 +36,10 @@ import (
 //     per-key fold order — and therefore every float — equals serial),
 //     and the final output is ordered by each group's first-occurrence
 //     sequence number: exactly the serial first-occurrence order.
-//   - Sort: the per-morsel runs (already independent since the
-//     PartialSort rewrite) are written to disk and k-way merged
-//     externally with the same earlier-run tie-break the in-memory merge
-//     uses, so the merged permutation stays the serial stable sort.
+//   - Sort: the runs — one per input batch, or per morsel when exchanged —
+//     are written to disk and k-way merged externally with the same
+//     earlier-run tie-break the in-memory merge uses, so the merged
+//     permutation stays the serial stable sort.
 //
 // Lifecycle: the engine creates one MemBudget per query, hands it to the
 // breakers in the Env it opens the plan with and defers Cleanup, so every

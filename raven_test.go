@@ -2,6 +2,8 @@ package raven
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -342,6 +344,50 @@ func TestZoneMapsKeepNaNRows(t *testing.T) {
 			if chunked && lit == "5" && (res.ChunksSkipped != 1 || res.ChunksDecoded != 1) {
 				t.Fatalf("x = 5: %d chunks skipped, %d decoded; want the {1, 2} chunk skipped only",
 					res.ChunksSkipped, res.ChunksDecoded)
+			}
+		}
+	}
+}
+
+// TestMinMaxOverInfiniteCSVValues pins the MIN/MAX fold identities end to
+// end: CSV input parses "inf", "-inf" and values beyond 1e308 as floats, and
+// MIN and MAX must return them as they are — grouped and global, serially
+// and in parallel.
+func TestMinMaxOverInfiniteCSVValues(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.csv")
+	csv := "g,x\nbig,1.5e308\nbig,1.7e308\ninf,inf\ninf,inf\nneg,-inf\nneg,-inf\n"
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	want := map[string][2]float64{"big": {1.5e308, 1.7e308}, "inf": {inf, inf}, "neg": {-inf, -inf}}
+	for _, dop := range []int{1, 2} {
+		prof := ProfileLocal
+		prof.BatchSize, prof.ExecDOP = 1, dop
+		s := NewSession(WithProfile(prof))
+		if _, err := s.RegisterTableCSV(path); err != nil {
+			t.Fatal(err)
+		}
+		grouped, err := s.Query("SELECT g, MIN(x) AS lo, MAX(x) AS hi FROM t GROUP BY g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grouped.Table.NumRows() != len(want) {
+			t.Fatalf("dop=%d: %d groups, want %d", dop, grouped.Table.NumRows(), len(want))
+		}
+		for r := 0; r < grouped.Table.NumRows(); r++ {
+			g := grouped.Table.Cols[0].AsString(r) // the group key column
+			if lo, hi := grouped.Table.Col("lo").F64[r], grouped.Table.Col("hi").F64[r]; lo != want[g][0] || hi != want[g][1] {
+				t.Fatalf("dop=%d group %s: MIN, MAX = %v, %v, want %v", dop, g, lo, hi, want[g])
+			}
+		}
+		for g, w := range want {
+			global, err := s.Query("SELECT MIN(x) AS lo, MAX(x) AS hi FROM t WHERE g = '" + g + "'")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo, hi := global.Table.Col("lo").F64[0], global.Table.Col("hi").F64[0]; lo != w[0] || hi != w[1] {
+				t.Fatalf("dop=%d WHERE g = %s: MIN, MAX = %v, %v, want %v", dop, g, lo, hi, w)
 			}
 		}
 	}
