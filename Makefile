@@ -13,7 +13,7 @@ SHELL := /bin/bash
 # BENCH_OUT=bench.out).
 BENCH_OUT ?= /tmp/raven-bench.out
 
-.PHONY: test loc stress stress-spill docs-check bench-run bench-baseline benchcmp bench-e2e
+.PHONY: test loc stress stress-spill docs-check bench-run bench-baseline benchcmp bench-e2e bench-pairs
 
 test:
 	go build ./... && go test ./...
@@ -89,3 +89,13 @@ benchcmp:
 # `go run ./bench/e2e -compare a.json b.json`.
 bench-e2e:
 	bash bench/e2e/run.sh -out .bench_build/report.json
+
+# bench-pairs compares the working tree with a parent revision on one
+# bench/e2e workload the way the benchmark gate does: PAIRS alternating
+# pairs of foreground runs, the four gated metrics of every run and their
+# medians, and a non-zero exit if a run fails or leaves a process behind.
+# PARENT=<rev> WORKLOAD=<name> PAIRS=4 SEED=1
+PAIRS ?= 4
+SEED ?= 1
+bench-pairs:
+	bash bench/pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"

@@ -8,6 +8,8 @@ import (
 
 	"raven/internal/data"
 	"raven/internal/model"
+	"raven/internal/opt"
+	"raven/internal/strategy"
 )
 
 // Adaptive mid-query re-optimization tests: a deliberately misestimated
@@ -15,13 +17,28 @@ import (
 // the uniform-distribution estimator prices at 50%) forces the join-build
 // observation to contradict the plan-time cardinality, so the predict
 // segment re-chooses its runtime at the breaker boundary. The plan-time
-// static choice (MLtoDNN-GPU, GPU available) must provably switch to the
+// static choice (MLtoDNN, from dnnForEnsembles) must provably switch to the
 // ML runtime — and the result must stay byte-identical to a serial
 // non-adaptive session whose plan-time choice already was the ML runtime.
 
+// dnnForEnsembles is the adaptive tests' runtime strategy: at plan time it
+// compiles the pipeline to a tensor program (MLtoDNN), and once fewer than
+// strategy.DefaultSmallInputRows rows are observed to reach the predict it
+// keeps the pipeline on the ML runtime.
+type dnnForEnsembles struct{}
+
+func (dnnForEnsembles) Name() string                    { return "dnn-for-ensembles" }
+func (dnnForEnsembles) Choose(*opt.Features) opt.Choice { return opt.ChoiceDNN }
+func (dnnForEnsembles) ChooseWithCardinality(_ *opt.Features, _ int, rows float64) opt.Choice {
+	if rows < strategy.DefaultSmallInputRows {
+		return opt.ChoiceNone
+	}
+	return opt.ChoiceDNN
+}
+
 // adaptiveForest is a 2-tree random forest over the covid feature layout;
-// an ensemble (not a DT), so CalibratedRule's choice depends on
-// cardinality and GPU rather than collapsing to MLtoSQL.
+// an ensemble (not a DT), so CalibratedRule keeps it on the ML runtime
+// rather than collapsing it to MLtoSQL.
 func adaptiveForest() *model.Pipeline {
 	t1 := model.Tree{Nodes: []model.TreeNode{
 		{Feature: 3, Threshold: 0.5, Left: 1, Right: 2}, // asthma_yes
@@ -149,7 +166,7 @@ func adaptiveSession(t testing.TB, options ...Option) *Session {
 }
 
 func TestAdaptiveSwitchMatchesSerial(t *testing.T) {
-	// Baseline: serial, no GPU, non-adaptive. CalibratedRule keeps a small
+	// Baseline: serial, non-adaptive. CalibratedRule keeps a small
 	// forest on the ML runtime, so this is the execution path the adaptive
 	// sessions must switch INTO — byte-identity then proves both that the
 	// switch landed and that it did not perturb the results.
@@ -169,7 +186,7 @@ func TestAdaptiveSwitchMatchesSerial(t *testing.T) {
 	}
 	for _, dop := range dops {
 		t.Run(fmt.Sprintf("dop=%d", dop), func(t *testing.T) {
-			s := adaptiveSession(t, WithAdaptive(), WithGPU(true), WithParallelism(dop))
+			s := adaptiveSession(t, WithStrategy(dnnForEnsembles{}), WithAdaptive(), WithParallelism(dop))
 			res, err := s.Query(adaptiveQuery)
 			if err != nil {
 				t.Fatal(err)
@@ -177,11 +194,11 @@ func TestAdaptiveSwitchMatchesSerial(t *testing.T) {
 			if res.Adaptive == nil {
 				t.Fatal("adaptive session returned no runtime stats")
 			}
-			// The plan-time choice (GPU available, ensemble) is MLtoDNN-GPU;
-			// the observed 10-row predict input must switch it to the runtime.
+			// The plan-time choice is MLtoDNN; the observed 10-row predict
+			// input must switch it to the runtime.
 			var switched bool
 			for _, sw := range res.Adaptive.Switches() {
-				if sw.Point == "predict" && sw.From == "MLtoDNN-GPU" && sw.To == "none" {
+				if sw.Point == "predict" && sw.From == "MLtoDNN" && sw.To == "none" {
 					switched = true
 				}
 			}
@@ -226,7 +243,7 @@ ORDER BY AVG(p.score) DESC`
 		t.Fatalf("baseline groups = %d, want 2", base.Table.NumRows())
 	}
 	for _, dop := range []int{1, 4} {
-		s := adaptiveSession(t, WithAdaptive(), WithGPU(true), WithParallelism(dop))
+		s := adaptiveSession(t, WithStrategy(dnnForEnsembles{}), WithAdaptive(), WithParallelism(dop))
 		res, err := s.Query(query)
 		if err != nil {
 			t.Fatalf("dop=%d: %v", dop, err)

@@ -37,7 +37,6 @@ func main() {
 		modelPath = flag.String("model", "", "model file (.onnx.json)")
 		query     = flag.String("query", "", "prediction query (default: the built-in running example)")
 		noOpt     = flag.Bool("no-opt", false, "disable Raven optimizations")
-		gpu       = flag.Bool("gpu", false, "declare a GPU available to the strategy")
 	)
 	flag.Parse()
 
@@ -83,7 +82,6 @@ func main() {
 
 	opts := opt.DefaultOptions()
 	opts.Strategy = strategy.CalibratedRule{}
-	opts.GPUAvailable = *gpu
 	if *noOpt {
 		opts = opt.NoOpt()
 	}

@@ -61,6 +61,6 @@ func main() {
 		f := opt.ExtractFeatures(c.Pipeline)
 		fmt.Printf("  %-12s %-3s features=%-4.0f trees=%-3.0f depth=%-4.1f -> %s\n",
 			c.Name, c.Spec.Kind, f.Get("num_features"), f.Get("num_trees"),
-			f.Get("mean_tree_depth"), rule.Choose(f, false))
+			f.Get("mean_tree_depth"), rule.Choose(f))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"raven/internal/data"
-	"raven/internal/device"
 	"raven/internal/ir"
 	"raven/internal/mlruntime"
 	"raven/internal/model"
@@ -34,18 +33,16 @@ func (l *lowerer) adaptivePredict() bool {
 // physical operator under a different choice at Open.
 func (l *lowerer) lowerAdaptivePredict(n *ir.Node, child Operator, static opt.Choice) Operator {
 	return &AdaptivePredict{
-		Child:        child,
-		Pipeline:     n.Pipeline,
-		InputMap:     n.InputMap,
-		OutputMap:    n.OutputMap,
-		KeepInput:    n.KeepInput,
-		Static:       static,
-		GPU:          l.prof.GPU,
-		EstRows:      l.est(n.Children[0]),
-		Chooser:      l.prof.AdaptiveChooser,
-		GPUAvailable: l.prof.AdaptiveGPU,
-		ExecDOP:      l.prof.ExecDOP,
-		Shared:       l.cat.Sessions(),
+		Child:     child,
+		Pipeline:  n.Pipeline,
+		InputMap:  n.InputMap,
+		OutputMap: n.OutputMap,
+		KeepInput: n.KeepInput,
+		Static:    static,
+		EstRows:   l.est(n.Children[0]),
+		Chooser:   l.prof.AdaptiveChooser,
+		ExecDOP:   l.prof.ExecDOP,
+		Shared:    l.cat.Sessions(),
 	}
 }
 
@@ -54,27 +51,14 @@ func (l *lowerer) lowerAdaptivePredict(n *ir.Node, child Operator, static opt.Ch
 // Open (always the exchange template's, or the sole serial instance's)
 // re-costs with the observed cardinality and fixes the choice; every clone
 // then builds its inner operator under the same choice, so all workers emit
-// identical layouts. It also carries the cross-clone shared state the
-// non-adaptive DNNOp would have shared through CloneWorker: the compiled
-// tensor program.
+// identical layouts. Under MLtoDNN it also holds the program every clone's
+// inner DNNOp runs, compiled once.
 type adaptiveDecision struct {
 	once     sync.Once
 	choice   opt.Choice
 	sqlExprs []relational.NamedExpr
-
-	mu  sync.Mutex
-	dnn *dnnShared
-}
-
-// dnnState lazily creates the shared compile-once holder for the tensor
-// path (pre-seeded by decide when the switch itself validated a program).
-func (d *adaptiveDecision) dnnState() *dnnShared {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.dnn == nil {
-		d.dnn = &dnnShared{}
-	}
-	return d.dnn
+	dnn      *dnnProgram
+	err      error
 }
 
 // AdaptivePredict is the physical predict operator under mid-query
@@ -94,8 +78,6 @@ type AdaptivePredict struct {
 	// Static is the plan-time choice; it stands unless the observed
 	// cardinality contradicts the estimate by the re-opt factor.
 	Static opt.Choice
-	// GPU is the device for a DNN-GPU inner (nil: simulated Tesla P100).
-	GPU *device.Device
 	// Shared is the engine-level ML session pool an ML-runtime inner
 	// operator checks its sessions out of.
 	Shared *mlruntime.Pool
@@ -103,9 +85,8 @@ type AdaptivePredict struct {
 	// Open by the observations in the environment's adaptive context.
 	EstRows float64
 	// Chooser re-picks the runtime from features + corrected cardinality.
-	Chooser      opt.CardinalityAwareStrategy
-	GPUAvailable bool
-	ExecDOP      int
+	Chooser opt.CardinalityAwareStrategy
+	ExecDOP int
 
 	dec   *adaptiveDecision
 	feed  *predictFeed
@@ -191,63 +172,61 @@ func (a *AdaptivePredict) Open(env *relational.Env) error {
 	if env != nil {
 		obs = env.Observe
 	}
-	a.decide(obs)
+	if err := a.decide(obs); err != nil {
+		return err
+	}
 	return a.openInner(env)
 }
 
-// decide fixes the runtime choice once per query. A switch happens only
-// when (a) the observed cardinalities contradict the plan-time estimate by
-// the re-opt factor, (b) the chooser picks a different runtime for the
-// corrected cardinality, and (c) the new physical form validates (MLtoSQL
-// translation or tensor compilation succeeds) — otherwise the plan-time
-// choice stands, so a failed switch can never break a running query.
-func (a *AdaptivePredict) decide(obs relational.AdaptiveContext) {
+// decide fixes the runtime choice once per query, and compiles the tensor
+// program when that choice is MLtoDNN.
+func (a *AdaptivePredict) decide(obs relational.AdaptiveContext) error {
 	a.dec.once.Do(func() {
 		a.dec.choice = a.Static
-		if obs == nil || a.Chooser == nil {
-			return
+		a.rechoose(obs)
+		if a.dec.choice == opt.ChoiceDNN && a.dec.dnn == nil {
+			a.dec.dnn, a.dec.err = compileDNN(a.Pipeline, a.InputMap)
 		}
-		adj, trigger := obs.Reoptimize(a.EstRows)
-		if !trigger {
-			return
-		}
-		next := a.Chooser.ChooseWithCardinality(
-			opt.ExtractFeatures(a.Pipeline), a.GPUAvailable, a.ExecDOP, adj)
-		if next == a.dec.choice {
-			return
-		}
-		switch next {
-		case opt.ChoiceSQL:
-			exprs, err := opt.CompileToSQL(a.Pipeline, a.InputMap, a.OutputMap)
-			if err != nil {
-				return
-			}
-			a.dec.sqlExprs = exprs
-		case opt.ChoiceDNNCPU, opt.ChoiceDNNGPU:
-			// Validate by compiling now; the program is kept and shared so
-			// the switch pays compilation exactly once.
-			probe := &DNNOp{Pipeline: a.Pipeline, InputMap: a.InputMap,
-				OutputMap: a.OutputMap, Device: a.deviceFor(next)}
-			if err := probe.compile(); err != nil {
-				return
-			}
-			a.dec.dnn = &dnnShared{prog: probe.prog,
-				labelVal: probe.labelVal, scoreVal: probe.scoreVal}
-		}
-		obs.RecordSwitch("predict", a.dec.choice.String(), next.String())
-		a.dec.choice = next
 	})
+	return a.dec.err
 }
 
-// deviceFor resolves the execution device for a DNN choice.
-func (a *AdaptivePredict) deviceFor(c opt.Choice) *device.Device {
-	if c == opt.ChoiceDNNGPU {
-		if a.GPU != nil {
-			return a.GPU
-		}
-		return &device.TeslaP100
+// rechoose switches the plan-time choice only when (a) the observed
+// cardinalities contradict the plan-time estimate by the re-opt factor,
+// (b) the chooser picks a different runtime for the corrected cardinality,
+// and (c) the new physical form validates (MLtoSQL translation or tensor
+// compilation succeeds) — otherwise the plan-time choice stands, so a
+// failed switch can never break a running query.
+func (a *AdaptivePredict) rechoose(obs relational.AdaptiveContext) {
+	if obs == nil || a.Chooser == nil {
+		return
 	}
-	return &device.CPUDevice
+	adj, trigger := obs.Reoptimize(a.EstRows)
+	if !trigger {
+		return
+	}
+	next := a.Chooser.ChooseWithCardinality(opt.ExtractFeatures(a.Pipeline), a.ExecDOP, adj)
+	if next == a.dec.choice {
+		return
+	}
+	switch next {
+	case opt.ChoiceSQL:
+		exprs, err := opt.CompileToSQL(a.Pipeline, a.InputMap, a.OutputMap)
+		if err != nil {
+			return
+		}
+		a.dec.sqlExprs = exprs
+	case opt.ChoiceDNN:
+		// Validate by compiling now; the program is kept, so the switch
+		// pays compilation exactly once.
+		prog, err := compileDNN(a.Pipeline, a.InputMap)
+		if err != nil {
+			return
+		}
+		a.dec.dnn = prog
+	}
+	obs.RecordSwitch("predict", a.dec.choice.String(), next.String())
+	a.dec.choice = next
 }
 
 // openInner builds and opens the physical operator for the decided choice.
@@ -266,15 +245,13 @@ func (a *AdaptivePredict) openInner(env *relational.Env) error {
 		}
 		exprs = append(exprs, a.dec.sqlExprs...)
 		a.inner = &relational.Project{Child: a.feed, Exprs: exprs}
-	case opt.ChoiceDNNCPU, opt.ChoiceDNNGPU:
+	case opt.ChoiceDNN:
 		a.inner = &DNNOp{
 			Child:     a.feed,
 			Pipeline:  a.Pipeline,
-			InputMap:  a.InputMap,
 			OutputMap: a.OutputMap,
 			KeepInput: a.KeepInput,
-			Device:    a.deviceFor(a.dec.choice),
-			shared:    a.dec.dnnState(),
+			prog:      a.dec.dnn,
 		}
 	default:
 		a.inner = &PredictOp{
@@ -349,19 +326,17 @@ func (a *AdaptivePredict) CloneWorker(child Operator) (Operator, error) {
 		a.dec = &adaptiveDecision{}
 	}
 	return &AdaptivePredict{
-		Child:        child,
-		Pipeline:     a.Pipeline,
-		InputMap:     a.InputMap,
-		OutputMap:    a.OutputMap,
-		KeepInput:    a.KeepInput,
-		Static:       a.Static,
-		GPU:          a.GPU,
-		Shared:       a.Shared,
-		EstRows:      a.EstRows,
-		Chooser:      a.Chooser,
-		GPUAvailable: a.GPUAvailable,
-		ExecDOP:      a.ExecDOP,
-		dec:          a.dec,
+		Child:     child,
+		Pipeline:  a.Pipeline,
+		InputMap:  a.InputMap,
+		OutputMap: a.OutputMap,
+		KeepInput: a.KeepInput,
+		Static:    a.Static,
+		Shared:    a.Shared,
+		EstRows:   a.EstRows,
+		Chooser:   a.Chooser,
+		ExecDOP:   a.ExecDOP,
+		dec:       a.dec,
 	}, nil
 }
 

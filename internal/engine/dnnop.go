@@ -2,53 +2,62 @@ package engine
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"raven/internal/data"
-	"raven/internal/device"
 	"raven/internal/hummingbird"
 	"raven/internal/ir"
 	"raven/internal/model"
 	"raven/internal/relational"
 )
 
-// dnnShared holds the compiled tensor program shared between the worker
-// clones of one DNNOp: compilation happens once (under the mutex) and the
-// immutable program is then run concurrently by all workers.
-type dnnShared struct {
-	mu                 sync.Mutex
+// dnnProgram is a pipeline compiled for the MLtoDNN target: the immutable
+// tensor program plus the pipeline outputs its label and score columns
+// answer. One is compiled per lowered plan and shared by every worker.
+type dnnProgram struct {
 	prog               *hummingbird.Program
 	labelVal, scoreVal string
 }
 
+// compileDNN binds the pipeline's inputs to plan columns and compiles it to
+// a tensor program.
+func compileDNN(p *model.Pipeline, inputMap map[string]string) (*dnnProgram, error) {
+	bound := p.Clone()
+	if err := renamePipelineInputs(bound, inputMap); err != nil {
+		return nil, err
+	}
+	out := &dnnProgram{}
+	switch m := bound.FinalModel().(type) {
+	case nil:
+		return nil, fmt.Errorf("engine: DNN target needs a model operator in %q", p.Name)
+	case *model.LinearModel:
+		out.labelVal, out.scoreVal = m.OutLabel, m.OutScore
+	case *model.TreeEnsemble:
+		out.labelVal, out.scoreVal = m.OutLabel, m.OutScore
+	}
+	prog, err := hummingbird.Compile(bound, hummingbird.StrategyAuto)
+	if err != nil {
+		return nil, err
+	}
+	out.prog = prog
+	return out, nil
+}
+
 // DNNOp executes a Hummingbird-compiled tensor program for a predict node
-// (the MLtoDNN physical operator). Computation always happens on the host;
-// when the device is a simulated GPU the operator also records the modeled
-// device time, which only the paper-figure cost model
-// (internal/experiments/costmodel.go) reads.
+// (the MLtoDNN physical operator). It computes on the host in float32, so
+// its scores agree with the ML runtime within float32 rounding rather
+// than byte for byte.
 type DNNOp struct {
 	Child     Operator
 	Pipeline  *model.Pipeline
-	InputMap  map[string]string
 	OutputMap map[string]string
 	KeepInput bool
-	Device    *device.Device
-	Strategy  hummingbird.Strategy
+	// Work sums the program's cost log over every batch this operator —
+	// and, once absorbed, its worker clones — ran. Only the paper-figure
+	// cost model (internal/experiments) prices it.
+	Work hummingbird.CostLog
 
-	prog   *hummingbird.Program
-	shared *dnnShared // set on worker clones (and their template)
-	stats  relational.OpStats
-	// ModeledNs is the device-modeled execution time (0 on CPU).
-	ModeledNs int64
-	// ComputeNs is the real host time spent inside program execution (the
-	// part of the operator's wall time ModeledNs stands in for on a
-	// simulated GPU).
-	ComputeNs int64
-	// BytesConverted counts boundary bytes (batch transfer volume).
-	BytesConverted int64
-	labelVal       string
-	scoreVal       string
+	prog  *dnnProgram
+	stats relational.OpStats
 }
 
 // Columns returns pass-through columns plus mapped prediction outputs.
@@ -85,83 +94,31 @@ func (d *DNNOp) OutputSchema() (data.Schema, bool) {
 	return out, true
 }
 
-// Open compiles the pipeline to a tensor program.
+// Open opens the child; the program was compiled at lowering.
 func (d *DNNOp) Open(env *relational.Env) error {
-	d.stats = relational.OpStats{Name: fmt.Sprintf("DNN(%s,%s)", d.Pipeline.Name, d.Device.Name)}
+	d.stats = relational.OpStats{Name: "DNN(" + d.Pipeline.Name + ")"}
 	defer timeOp(&d.stats)()
-	d.ModeledNs, d.ComputeNs, d.BytesConverted = 0, 0, 0
-	if err := d.Child.Open(env); err != nil {
-		return err
-	}
-	if d.shared != nil {
-		// Worker clone (or its template): compile once, share the
-		// immutable program across the exchange workers.
-		d.shared.mu.Lock()
-		defer d.shared.mu.Unlock()
-		if d.shared.prog == nil {
-			if err := d.compile(); err != nil {
-				return err
-			}
-			d.shared.prog, d.shared.labelVal, d.shared.scoreVal = d.prog, d.labelVal, d.scoreVal
-			return nil
-		}
-		d.prog, d.labelVal, d.scoreVal = d.shared.prog, d.shared.labelVal, d.shared.scoreVal
-		return nil
-	}
-	return d.compile()
-}
-
-// compile lowers the pipeline to a tensor program.
-func (d *DNNOp) compile() error {
-	bound := d.Pipeline.Clone()
-	if err := renamePipelineInputs(bound, d.InputMap); err != nil {
-		return err
-	}
-	final := bound.FinalModel()
-	if final == nil {
-		return fmt.Errorf("engine: DNN target needs a model operator in %q", d.Pipeline.Name)
-	}
-	switch m := final.(type) {
-	case *model.LinearModel:
-		d.labelVal, d.scoreVal = m.OutLabel, m.OutScore
-	case *model.TreeEnsemble:
-		d.labelVal, d.scoreVal = m.OutLabel, m.OutScore
-	}
-	prog, err := hummingbird.Compile(bound, d.Strategy)
-	if err != nil {
-		return err
-	}
-	d.prog = prog
-	return nil
+	d.Work = hummingbird.CostLog{}
+	return d.Child.Open(env)
 }
 
 // CloneWorker implements relational.ParallelOp: clones share the compiled
-// program (compilation is deduplicated via dnnShared) and the device
-// model, each accumulating private counters.
+// program, each accumulating a private work log.
 func (d *DNNOp) CloneWorker(child Operator) (Operator, error) {
-	if d.shared == nil {
-		// Seed with the template's program when it already compiled
-		// (Exchange opens the template before cloning workers).
-		d.shared = &dnnShared{prog: d.prog, labelVal: d.labelVal, scoreVal: d.scoreVal}
-	}
 	return &DNNOp{
 		Child:     child,
 		Pipeline:  d.Pipeline,
-		InputMap:  d.InputMap,
 		OutputMap: d.OutputMap,
 		KeepInput: d.KeepInput,
-		Device:    d.Device,
-		Strategy:  d.Strategy,
-		shared:    d.shared,
+		prog:      d.prog,
 	}, nil
 }
 
-// AbsorbWorker folds a worker clone's counters back into the template.
+// AbsorbWorker folds a worker clone's work log and statistics back into
+// the template.
 func (d *DNNOp) AbsorbWorker(clone Operator) {
 	c := clone.(*DNNOp)
-	d.ModeledNs += c.ModeledNs
-	d.ComputeNs += c.ComputeNs
-	d.BytesConverted += c.BytesConverted
+	d.Work.Add(&c.Work)
 	d.stats.Absorb(&c.stats)
 }
 
@@ -172,14 +129,11 @@ func (d *DNNOp) Next() (*data.Table, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	out, log, err := d.prog.Run(b, d.Device)
+	out, log, err := d.prog.prog.Run(b)
 	if err != nil {
 		return nil, err
 	}
-	d.ComputeNs += time.Since(t0).Nanoseconds()
-	d.ModeledNs += modeledDeviceNs(d.Device, log)
-	d.BytesConverted += log.BytesIn + log.BytesOut
+	d.Work.Add(log)
 	res, err := data.NewTable(b.Name)
 	if err != nil {
 		return nil, err
@@ -198,9 +152,9 @@ func (d *DNNOp) Next() (*data.Table, error) {
 		}
 		var vals []float64
 		switch v {
-		case d.labelVal:
+		case d.prog.labelVal:
 			vals = out.Label
-		case d.scoreVal:
+		case d.prog.scoreVal:
 			vals = out.Score
 		default:
 			return nil, fmt.Errorf("engine: DNN cannot produce output %q", v)
@@ -214,13 +168,6 @@ func (d *DNNOp) Next() (*data.Table, error) {
 	return res, nil
 }
 
-func modeledDeviceNs(dev *device.Device, log *device.CostLog) int64 {
-	if dev.Kind == device.CPU {
-		return 0 // measured host time already covers CPU execution
-	}
-	return dev.ModeledNanos(log)
-}
-
 // Close closes the child.
 func (d *DNNOp) Close() error { return d.Child.Close() }
 
@@ -230,21 +177,17 @@ func (d *DNNOp) Stats() *relational.OpStats { return &d.stats }
 // Children returns the single child.
 func (d *DNNOp) Children() []Operator { return []Operator{d.Child} }
 
-// lowerDNN builds the DNNOp for a predict node targeting a DNN runtime.
+// lowerDNN compiles the predict node's pipeline and builds its DNNOp.
 func (l *lowerer) lowerDNN(n *ir.Node, child Operator) (Operator, error) {
-	dev := &device.CPUDevice
-	if n.Target == ir.TargetDNNGPU {
-		dev = l.prof.GPU
-		if dev == nil {
-			dev = &device.TeslaP100
-		}
+	prog, err := compileDNN(n.Pipeline, n.InputMap)
+	if err != nil {
+		return nil, err
 	}
 	return &DNNOp{
 		Child:     child,
 		Pipeline:  n.Pipeline,
-		InputMap:  n.InputMap,
 		OutputMap: n.OutputMap,
 		KeepInput: n.KeepInput,
-		Device:    dev,
+		prog:      prog,
 	}, nil
 }

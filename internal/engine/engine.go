@@ -133,7 +133,7 @@ func (res *Result) countBoundary(op Operator) {
 	case *DNNOp:
 		res.Sessions++
 		res.PredictBatches += o.Stats().Batches
-		res.BytesConverted += o.BytesConverted
+		res.BytesConverted += o.Work.BytesIn + o.Work.BytesOut
 	case *relational.Scan:
 		res.PartitionsScanned += o.PartitionsRead()
 		res.ChunksDecoded += o.Stats().ChunksDecoded

@@ -270,31 +270,29 @@ func TestLowerSQLTarget(t *testing.T) {
 
 func TestLowerDNNTargets(t *testing.T) {
 	cat := covidCatalog(t)
-	for _, target := range []ir.PredictTarget{ir.TargetDNNCPU, ir.TargetDNNGPU} {
-		g := covidIR(t, cat)
-		pr := ir.Find(g.Root, func(n *ir.Node) bool { return n.Kind == ir.KindPredict })
-		pr.Target = target
-		res, err := Run(g, cat, Local)
-		if err != nil {
-			t.Fatalf("%v: %v", target, err)
+	g := covidIR(t, cat)
+	pr := ir.Find(g.Root, func(n *ir.Node) bool { return n.Kind == ir.KindPredict })
+	pr.Target = ir.TargetDNN
+	res, err := Run(g, cat, Local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	score := res.Table.Col("p.score")
+	if score == nil || score.Len() != 6 {
+		t.Fatal("bad result")
+	}
+	// float32 parity with the ML runtime.
+	ml, err := Run(covidIR(t, cat), cat, Local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if math.Abs(score.F64[i]-ml.Table.Col("p.score").F64[i]) > 1e-5 {
+			t.Fatalf("row %d drifted", i)
 		}
-		score := res.Table.Col("p.score")
-		if score == nil || score.Len() != 6 {
-			t.Fatalf("%v: bad result", target)
-		}
-		// float32 parity with the ML runtime.
-		ml, err := Run(covidIR(t, cat), cat, Local)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 6; i++ {
-			if math.Abs(score.F64[i]-ml.Table.Col("p.score").F64[i]) > 1e-5 {
-				t.Fatalf("%v: row %d drifted", target, i)
-			}
-		}
-		if res.Sessions != 1 {
-			t.Fatalf("%v: sessions = %d", target, res.Sessions)
-		}
+	}
+	if res.Sessions != 1 {
+		t.Fatalf("sessions = %d", res.Sessions)
 	}
 }
 
@@ -441,7 +439,7 @@ func TestParallelPredictMatchesSerial(t *testing.T) {
 
 func TestParallelDNNMatchesSerial(t *testing.T) {
 	cat, g := parallelFixture(t, 6000)
-	g.Root.Target = ir.TargetDNNCPU
+	g.Root.Target = ir.TargetDNN
 	serial, err := Run(g, cat, Local)
 	if err != nil {
 		t.Fatal(err)

@@ -171,13 +171,9 @@ func (l *lowerer) lowerPredict(n *ir.Node) (Operator, error) {
 		}
 		exprs = append(exprs, n.SQLExprs...)
 		return &relational.Project{Child: child, Exprs: exprs}, nil
-	case ir.TargetDNNCPU, ir.TargetDNNGPU:
+	case ir.TargetDNN:
 		if l.adaptivePredict() {
-			static := opt.ChoiceDNNCPU
-			if n.Target == ir.TargetDNNGPU {
-				static = opt.ChoiceDNNGPU
-			}
-			return l.lowerAdaptivePredict(n, child, static), nil
+			return l.lowerAdaptivePredict(n, child, opt.ChoiceDNN), nil
 		}
 		return l.lowerDNN(n, child)
 	default:

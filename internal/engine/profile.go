@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"raven/internal/device"
 	"raven/internal/opt"
 	"raven/internal/relational"
 	"raven/internal/sched"
@@ -25,9 +24,6 @@ type Profile struct {
 	// (MADlib's execution style). Widths beyond MaxMaterializedColumns
 	// fail, mirroring PostgreSQL's 1600-column table limit.
 	MaterializeFeaturization bool
-	// GPU is the device used by MLtoDNN-on-GPU plans (nil means the
-	// default simulated Tesla P100).
-	GPU *device.Device
 	// DenseGroupLimit selects the grouping path for GROUP BY over a
 	// single dictionary-encoded key: dictionaries up to this cardinality
 	// group through a dense code→group array (no hashing; one array per
@@ -50,7 +46,9 @@ type Profile struct {
 	// numbers — switching the ML runtime choice for downstream predict
 	// segments, the dense-vs-hash grouping path, and the worker count of
 	// the next exchange segment when the plan-time estimate was off by
-	// ReoptFactor. Every switch preserves byte-identity to the serial plan.
+	// ReoptFactor. Every switch preserves byte-identity to the serial plan,
+	// except a predict switch into or out of MLtoDNN, whose float32 scores
+	// agree only within rounding.
 	Adaptive bool
 	// ReoptFactor is the estimate-vs-observed mismatch factor that triggers
 	// re-optimization at a breaker boundary; 0 applies
@@ -60,9 +58,6 @@ type Profile struct {
 	// the corrected input cardinality; nil disables runtime switching
 	// (breaker observations and DOP/grouping adaptation still apply).
 	AdaptiveChooser opt.CardinalityAwareStrategy
-	// AdaptiveGPU tells the adaptive chooser whether a GPU target is
-	// available for a mid-query switch to MLtoDNN-GPU.
-	AdaptiveGPU bool
 	// GlobalBudget, when non-nil, enables out-of-core execution: every
 	// concurrent query's resident breaker bytes (join build,
 	// grouped-aggregation merge, sort) draw from this one accountant, and

@@ -62,6 +62,16 @@ func planQuery(cat *engine.Catalog, sql string, opts opt.Options) (*ir.Graph, *o
 // cluster's reported time — the one place the cost model is applied —
 // repeating runs times and reporting the trimmed mean.
 func runQuery(cat *engine.Catalog, sql string, opts opt.Options, cl Cluster, runs int) (*runResult, error) {
+	res, err := runPriced(cat, sql, opts, cl.Profile, runs, cl.Cost)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// runPriced is runQuery for several cost models over the same executions:
+// result i reports every run priced by costs[i].
+func runPriced(cat *engine.Catalog, sql string, opts opt.Options, prof engine.Profile, runs int, costs ...CostModel) ([]*runResult, error) {
 	og, rep, err := planQuery(cat, sql, opts)
 	if err != nil {
 		return nil, err
@@ -69,28 +79,30 @@ func runQuery(cat *engine.Catalog, sql string, opts opt.Options, cl Cluster, run
 	if runs < 1 {
 		runs = 1
 	}
-	reported := make([]float64, 0, runs)
+	reported := make([][]float64, len(costs))
 	walls := make([]float64, 0, runs)
 	rows := 0
 	for i := 0; i < runs; i++ {
-		res, err := engine.Run(og, cat, cl.Profile)
+		res, err := engine.Run(og, cat, prof)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: executing: %w", err)
 		}
-		modeled, err := cl.Cost.Reported(res.Root)
-		if err != nil {
-			return nil, err
+		for c, cost := range costs {
+			modeled, err := cost.Reported(res.Root)
+			if err != nil {
+				return nil, err
+			}
+			reported[c] = append(reported[c], modeled.Seconds())
 		}
-		reported = append(reported, modeled.Seconds())
 		walls = append(walls, res.Wall.Seconds())
 		rows = res.Table.NumRows()
 	}
-	return &runResult{
-		Seconds: trimmedMean(reported),
-		Wall:    trimmedMean(walls),
-		Rows:    rows,
-		Report:  rep,
-	}, nil
+	wall := trimmedMean(walls)
+	out := make([]*runResult, len(costs))
+	for c := range costs {
+		out[c] = &runResult{Seconds: trimmedMean(reported[c]), Wall: wall, Rows: rows, Report: rep}
+	}
+	return out, nil
 }
 
 func trimmedMean(vals []float64) float64 {
@@ -110,10 +122,9 @@ func trimmedMean(vals []float64) float64 {
 
 // ravenOptions returns the full optimizer configuration with the given
 // strategy.
-func ravenOptions(st opt.RuntimeStrategy, gpu bool) opt.Options {
+func ravenOptions(st opt.RuntimeStrategy) opt.Options {
 	o := opt.DefaultOptions()
 	o.Strategy = st
-	o.GPUAvailable = gpu
 	return o
 }
 

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"raven/internal/device"
 	"raven/internal/engine"
+	"raven/internal/hummingbird"
 	"raven/internal/relational"
 )
 
@@ -24,7 +24,9 @@ import (
 //   - scheduling cost per partition,
 //   - a cluster's degree of parallelism, applied by dividing the measured
 //     time of data-parallel operators,
-//   - (in internal/device) GPU kernel-launch latency and PCIe transfer.
+//   - a GPU (Device) the MLtoDNN tensor program's logged work is priced
+//     on — kernel-launch latency, throughput and PCIe transfer — since the
+//     host has no GPU and the program computes on the host CPU.
 //
 // The constants are order-of-magnitude figures from the paper's §7.4 and
 // common measurements of the respective systems; experiments only compare
@@ -62,6 +64,53 @@ type CostModel struct {
 	// keeps row stores slower than batch runtimes on small inputs too.
 	// Vectorized runtimes leave it 0.
 	PredictRowOverhead time.Duration
+	// GPU, when set, is the device MLtoDNN runs on: a DNNOp's measured
+	// host compute is replaced by its work log priced on the device. Nil
+	// charges the measured host compute, i.e. MLtoDNN on the CPU.
+	GPU *Device
+}
+
+// Device models a GPU for the MLtoDNN tensor programs. Programs still
+// compute on the host (so results are real); ModeledNanos assembles the
+// device's elapsed time from a program's logged work: GEMM FLOPs over
+// device throughput, gathered elements over gather throughput, a launch
+// latency per kernel, and PCIe transfer for the batch in and the
+// predictions out. The crossover the paper shows in Fig. 12 — small
+// models lose to launch and transfer overhead, large gradient-boosting
+// models win up to ~8× — is the throughput-vs-overhead effect this model
+// reproduces from the real op shapes.
+type Device struct {
+	Name string
+	// GEMMThroughput is sustained float32 FLOP/s for matrix multiplies.
+	GEMMThroughput float64
+	// GatherThroughput is elements/s for gather/compare kernels
+	// (tree-traversal workloads are gather-bound).
+	GatherThroughput float64
+	// KernelLaunch is the per-kernel launch latency.
+	KernelLaunch time.Duration
+	// PCIeBandwidth is host↔device bytes/s.
+	PCIeBandwidth float64
+}
+
+// TeslaK80 approximates the paper's GPU Spark cluster accelerator
+// (float32 ~4.1 TFLOPs per GPU, PCIe ~10 GB/s).
+var TeslaK80 = Device{
+	Name:             "tesla-k80",
+	GEMMThroughput:   4.1e12,
+	GatherThroughput: 8.0e10,
+	KernelLaunch:     8 * time.Microsecond,
+	PCIeBandwidth:    10e9,
+}
+
+// ModeledNanos converts a work log into modeled elapsed nanoseconds on
+// the device. The model is linear in the log, so a log summed over
+// batches prices like the sum of its batches (up to rounding).
+func (d *Device) ModeledNanos(c *hummingbird.CostLog) int64 {
+	sec := float64(c.Kernels)*d.KernelLaunch.Seconds() +
+		float64(c.GEMMFlops)/d.GEMMThroughput +
+		float64(c.GatherElems)/d.GatherThroughput +
+		float64(c.BytesIn+c.BytesOut)/d.PCIeBandwidth
+	return int64(sec * 1e9)
 }
 
 // Cluster is one of the paper's execution environments: how the engine
@@ -114,12 +163,13 @@ var (
 	// driver and three workers with 6 CPUs each and Tesla K80s, picked to
 	// match the CPU cluster's hourly cost.
 	SparkGPU = Cluster{
-		Profile: engine.Profile{Name: "spark-gpu", BatchSize: 10000, GPU: &device.TeslaK80},
+		Profile: engine.Profile{Name: "spark-gpu", BatchSize: 10000},
 		Cost: CostModel{
 			DOP:               18,
 			UDFBatchOverhead:  1 * time.Millisecond,
 			SessionInit:       100 * time.Millisecond,
 			PartitionOverhead: 2 * time.Millisecond,
+			GPU:               &TeslaK80,
 		},
 	}
 	// SQLServerDOP1 is the single-threaded SQL Server configuration with
@@ -176,9 +226,10 @@ func dataParallel(op engine.Operator) (parallel, ok bool) {
 // of data-parallel operators are divided by the modeled DOP, serial
 // operators are charged fully, and the boundary overheads (session init,
 // per-batch UDF bridge, per-row pipeline cost, per-partition scheduling)
-// are added from the model's constants. A simulated-GPU DNNOp computed on
+// are added from the model's constants. Under a GPU a DNNOp computed on
 // the host as a stand-in for the device, so its host compute is replaced
-// by the device-modeled time. It fails on an operator it does not know —
+// by its work log priced on the device. It fails on an operator it does
+// not know —
 // including the exchanges of a really-parallel plan, whose measured wall
 // time needs no model.
 func (m CostModel) Reported(root engine.Operator) (time.Duration, error) {
@@ -205,10 +256,11 @@ func (m CostModel) Reported(root engine.Operator) (time.Duration, error) {
 			totalNs += float64(s.Batches) * float64(m.UDFBatchOverhead) / dop
 			totalNs += float64(s.Rows) * float64(m.PredictRowOverhead) / dop
 		case *engine.DNNOp:
-			if o.Device.Kind == device.SimGPU {
-				work -= float64(o.ComputeNs)
+			totalNs += float64(m.SessionInit)
+			if m.GPU != nil {
+				work -= float64(o.Work.MeasuredNanos)
+				totalNs += float64(m.GPU.ModeledNanos(&o.Work))
 			}
-			totalNs += float64(o.ModeledNs) + float64(m.SessionInit)
 		case *relational.Scan:
 			totalNs += float64(o.PartitionsRead()) * float64(m.PartitionOverhead) / dop
 		}

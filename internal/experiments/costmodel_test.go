@@ -119,14 +119,12 @@ func TestCostModelNamesEveryFigureOperator(t *testing.T) {
 		}
 		walk(root)
 	}
-	raven := ravenOptions(strategy.CalibratedRule{}, false)
+	raven := ravenOptions(strategy.CalibratedRule{})
 	combos := []opt.Options{
 		comboOptions(false, opt.ChoiceNone), comboOptions(true, opt.ChoiceNone),
 		comboOptions(false, opt.ChoiceSQL), comboOptions(true, opt.ChoiceSQL),
-		comboOptions(true, opt.ChoiceDNNCPU),
+		comboOptions(true, opt.ChoiceDNN),
 	}
-	gpu := comboOptions(false, opt.ChoiceDNNGPU)
-	gpu.GPUAvailable = true
 
 	for _, ds := range datagen.All(400, 3) {
 		cat := ds.Catalog()
@@ -143,8 +141,7 @@ func TestCostModelNamesEveryFigureOperator(t *testing.T) {
 			for _, o := range combos {
 				check(cat, ds.Query(name), o, Spark)
 			}
-			check(cat, ds.Query(name), comboOptions(false, opt.ChoiceDNNCPU), SparkGPU)
-			check(cat, ds.Query(name), gpu, SparkGPU)
+			check(cat, ds.Query(name), comboOptions(false, opt.ChoiceDNN), SparkGPU)
 			// Fig. 8: the aggregate query on SQL Server and MADlib.
 			for _, cl := range []Cluster{SQLServerDOP1, SQLServerDOP16, MADlib} {
 				check(cat, ds.AggregateQuery(name), opt.NoOpt(), cl)
@@ -168,7 +165,7 @@ func TestCostModelNamesEveryFigureOperator(t *testing.T) {
 	if err := cat.RegisterModel(p); err != nil {
 		t.Fatal(err)
 	}
-	check(cat, ds.Query(p.Name), ravenOptions(opt.FixedStrategy{C: opt.ChoiceSQL}, false), Spark)
+	check(cat, ds.Query(p.Name), ravenOptions(opt.FixedStrategy{C: opt.ChoiceSQL}), Spark)
 
 	// The sweep must have reached both classes and every predict form, or
 	// it is not exercising what the figures run.

@@ -71,7 +71,7 @@ func Fig6(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			raven, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), Spark, cfg.Runs)
+			raven, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}), Spark, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
@@ -123,7 +123,7 @@ func Fig7(cfg Config, sizes []int) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			raven, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), Spark, cfg.Runs)
+			raven, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}), Spark, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
@@ -173,11 +173,11 @@ func Fig8(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			r1, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), SQLServerDOP1, cfg.Runs)
+			r1, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}), SQLServerDOP1, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}
-			r16, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}, false), SQLServerDOP16, cfg.Runs)
+			r16, err := runQuery(cat, q, ravenOptions(strategy.CalibratedRule{}), SQLServerDOP16, cfg.Runs)
 			if err != nil {
 				return nil, err
 			}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"raven/internal/datagen"
-	"raven/internal/device"
 	"raven/internal/engine"
 	"raven/internal/hummingbird"
 	"raven/internal/mlruntime"
@@ -52,7 +51,7 @@ func Fig9(cfg Config, alphas []float64) (*Report, error) {
 			comboOptions(true, opt.ChoiceNone),
 			comboOptions(false, opt.ChoiceSQL),
 			comboOptions(true, opt.ChoiceSQL),
-			comboOptions(true, opt.ChoiceDNNCPU),
+			comboOptions(true, opt.ChoiceDNN),
 		} {
 			res, err := runQuery(cat, q, combo, Spark, cfg.Runs)
 			if err != nil {
@@ -101,7 +100,7 @@ func Fig10(cfg Config, depths []int) (*Report, error) {
 			comboOptions(true, opt.ChoiceNone),
 			comboOptions(false, opt.ChoiceSQL),
 			comboOptions(true, opt.ChoiceSQL),
-			comboOptions(true, opt.ChoiceDNNCPU),
+			comboOptions(true, opt.ChoiceDNN),
 		} {
 			res, err := runQuery(cat, q, combo, Spark, cfg.Runs)
 			if err != nil {
@@ -206,13 +205,13 @@ func Fig11(cfg Config, depths []int) (*Report, *Report, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		noPartOpts := ravenOptions(opt.FixedStrategy{C: opt.ChoiceSQL}, false)
+		noPartOpts := ravenOptions(opt.FixedStrategy{C: opt.ChoiceSQL})
 		noPartOpts.PerPartition = false
 		noPart, err := runQuery(catPlain, q, noPartOpts, Spark, cfg.Runs)
 		if err != nil {
 			return nil, nil, err
 		}
-		partOpts := ravenOptions(opt.FixedStrategy{C: opt.ChoiceSQL}, false)
+		partOpts := ravenOptions(opt.FixedStrategy{C: opt.ChoiceSQL})
 		wIssues, err := runQuery(catIssues, q, partOpts, Spark, cfg.Runs)
 		if err != nil {
 			return nil, nil, err
@@ -244,8 +243,9 @@ func meanInts(v []int) float64 {
 }
 
 // Fig12 evaluates MLtoDNN on complex gradient-boosting models (§7.3):
-// CPU execution of the compiled tensor program versus the simulated Tesla
-// K80 GPUs of the paper's GPU Spark cluster.
+// each shape's MLtoDNN plan executes once per run, and every run is priced
+// twice — with the tensor program's measured host compute (CPU) and with
+// its work log on the Tesla K80s of the paper's GPU Spark cluster.
 func Fig12(cfg Config, shapes [][2]int) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if len(shapes) == 0 {
@@ -259,6 +259,8 @@ func Fig12(cfg Config, shapes [][2]int) (*Report, error) {
 	ds := datagen.Hospital(cfg.Rows, cfg.Seed)
 	cat := ds.Catalog()
 	cl := SparkGPU
+	cpuCost := cl.Cost
+	cpuCost.GPU = nil
 	for _, sh := range shapes {
 		est, depth := sh[0], sh[1]
 		p, err := ds.Train(train.KindGradientBoosting, func(s *train.Spec) {
@@ -278,21 +280,16 @@ func Fig12(cfg Config, shapes [][2]int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cpu, err := runQuery(cat, q, comboOptions(false, opt.ChoiceDNNCPU), cl, cfg.Runs)
+		dnn, err := runPriced(cat, q, comboOptions(false, opt.ChoiceDNN), cl.Profile, cfg.Runs, cpuCost, cl.Cost)
 		if err != nil {
 			return nil, err
 		}
-		gpuOpts := comboOptions(false, opt.ChoiceDNNGPU)
-		gpuOpts.GPUAvailable = true
-		gpu, err := runQuery(cat, q, gpuOpts, cl, cfg.Runs)
-		if err != nil {
-			return nil, err
-		}
+		cpu, gpu := dnn[0], dnn[1]
 		rep.AddRow(fmt.Sprintf("%d/%d", est, depth),
 			ms(noopt.Seconds), ms(cpu.Seconds), ms(gpu.Seconds),
 			f2(noopt.Seconds/gpu.Seconds)+"x")
 	}
-	rep.Note("GPU time is device-modeled from real op shapes (internal/device); CPU paths are measured")
+	rep.Note("GPU time is device-modeled from the program's logged work (experiments.Device); CPU paths are measured")
 	return rep, nil
 }
 
@@ -383,7 +380,7 @@ func parity(p *model.Pipeline, ds *datagen.Dataset) (sqlMis, dnnMis, maxDelta fl
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	res, _, err := prog.Run(tb, &device.CPUDevice)
+	res, _, err := prog.Run(tb)
 	if err != nil {
 		return 0, 0, 0, err
 	}

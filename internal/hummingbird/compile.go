@@ -3,9 +3,9 @@
 // are folded into per-feature affine/one-hot programs; tree ensembles are
 // compiled with the GEMM strategy (five matrix operations per ensemble)
 // when small, and the TreeTraversal strategy (vectorized gather loop) when
-// large; linear models become a single GEMM. Programs execute on an
-// internal/device Device, which models GPU time from the program's real
-// op shapes.
+// large; linear models become a single GEMM. Programs execute on the host
+// and log their work (CostLog), which the paper-figure cost model
+// (internal/experiments) prices on a modeled GPU.
 package hummingbird
 
 import (
@@ -46,14 +46,13 @@ func (s Strategy) String() string {
 //	P = 1[T·C == D]      (which leaf's ancestor pattern matches)
 //	Y = P·E              (reached-leaf values, summed over trees)
 type gemmTensors struct {
-	a        []float32 // d × I, one-hot feature selection
+	feat     []int32   // I: the feature each internal node tests (A's one-hot rows)
 	b        []float32 // I thresholds
 	c        []float32 // I × L: +1 leaf in left subtree, −1 in right
 	d        []float32 // L: required left-ancestor counts
 	e        []float32 // L leaf values
 	internal int
 	leaves   int
-	dims     int
 }
 
 // ttTensors is the TreeTraversal formulation: flattened node arrays with
@@ -68,7 +67,8 @@ type ttTensors struct {
 	maxDepth int
 }
 
-// Program is a compiled pipeline ready to execute on a device.
+// Program is a compiled pipeline, immutable once compiled and safe to run
+// from concurrent workers.
 type Program struct {
 	Name     string
 	Features []pipefold.Feature
@@ -171,7 +171,7 @@ func Compile(p *model.Pipeline, strategy Strategy) (*Program, error) {
 		}
 		prog.Strategy = pick
 		if pick == StrategyGEMM {
-			prog.gemm = buildGEMM(m, len(feats), totalInternal, totalLeaves)
+			prog.gemm = buildGEMM(m, totalInternal, totalLeaves)
 		} else {
 			prog.tt = buildTT(m, maxDepth)
 		}
@@ -182,14 +182,14 @@ func Compile(p *model.Pipeline, strategy Strategy) (*Program, error) {
 }
 
 // buildGEMM assembles the 5 block-diagonal matrices of the ensemble.
-func buildGEMM(m *model.TreeEnsemble, dims, totalInternal, totalLeaves int) *gemmTensors {
+func buildGEMM(m *model.TreeEnsemble, totalInternal, totalLeaves int) *gemmTensors {
 	g := &gemmTensors{
-		a:        make([]float32, dims*totalInternal),
+		feat:     make([]int32, totalInternal),
 		b:        make([]float32, totalInternal),
 		c:        make([]float32, totalInternal*totalLeaves),
 		d:        make([]float32, totalLeaves),
 		e:        make([]float32, totalLeaves),
-		internal: totalInternal, leaves: totalLeaves, dims: dims,
+		internal: totalInternal, leaves: totalLeaves,
 	}
 	iOff, lOff := 0, 0
 	for ti := range m.Trees {
@@ -211,7 +211,7 @@ func buildGEMM(m *model.TreeEnsemble, dims, totalInternal, totalLeaves int) *gem
 				continue
 			}
 			ii := internalIdx[ni]
-			g.a[n.Feature*totalInternal+ii] = 1
+			g.feat[ii] = int32(n.Feature)
 			g.b[ii] = float32(n.Threshold)
 		}
 		// For each leaf, mark ancestors: +1 if the leaf lies in the left

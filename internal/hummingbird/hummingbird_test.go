@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"raven/internal/data"
-	"raven/internal/device"
 	"raven/internal/mlruntime"
 	"raven/internal/model"
 	"raven/internal/testfix"
@@ -51,7 +50,7 @@ func runBoth(t *testing.T, p *model.Pipeline, batch *data.Table, s Strategy) (ml
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := prog.Run(batch, &device.CPUDevice)
+	res, _, err := prog.Run(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,33 +217,12 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-func TestGPUCostModelScalesWithModel(t *testing.T) {
-	smallP, batch := trainedPipeline(t, train.KindGradientBoosting, 5, 3)
-	bigP, _ := trainedPipeline(t, train.KindGradientBoosting, 80, 7)
-	smallProg, err := Compile(smallP, StrategyAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigProg, err := Compile(bigP, StrategyAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, smallLog, err := smallProg.Run(batch, &device.TeslaP100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, bigLog, err := bigProg.Run(batch, &device.TeslaP100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smallNs := device.TeslaP100.ModeledNanos(smallLog)
-	bigNs := device.TeslaP100.ModeledNanos(bigLog)
-	if bigNs <= smallNs {
-		t.Fatalf("bigger model should cost more on GPU: small=%d big=%d", smallNs, bigNs)
-	}
-	// CPU device returns the measured time.
-	if device.CPUDevice.ModeledNanos(bigLog) != bigLog.MeasuredNanos {
-		t.Fatal("CPU ModeledNanos should be measured time")
+func TestAddKernel(t *testing.T) {
+	log := &CostLog{}
+	log.AddKernel()
+	log.AddKernel()
+	if log.Kernels != 2 {
+		t.Fatalf("Kernels = %d", log.Kernels)
 	}
 }
 
@@ -292,7 +270,22 @@ func TestLabelEncoderFeature(t *testing.T) {
 	}
 }
 
-// Property: GEMM and TreeTraversal strategies agree on random batches.
+// withNonFinite replaces the age or bpm of every other row of a covid
+// batch with NaN, +Inf or −Inf, as ParseFloat accepts them from CSV.
+func withNonFinite(batch *data.Table, seed int64) *data.Table {
+	rng := rand.New(rand.NewSource(seed))
+	out := batch.Clone()
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for r := 0; r < out.NumRows(); r += 2 {
+		col := []string{"age", "bpm"}[rng.Intn(2)]
+		out.Col(col).F64[r] = bad[rng.Intn(len(bad))]
+	}
+	return out
+}
+
+// Property: GEMM and TreeTraversal strategies agree with each other on
+// random batches, and with the ML runtime on rows whose features include
+// NaN or ±Inf: a non-finite feature may only steer the nodes that test it.
 func TestQuickStrategiesAgree(t *testing.T) {
 	p := testfix.CovidPipeline()
 	gemmProg, err := Compile(p, StrategyGEMM)
@@ -303,13 +296,17 @@ func TestQuickStrategiesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess, err := mlruntime.NewSession(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := func(seed int64) bool {
 		batch := randomCovidBatch(23, seed)
-		g, _, err := gemmProg.Run(batch, &device.CPUDevice)
+		g, _, err := gemmProg.Run(batch)
 		if err != nil {
 			return false
 		}
-		tt, _, err := ttProg.Run(batch, &device.CPUDevice)
+		tt, _, err := ttProg.Run(batch)
 		if err != nil {
 			return false
 		}
@@ -321,6 +318,31 @@ func TestQuickStrategiesAgree(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+	nonFinite := func(seed int64) bool {
+		batch := withNonFinite(randomCovidBatch(64, seed), seed)
+		ml, err := sess.RunTable(batch)
+		if err != nil {
+			return false
+		}
+		g, _, err := gemmProg.Run(batch)
+		if err != nil {
+			return false
+		}
+		tt, _, err := ttProg.Run(batch)
+		if err != nil {
+			return false
+		}
+		for i, want := range ml["score"].Block.Data {
+			if math.Abs(g.Score[i]-want) > 1e-5 || math.Abs(tt.Score[i]-want) > 1e-5 {
+				t.Logf("seed %d row %d: runtime=%v gemm=%v tt=%v", seed, i, want, g.Score[i], tt.Score[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(nonFinite, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
@@ -339,7 +361,7 @@ func TestLabelsMatchRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := prog.Run(batch, &device.CPUDevice)
+	res, _, err := prog.Run(batch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"raven/internal/data"
-	"raven/internal/device"
 	"raven/internal/model"
 	"raven/internal/pipefold"
 	"raven/internal/tensor"
@@ -17,14 +16,39 @@ type Output struct {
 	Label []float64
 }
 
-// Run executes the program over a columnar batch on the device, returning
-// predictions and the device cost log (with both measured and modeled
-// time filled in). Results are always computed for real on the host in
-// float32; only the clock is device-modeled.
-func (p *Program) Run(batch *data.Table, dev *device.Device) (*Output, *device.CostLog, error) {
+// CostLog records the work of program executions in device-independent
+// terms — kernel launches, GEMM FLOPs, gathered elements and the bytes a
+// batch moves in and out — next to the host time they took. Logs of
+// several batches sum with Add; a device model (internal/experiments)
+// turns a log into a modeled elapsed time.
+type CostLog struct {
+	Kernels       int64
+	GEMMFlops     int64
+	GatherElems   int64
+	BytesIn       int64
+	BytesOut      int64
+	MeasuredNanos int64
+}
+
+// AddKernel records one kernel launch.
+func (c *CostLog) AddKernel() { c.Kernels++ }
+
+// Add folds another log into c.
+func (c *CostLog) Add(o *CostLog) {
+	c.Kernels += o.Kernels
+	c.GEMMFlops += o.GEMMFlops
+	c.GatherElems += o.GatherElems
+	c.BytesIn += o.BytesIn
+	c.BytesOut += o.BytesOut
+	c.MeasuredNanos += o.MeasuredNanos
+}
+
+// Run executes the program over a columnar batch on the host in float32,
+// returning predictions and the batch's cost log.
+func (p *Program) Run(batch *data.Table) (*Output, *CostLog, error) {
 	t0 := time.Now()
 	n := batch.NumRows()
-	log := &device.CostLog{}
+	log := &CostLog{}
 	x, err := p.buildX(batch, log)
 	if err != nil {
 		return nil, nil, err
@@ -78,7 +102,7 @@ func (p *Program) Run(batch *data.Table, dev *device.Device) (*Output, *device.C
 
 // buildX materializes the feature matrix from the symbolic per-feature
 // programs (the on-device featurization kernels).
-func (p *Program) buildX(batch *data.Table, log *device.CostLog) (*tensor.Mat, error) {
+func (p *Program) buildX(batch *data.Table, log *CostLog) (*tensor.Mat, error) {
 	n := batch.NumRows()
 	d := len(p.Features)
 	x := tensor.New(n, d)
@@ -123,7 +147,7 @@ func (p *Program) buildX(batch *data.Table, log *device.CostLog) (*tensor.Mat, e
 	return x, nil
 }
 
-func (p *Program) runLinear(x *tensor.Mat, log *device.CostLog) (*tensor.Mat, error) {
+func (p *Program) runLinear(x *tensor.Mat, log *CostLog) (*tensor.Mat, error) {
 	w := &tensor.Mat{Rows: len(p.linW), Cols: 1, Data: p.linW}
 	y, err := tensor.MatMul(x, w)
 	if err != nil {
@@ -136,20 +160,24 @@ func (p *Program) runLinear(x *tensor.Mat, log *device.CostLog) (*tensor.Mat, er
 	return y, nil
 }
 
-func (p *Program) runGEMM(x *tensor.Mat, log *device.CostLog) (*tensor.Mat, error) {
+func (p *Program) runGEMM(x *tensor.Mat, log *CostLog) (*tensor.Mat, error) {
 	g := p.gemm
-	a := &tensor.Mat{Rows: g.dims, Cols: g.internal, Data: g.a}
-	t, err := tensor.MatMul(x, a)
-	if err != nil {
-		return nil, err
+	// T = 1[X·A <= B]. A is one-hot, so X·A only selects X[r, feat(i)]
+	// for internal node i: gather it instead of multiplying, because a
+	// NaN or ±Inf feature times A's zeros would poison every node (x·0 is
+	// NaN) rather than only the nodes that test it. The log still prices
+	// the dense GEMM of the formulation.
+	t := tensor.New(x.Rows, g.internal)
+	for r := 0; r < x.Rows; r++ {
+		row, dst := x.Row(r), t.Row(r)
+		for i, f := range g.feat {
+			if row[f] <= g.b[i] {
+				dst[i] = 1
+			}
+		}
 	}
-	log.AddKernel()
+	log.Kernels += 2
 	log.GEMMFlops += tensor.FLOPs(x.Rows, x.Cols, g.internal)
-	t, err = tensor.LessEqBroadcast(t, g.b)
-	if err != nil {
-		return nil, err
-	}
-	log.AddKernel()
 	log.GatherElems += int64(t.Rows * t.Cols)
 	cm := &tensor.Mat{Rows: g.internal, Cols: g.leaves, Data: g.c}
 	pm, err := tensor.MatMul(t, cm)
@@ -176,7 +204,7 @@ func (p *Program) runGEMM(x *tensor.Mat, log *device.CostLog) (*tensor.Mat, erro
 
 // runTT evaluates all trees with the vectorized traversal loop: every
 // (row, tree) pair walks one level per iteration via gathers.
-func (p *Program) runTT(x *tensor.Mat, log *device.CostLog) *tensor.Mat {
+func (p *Program) runTT(x *tensor.Mat, log *CostLog) *tensor.Mat {
 	tt := p.tt
 	n := x.Rows
 	nt := len(tt.roots)

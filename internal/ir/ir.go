@@ -89,10 +89,8 @@ const (
 	// TargetSQL means the node was rewritten by MLtoSQL; SQLExprs holds
 	// the translated expressions and the ML runtime is not invoked.
 	TargetSQL
-	// TargetDNNCPU runs the Hummingbird-compiled tensor program on CPU.
-	TargetDNNCPU
-	// TargetDNNGPU runs the tensor program on the (simulated) GPU.
-	TargetDNNGPU
+	// TargetDNN runs the Hummingbird-compiled tensor program (MLtoDNN).
+	TargetDNN
 )
 
 func (t PredictTarget) String() string {
@@ -101,10 +99,8 @@ func (t PredictTarget) String() string {
 		return "ML"
 	case TargetSQL:
 		return "SQL"
-	case TargetDNNCPU:
-		return "DNN-CPU"
-	case TargetDNNGPU:
-		return "DNN-GPU"
+	case TargetDNN:
+		return "DNN"
 	}
 	return fmt.Sprintf("PredictTarget(%d)", uint8(t))
 }

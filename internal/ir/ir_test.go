@@ -213,7 +213,7 @@ func TestNodeKindStrings(t *testing.T) {
 			t.Errorf("missing String for %d", k)
 		}
 	}
-	targets := []PredictTarget{TargetML, TargetSQL, TargetDNNCPU, TargetDNNGPU}
+	targets := []PredictTarget{TargetML, TargetSQL, TargetDNN}
 	for _, tg := range targets {
 		if strings.HasPrefix(tg.String(), "PredictTarget(") {
 			t.Errorf("missing String for target %d", tg)

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"raven/internal/data"
-	"raven/internal/device"
 	"raven/internal/hummingbird"
 	"raven/internal/mlruntime"
 	"raven/internal/model"
@@ -186,8 +185,7 @@ func synthTable(name string, nNum int, cards []int, rows int, rng *rand.Rand) *d
 
 // Measure times the three transformation options for one case over its
 // evaluation rows and returns a strategy training example. All options
-// compute for real; MLtoDNN is measured on CPU (the training-regime
-// device, matching how strategies are used without GPUs).
+// compute for real on the host CPU.
 func Measure(c *Case) (*strategy.Example, error) {
 	ex := &strategy.Example{Name: c.Name, F: opt.ExtractFeatures(c.Pipeline)}
 	// Identity binding: eval table columns carry the input names.
@@ -206,12 +204,12 @@ func Measure(c *Case) (*strategy.Example, error) {
 	if _, err := sess.RunTable(c.Table); err != nil {
 		return nil, err
 	}
-	ex.Runtimes[0] = time.Since(t0).Seconds()
+	ex.Runtimes[opt.ChoiceNone] = time.Since(t0).Seconds()
 
 	// Option 2: MLtoSQL (expression evaluation on the data engine).
 	exprs, err := opt.CompileToSQL(c.Pipeline, inputMap, outputMap)
 	if err != nil {
-		ex.Runtimes[1] = math.Inf(1)
+		ex.Runtimes[opt.ChoiceSQL] = math.Inf(1)
 	} else {
 		t0 = time.Now()
 		for _, ne := range exprs {
@@ -219,19 +217,19 @@ func Measure(c *Case) (*strategy.Example, error) {
 				return nil, err
 			}
 		}
-		ex.Runtimes[1] = time.Since(t0).Seconds()
+		ex.Runtimes[opt.ChoiceSQL] = time.Since(t0).Seconds()
 	}
 
 	// Option 3: MLtoDNN (tensor program on CPU).
 	prog, err := hummingbird.Compile(c.Pipeline, hummingbird.StrategyAuto)
 	if err != nil {
-		ex.Runtimes[2] = math.Inf(1)
+		ex.Runtimes[opt.ChoiceDNN] = math.Inf(1)
 	} else {
 		t0 = time.Now()
-		if _, _, err := prog.Run(c.Table, &device.CPUDevice); err != nil {
+		if _, _, err := prog.Run(c.Table); err != nil {
 			return nil, err
 		}
-		ex.Runtimes[2] = time.Since(t0).Seconds()
+		ex.Runtimes[opt.ChoiceDNN] = time.Since(t0).Seconds()
 	}
 	return ex, nil
 }

@@ -15,20 +15,16 @@ const (
 	ChoiceNone Choice = iota
 	// ChoiceSQL applies MLtoSQL.
 	ChoiceSQL
-	// ChoiceDNNCPU applies MLtoDNN and runs on CPU.
-	ChoiceDNNCPU
-	// ChoiceDNNGPU applies MLtoDNN and runs on the GPU.
-	ChoiceDNNGPU
+	// ChoiceDNN applies MLtoDNN: the pipeline runs as a tensor program.
+	ChoiceDNN
 )
 
 func (c Choice) String() string {
 	switch c {
 	case ChoiceSQL:
 		return "MLtoSQL"
-	case ChoiceDNNCPU:
-		return "MLtoDNN-CPU"
-	case ChoiceDNNGPU:
-		return "MLtoDNN-GPU"
+	case ChoiceDNN:
+		return "MLtoDNN"
 	}
 	return "none"
 }
@@ -39,9 +35,8 @@ func (c Choice) String() string {
 type RuntimeStrategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// Choose picks a transformation given the pipeline features and
-	// whether a GPU is available.
-	Choose(f *Features, gpuAvailable bool) Choice
+	// Choose picks a transformation given the pipeline features.
+	Choose(f *Features) Choice
 }
 
 // ParallelAwareStrategy is an optional refinement: strategies that
@@ -52,7 +47,7 @@ type ParallelAwareStrategy interface {
 	RuntimeStrategy
 	// ChooseParallel picks a transformation knowing execDOP worker
 	// goroutines will drive the physical predict operator.
-	ChooseParallel(f *Features, gpuAvailable bool, execDOP int) Choice
+	ChooseParallel(f *Features, execDOP int) Choice
 }
 
 // NumFeatures is the dimensionality of the statistics vector (§5.2: "we
@@ -186,9 +181,4 @@ type FixedStrategy struct{ C Choice }
 func (s FixedStrategy) Name() string { return "fixed:" + s.C.String() }
 
 // Choose implements RuntimeStrategy.
-func (s FixedStrategy) Choose(f *Features, gpu bool) Choice {
-	if s.C == ChoiceDNNGPU && !gpu {
-		return ChoiceDNNCPU
-	}
-	return s.C
-}
+func (s FixedStrategy) Choose(*Features) Choice { return s.C }

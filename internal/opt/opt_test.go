@@ -563,20 +563,15 @@ func TestExtractFeatures(t *testing.T) {
 }
 
 func TestFixedStrategy(t *testing.T) {
-	s := opt.FixedStrategy{C: opt.ChoiceDNNGPU}
-	if s.Choose(nil, false) != opt.ChoiceDNNCPU {
-		t.Fatal("GPU choice without GPU should degrade to CPU")
+	s := opt.FixedStrategy{C: opt.ChoiceDNN}
+	if s.Choose(nil) != opt.ChoiceDNN {
+		t.Fatal("fixed strategy must return its choice")
 	}
-	if s.Choose(nil, true) != opt.ChoiceDNNGPU {
-		t.Fatal("GPU choice with GPU should stay")
-	}
-	if !strings.Contains(s.Name(), "MLtoDNN-GPU") {
+	if !strings.Contains(s.Name(), "MLtoDNN") {
 		t.Fatalf("name = %s", s.Name())
 	}
-	for _, c := range []opt.Choice{opt.ChoiceNone, opt.ChoiceSQL, opt.ChoiceDNNCPU, opt.ChoiceDNNGPU} {
-		if c.String() == "" {
-			t.Fatal("empty choice name")
-		}
+	if opt.ChoiceNone.String() != "none" || opt.ChoiceSQL.String() != "MLtoSQL" || opt.ChoiceDNN.String() != "MLtoDNN" {
+		t.Fatal("choice names")
 	}
 }
 
@@ -585,17 +580,16 @@ func TestMLtoDNNTargets(t *testing.T) {
 	g := planCovid(t, cat)
 	base := runPlan(t, g, cat)
 	o := opt.DefaultOptions()
-	o.Strategy = opt.FixedStrategy{C: opt.ChoiceDNNGPU}
-	o.GPUAvailable = true
+	o.Strategy = opt.FixedStrategy{C: opt.ChoiceDNN}
 	og, rep, err := opt.New(cat, o).Optimize(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Choice != opt.ChoiceDNNGPU {
+	if rep.Choice != opt.ChoiceDNN {
 		t.Fatalf("choice = %v", rep.Choice)
 	}
 	pr := ir.Find(og.Root, func(n *ir.Node) bool { return n.Kind == ir.KindPredict })
-	if pr.Target != ir.TargetDNNGPU {
+	if pr.Target != ir.TargetDNN {
 		t.Fatalf("target = %v", pr.Target)
 	}
 	got := runPlan(t, og, cat)

@@ -32,8 +32,6 @@ type Options struct {
 	// Strategy picks the logical-to-physical transformation per predict
 	// node; nil keeps the ML runtime.
 	Strategy RuntimeStrategy
-	// GPUAvailable lets strategies pick MLtoDNN-on-GPU.
-	GPUAvailable bool
 	// ExecDOP is the real execution parallelism of the engine profile;
 	// strategies implementing ParallelAwareStrategy can use it to shift
 	// their runtime-selection thresholds (a parallel ML runtime amortizes
@@ -228,11 +226,11 @@ func (o *Optimizer) selectRuntime(n *ir.Node, rep *Report) error {
 	rep.Features = f
 	var choice Choice
 	if ps, ok := o.Opts.Strategy.(ParallelAwareStrategy); ok && o.Opts.ExecDOP > 1 {
-		choice = ps.ChooseParallel(f, o.Opts.GPUAvailable, o.Opts.ExecDOP)
+		choice = ps.ChooseParallel(f, o.Opts.ExecDOP)
 		rep.Notes = append(rep.Notes,
 			fmt.Sprintf("runtime selected DOP-aware at execDOP=%d", o.Opts.ExecDOP))
 	} else {
-		choice = o.Opts.Strategy.Choose(f, o.Opts.GPUAvailable)
+		choice = o.Opts.Strategy.Choose(f)
 	}
 	rep.ChoiceBy = o.Opts.Strategy.Name()
 	switch choice {
@@ -249,17 +247,13 @@ func (o *Optimizer) selectRuntime(n *ir.Node, rep *Report) error {
 			rep.SQLSize += relationalSize(e)
 		}
 		rep.fire("MLtoSQL")
-	case ChoiceDNNCPU, ChoiceDNNGPU:
+	case ChoiceDNN:
 		if _, err := hummingbird.Compile(n.Pipeline, hummingbird.StrategyAuto); err != nil {
 			rep.Notes = append(rep.Notes, "MLtoDNN failed: "+err.Error())
 			choice = ChoiceNone
 			break
 		}
-		if choice == ChoiceDNNGPU {
-			n.Target = ir.TargetDNNGPU
-		} else {
-			n.Target = ir.TargetDNNCPU
-		}
+		n.Target = ir.TargetDNN
 		rep.fire("MLtoDNN")
 	}
 	rep.Choice = choice

@@ -177,7 +177,7 @@ type CardinalityAwareStrategy interface {
 	RuntimeStrategy
 	// ChooseWithCardinality picks a transformation knowing roughly rows
 	// input rows will reach the predict operator.
-	ChooseWithCardinality(f *Features, gpuAvailable bool, execDOP int, rows float64) Choice
+	ChooseWithCardinality(f *Features, execDOP int, rows float64) Choice
 }
 
 // defaultFilterSelectivity is the textbook fallback for predicates the

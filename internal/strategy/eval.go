@@ -81,7 +81,7 @@ func (r *EvalResult) SpeedupQuantiles() [5]float64 {
 // StratifiedKFold splits example indices into k folds preserving the class
 // balance (the corpus is imbalanced: the paper reports 25/72/41).
 func StratifiedKFold(examples []*Example, k int, seed int64) [][]int {
-	byClass := map[Class][]int{}
+	byClass := map[opt.Choice][]int{}
 	for i, e := range examples {
 		byClass[e.Best()] = append(byClass[e.Best()], i)
 	}
@@ -123,13 +123,11 @@ func CrossValidate(b Builder, examples []*Example, k, repeats int, seed int64) (
 			correct, chosenTime, optimalTime := 0, 0.0, 0.0
 			for _, idx := range test {
 				e := examples[idx]
-				// Evaluate in the training regime (no GPU flavour split).
-				choice := strat.Choose(e.F, false)
-				cls := classOf(choice)
-				if cls == e.Best() {
+				choice := strat.Choose(e.F)
+				if choice == e.Best() {
 					correct++
 				}
-				chosenTime += e.Runtimes[cls]
+				chosenTime += e.Runtimes[choice]
 				optimalTime += e.Runtimes[e.Best()]
 			}
 			fold := FoldResult{Accuracy: float64(correct) / float64(len(test))}
@@ -142,17 +140,7 @@ func CrossValidate(b Builder, examples []*Example, k, repeats int, seed int64) (
 	return res, nil
 }
 
-func classOf(c opt.Choice) Class {
-	switch c {
-	case opt.ChoiceSQL:
-		return ClassSQL
-	case opt.ChoiceDNNCPU, opt.ChoiceDNNGPU:
-		return ClassDNN
-	}
-	return ClassNone
-}
-
-// ClassBalance counts examples per best class (paper: 25 MLtoSQL, 72
+// ClassBalance counts examples per best choice (paper: 25 MLtoSQL, 72
 // MLtoDNN, 41 none).
 func ClassBalance(examples []*Example) map[string]int {
 	out := map[string]int{}

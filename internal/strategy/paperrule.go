@@ -18,12 +18,9 @@ type PaperRule struct{}
 func (PaperRule) Name() string { return "paper-rule-k3" }
 
 // Choose implements opt.RuntimeStrategy.
-func (PaperRule) Choose(f *opt.Features, gpu bool) opt.Choice {
+func (PaperRule) Choose(f *opt.Features) opt.Choice {
 	if f.Get("num_features") > 100 {
-		if gpu {
-			return opt.ChoiceDNNGPU
-		}
-		return opt.ChoiceDNNCPU
+		return opt.ChoiceDNN
 	}
 	if f.Get("num_inputs") > 12 && f.Get("mean_tree_depth") <= 10 {
 		return opt.ChoiceSQL
@@ -41,8 +38,8 @@ var _ opt.RuntimeStrategy = PaperRule{}
 // already-pruned pipeline, so the deciding statistic is the translated
 // expression size: linear models and small tree ensembles win as SQL
 // (no ML-session or UDF-boundary cost), deep/huge ensembles blow up as
-// nested CASE expressions and are better compiled to tensors (GPU when
-// present) or left on the ML runtime.
+// nested CASE expressions and are better compiled to tensors or left on
+// the ML runtime.
 type CalibratedRule struct {
 	// SmallInputRows is the input cardinality below which an ensemble
 	// pipeline stays on the ML runtime regardless of size: session
@@ -68,34 +65,31 @@ func (CalibratedRule) Name() string { return "calibrated-rule" }
 // model-projection pushdown for all models, but MLtoSQL only for LR and
 // DT" (§7.1.2) — ensembles translate to overly large CASE expressions
 // whose evaluation stops amortizing at scale, so they stay on the ML
-// runtime unless a GPU (or an enormous ensemble) makes MLtoDNN pay.
-func (r CalibratedRule) Choose(f *opt.Features, gpu bool) opt.Choice {
-	return r.ChooseParallel(f, gpu, 1)
+// runtime unless an enormous ensemble makes MLtoDNN pay.
+func (r CalibratedRule) Choose(f *opt.Features) opt.Choice {
+	return r.ChooseParallel(f, 1)
 }
 
 // ChooseParallel implements opt.ParallelAwareStrategy. Under real
 // parallel execution the ML runtime scales across the exchange workers
 // while the single-threaded tensor compilation threshold no longer
 // reflects the break-even point: the ensemble must be execDOP times
-// larger before MLtoDNN-on-CPU beats the now-parallel runtime. MLtoSQL
+// larger before MLtoDNN beats the now-parallel runtime. MLtoSQL
 // stays unchanged — translated expressions execute inside the parallel
 // relational operators and scale the same way. With hash joins and
 // aggregates parallelized across the breaker (probe-side exchanges and
 // partial aggregation), the predict operator rides an exchange in every
 // plan shape, so the execDOP scaling below is sound for join- and
 // aggregate-heavy queries too, not just bare scan chains.
-func (r CalibratedRule) ChooseParallel(f *opt.Features, gpu bool, execDOP int) opt.Choice {
+func (r CalibratedRule) ChooseParallel(f *opt.Features, execDOP int) opt.Choice {
 	if execDOP < 1 {
 		execDOP = 1
 	}
 	if f.Get("is_linear") == 1 || f.Get("is_dt") == 1 {
 		return opt.ChoiceSQL
 	}
-	if gpu {
-		return opt.ChoiceDNNGPU
-	}
 	if f.Get("total_tree_nodes") > 20000*float64(execDOP) {
-		return opt.ChoiceDNNCPU
+		return opt.ChoiceDNN
 	}
 	return opt.ChoiceNone
 }
@@ -106,10 +100,9 @@ func (r CalibratedRule) ChooseParallel(f *opt.Features, gpu bool, execDOP int) o
 // Linear models and decision trees always stay SQL (the translation is
 // pure relational expressions with zero fixed cost). Ensembles on inputs
 // smaller than SmallInputRows stay on the ML runtime: a warm session
-// predicts a few thousand rows faster than MLtoDNN can even compile, and
-// the GPU's kernel-launch + PCIe overhead swamps tiny batches. Above the
-// threshold the parallel-aware rule applies unchanged.
-func (r CalibratedRule) ChooseWithCardinality(f *opt.Features, gpu bool, execDOP int, rows float64) opt.Choice {
+// predicts a few thousand rows faster than MLtoDNN can even compile.
+// Above the threshold the parallel-aware rule applies unchanged.
+func (r CalibratedRule) ChooseWithCardinality(f *opt.Features, execDOP int, rows float64) opt.Choice {
 	if f.Get("is_linear") == 1 || f.Get("is_dt") == 1 {
 		return opt.ChoiceSQL
 	}
@@ -120,7 +113,7 @@ func (r CalibratedRule) ChooseWithCardinality(f *opt.Features, gpu bool, execDOP
 	if rows < small {
 		return opt.ChoiceNone
 	}
-	return r.ChooseParallel(f, gpu, execDOP)
+	return r.ChooseParallel(f, execDOP)
 }
 
 var _ opt.RuntimeStrategy = CalibratedRule{}

@@ -10,55 +10,22 @@ import (
 	"raven/internal/train"
 )
 
-// Class is the transformation label space used for training: the GPU/CPU
-// flavour of MLtoDNN is resolved at Choose time from availability, like
-// the paper (which drops MLtoDNN-on-CPU whenever a GPU exists).
-type Class uint8
-
-// Transformation classes.
-const (
-	ClassNone Class = iota
-	ClassSQL
-	ClassDNN
-	numClasses
-)
-
-func (c Class) String() string {
-	switch c {
-	case ClassSQL:
-		return "MLtoSQL"
-	case ClassDNN:
-		return "MLtoDNN"
-	}
-	return "none"
-}
-
-// choice maps a class to the optimizer choice under GPU availability.
-func (c Class) choice(gpu bool) opt.Choice {
-	switch c {
-	case ClassSQL:
-		return opt.ChoiceSQL
-	case ClassDNN:
-		if gpu {
-			return opt.ChoiceDNNGPU
-		}
-		return opt.ChoiceDNNCPU
-	}
-	return opt.ChoiceNone
-}
+// numChoices is the size of the label space the strategies learn over:
+// one class per opt.Choice, indexed by it.
+const numChoices = int(opt.ChoiceDNN) + 1
 
 // Example is one training observation: pipeline statistics plus the
 // measured runtime (seconds) of each transformation.
 type Example struct {
 	Name     string
 	F        *opt.Features
-	Runtimes [numClasses]float64
+	Runtimes [numChoices]float64
 }
 
-// Best returns the class with the lowest measured runtime.
-func (e *Example) Best() Class {
-	best := ClassNone
-	for c := ClassNone; c < numClasses; c++ {
+// Best returns the choice with the lowest measured runtime.
+func (e *Example) Best() opt.Choice {
+	best := opt.ChoiceNone
+	for c := opt.ChoiceNone; int(c) < numChoices; c++ {
 		if e.Runtimes[c] < e.Runtimes[best] {
 			best = c
 		}
@@ -66,9 +33,9 @@ func (e *Example) Best() Class {
 	return best
 }
 
-func designMatrix(examples []*Example) (*train.Matrix, []Class) {
+func designMatrix(examples []*Example) (*train.Matrix, []opt.Choice) {
 	x := train.NewMatrix(len(examples), opt.NumFeatures)
-	y := make([]Class, len(examples))
+	y := make([]opt.Choice, len(examples))
 	for i, e := range examples {
 		copy(x.Row(i), e.F.V[:])
 		y[i] = e.Best()
@@ -78,12 +45,12 @@ func designMatrix(examples []*Example) (*train.Matrix, []Class) {
 
 // multiClassTrees is a one-vs-rest set of probability trees.
 type multiClassTrees struct {
-	trees [numClasses]model.Tree
+	trees [numChoices]model.Tree
 }
 
-func fitMultiClassTree(x *train.Matrix, y []Class, depth int, seed int64) (*multiClassTrees, error) {
+func fitMultiClassTree(x *train.Matrix, y []opt.Choice, depth int, seed int64) (*multiClassTrees, error) {
 	out := &multiClassTrees{}
-	for c := ClassNone; c < numClasses; c++ {
+	for c := opt.ChoiceNone; int(c) < numChoices; c++ {
 		yc := make([]float64, len(y))
 		for i, v := range y {
 			if v == c {
@@ -100,9 +67,9 @@ func fitMultiClassTree(x *train.Matrix, y []Class, depth int, seed int64) (*mult
 	return out, nil
 }
 
-func (m *multiClassTrees) predict(f []float64) Class {
-	best, bestP := ClassNone, math.Inf(-1)
-	for c := ClassNone; c < numClasses; c++ {
+func (m *multiClassTrees) predict(f []float64) opt.Choice {
+	best, bestP := opt.ChoiceNone, math.Inf(-1)
+	for c := opt.ChoiceNone; int(c) < numChoices; c++ {
 		if p := m.trees[c].Eval(f); p > bestP {
 			bestP, best = p, c
 		}
@@ -193,12 +160,12 @@ func accumulateImportance(t *model.Tree, imp []float64) {
 func (s *RuleBased) Name() string { return "ml-informed-rule-based" }
 
 // Choose implements opt.RuntimeStrategy.
-func (s *RuleBased) Choose(f *opt.Features, gpu bool) opt.Choice {
+func (s *RuleBased) Choose(f *opt.Features) opt.Choice {
 	x := make([]float64, len(s.TopFeatures))
 	for j, idx := range s.TopFeatures {
 		x[j] = f.V[idx]
 	}
-	return s.trees.predict(x).choice(gpu)
+	return s.trees.predict(x)
 }
 
 // Rule renders the learned shallow trees as human-readable text.
@@ -214,7 +181,7 @@ func (s *RuleBased) Rule() string {
 // forest over all 22 statistics (the paper found random forests most
 // accurate among the classifiers it tried).
 type Classifier struct {
-	forests [numClasses]*model.TreeEnsemble
+	forests [numChoices]*model.TreeEnsemble
 }
 
 // TrainClassifier fits the random-forest classifier.
@@ -224,7 +191,7 @@ func TrainClassifier(examples []*Example, seed int64) (*Classifier, error) {
 	}
 	x, y := designMatrix(examples)
 	out := &Classifier{}
-	for c := ClassNone; c < numClasses; c++ {
+	for c := opt.ChoiceNone; int(c) < numChoices; c++ {
 		yc := make([]float64, len(y))
 		for i, v := range y {
 			if v == c {
@@ -254,14 +221,14 @@ func TrainClassifier(examples []*Example, seed int64) (*Classifier, error) {
 func (s *Classifier) Name() string { return "classification-based" }
 
 // Choose implements opt.RuntimeStrategy.
-func (s *Classifier) Choose(f *opt.Features, gpu bool) opt.Choice {
-	best, bestP := ClassNone, math.Inf(-1)
-	for c := ClassNone; c < numClasses; c++ {
+func (s *Classifier) Choose(f *opt.Features) opt.Choice {
+	best, bestP := opt.ChoiceNone, math.Inf(-1)
+	for c := opt.ChoiceNone; int(c) < numChoices; c++ {
 		if p := s.forests[c].Score(f.V[:]); p > bestP {
 			bestP, best = p, c
 		}
 	}
-	return best.choice(gpu)
+	return best
 }
 
 // Regressor is the regression-based strategy: a decision tree predicting
@@ -277,12 +244,12 @@ func TrainRegressor(examples []*Example, seed int64) (*Regressor, error) {
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("strategy: no training examples")
 	}
-	rows := len(examples) * int(numClasses)
+	rows := len(examples) * numChoices
 	x := train.NewMatrix(rows, opt.NumFeatures+1)
 	y := make([]float64, rows)
 	r := 0
 	for _, e := range examples {
-		for c := ClassNone; c < numClasses; c++ {
+		for c := opt.ChoiceNone; int(c) < numChoices; c++ {
 			copy(x.Row(r), e.F.V[:])
 			x.Set(r, opt.NumFeatures, float64(c))
 			y[r] = math.Log1p(e.Runtimes[c])
@@ -301,15 +268,15 @@ func TrainRegressor(examples []*Example, seed int64) (*Regressor, error) {
 func (s *Regressor) Name() string { return "regression-based" }
 
 // Choose implements opt.RuntimeStrategy.
-func (s *Regressor) Choose(f *opt.Features, gpu bool) opt.Choice {
+func (s *Regressor) Choose(f *opt.Features) opt.Choice {
 	x := make([]float64, opt.NumFeatures+1)
 	copy(x, f.V[:])
-	best, bestRT := ClassNone, math.Inf(1)
-	for c := ClassNone; c < numClasses; c++ {
+	best, bestRT := opt.ChoiceNone, math.Inf(1)
+	for c := opt.ChoiceNone; int(c) < numChoices; c++ {
 		x[opt.NumFeatures] = float64(c)
 		if rt := s.tree.Eval(x); rt < bestRT {
 			bestRT, best = rt, c
 		}
 	}
-	return best.choice(gpu)
+	return best
 }

@@ -40,34 +40,19 @@ func synthExamples(n int, seed int64) []*Example {
 
 func TestExampleBest(t *testing.T) {
 	e := &Example{Runtimes: [3]float64{3, 1, 2}}
-	if e.Best() != ClassSQL {
+	if e.Best() != opt.ChoiceSQL {
 		t.Fatalf("Best = %v", e.Best())
 	}
 	e = &Example{Runtimes: [3]float64{1, math.Inf(1), math.Inf(1)}}
-	if e.Best() != ClassNone {
+	if e.Best() != opt.ChoiceNone {
 		t.Fatalf("Best = %v", e.Best())
-	}
-}
-
-func TestClassChoiceMapping(t *testing.T) {
-	if ClassSQL.choice(false) != opt.ChoiceSQL {
-		t.Fatal("sql mapping")
-	}
-	if ClassDNN.choice(true) != opt.ChoiceDNNGPU || ClassDNN.choice(false) != opt.ChoiceDNNCPU {
-		t.Fatal("dnn mapping")
-	}
-	if ClassNone.choice(true) != opt.ChoiceNone {
-		t.Fatal("none mapping")
-	}
-	if ClassSQL.String() != "MLtoSQL" || ClassDNN.String() != "MLtoDNN" || ClassNone.String() != "none" {
-		t.Fatal("class names")
 	}
 }
 
 func accuracyOn(s opt.RuntimeStrategy, examples []*Example) float64 {
 	ok := 0
 	for _, e := range examples {
-		if classOf(s.Choose(e.F, false)) == e.Best() {
+		if s.Choose(e.F) == e.Best() {
 			ok++
 		}
 	}
@@ -167,7 +152,7 @@ func TestStratifiedKFold(t *testing.T) {
 	}
 	// Stratification: each fold should contain more than one class.
 	for fi, f := range folds {
-		classes := map[Class]bool{}
+		classes := map[opt.Choice]bool{}
 		for _, idx := range f {
 			classes[examples[idx].Best()] = true
 		}

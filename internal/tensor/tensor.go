@@ -72,25 +72,6 @@ func MatMul(a, b *Mat) (*Mat, error) {
 	return out, nil
 }
 
-// LessEqBroadcast returns 0/1 indicator of m[r,c] <= row[c], where row is
-// a 1×Cols threshold vector.
-func LessEqBroadcast(m *Mat, row []float32) (*Mat, error) {
-	if len(row) != m.Cols {
-		return nil, fmt.Errorf("tensor: broadcast width %d vs %d", len(row), m.Cols)
-	}
-	out := New(m.Rows, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		src := m.Row(r)
-		dst := out.Row(r)
-		for c, v := range src {
-			if v <= row[c] {
-				dst[c] = 1
-			}
-		}
-	}
-	return out, nil
-}
-
 // EqBroadcast returns 0/1 indicator of m[r,c] == row[c].
 func EqBroadcast(m *Mat, row []float32) (*Mat, error) {
 	if len(row) != m.Cols {

@@ -26,22 +26,12 @@ func TestMatMul(t *testing.T) {
 
 func TestBroadcastOps(t *testing.T) {
 	m := FromFloat64(2, 2, []float64{1, 5, 3, 2})
-	le, err := LessEqBroadcast(m, []float32{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if le.Data[0] != 1 || le.Data[1] != 0 || le.Data[2] != 0 || le.Data[3] != 1 {
-		t.Fatalf("le = %v", le.Data)
-	}
 	eq, err := EqBroadcast(m, []float32{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eq.Data[0] != 1 || eq.Data[1] != 0 || eq.Data[3] != 1 {
 		t.Fatalf("eq = %v", eq.Data)
-	}
-	if _, err := LessEqBroadcast(m, []float32{1}); err == nil {
-		t.Fatal("expected width error")
 	}
 	if _, err := EqBroadcast(m, []float32{1}); err == nil {
 		t.Fatal("expected width error")

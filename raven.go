@@ -16,8 +16,8 @@
 // relational and the ML operators, applies logical cross-optimizations
 // (predicate-based model pruning, model-projection pushdown, data-induced
 // optimizations) and then picks the best runtime for the ML part (the ML
-// runtime, a SQL translation, or a Hummingbird-style tensor compilation on
-// CPU/GPU) via a data-driven strategy.
+// runtime, a SQL translation, or a Hummingbird-style tensor compilation)
+// via a data-driven strategy.
 //
 // # Parallel execution
 //
@@ -182,7 +182,7 @@ type Session struct {
 	// planCacheSize is the WithPlanCacheSize request (0 = default).
 	planCacheSize int
 	// adaptive is the WithAdaptive request, applied after all options so
-	// it sees the final strategy and GPU declaration.
+	// it sees the final strategy.
 	adaptive bool
 	// globalBudget, when non-nil, is the engine-global memory accountant
 	// shared by every query this session runs (WithGlobalMemoryBudget).
@@ -229,11 +229,6 @@ func WithParallelism(n int) Option {
 // §5.2 rule). Pass nil to disable logical-to-physical transformations.
 func WithStrategy(st RuntimeStrategy) Option {
 	return func(s *Session) { s.opts.Strategy = st }
-}
-
-// WithGPU declares GPU availability to the strategy.
-func WithGPU(available bool) Option {
-	return func(s *Session) { s.opts.GPUAvailable = available }
 }
 
 // WithAdaptive enables mid-query re-optimization: each query's pipeline
@@ -314,7 +309,6 @@ func NewSession(options ...Option) *Session {
 	}
 	if s.adaptive {
 		s.profile.Adaptive = true
-		s.profile.AdaptiveGPU = s.opts.GPUAvailable
 		if c, ok := s.opts.Strategy.(opt.CardinalityAwareStrategy); ok {
 			s.profile.AdaptiveChooser = c
 		}
