@@ -167,7 +167,7 @@ func newBenchEnv(b *testing.B, rows, estimators, depth int) *benchEnv {
 	if err := cat.RegisterModel(p); err != nil {
 		b.Fatal(err)
 	}
-	prog, err := hummingbird.Compile(p, hummingbird.StrategyAuto)
+	prog, err := hummingbird.Compile(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,9 +184,9 @@ var verdictEnvs = map[[2]int]*benchEnv{}
 
 // benchVerdict runs score over the MLtoDNN verdict grid that
 // BenchmarkMLRuntimeGB and BenchmarkHummingbirdCPU share: gradient-boosting
-// ensembles (estimators×depth) on both sides of the GEMM/TreeTraversal
-// cutoff — 20×4 compiles to GEMM, 100×8 and 500×8 to TreeTraversal —
-// trained on 5k rows and scored over 1k and 100k rows, reporting rows/s.
+// ensembles (estimators×depth) from small (20×4, at most 300 internal
+// nodes) to large (500×8), trained on 5k rows and scored over 1k and 100k
+// rows, reporting rows/s.
 func benchVerdict(b *testing.B, score func(env *benchEnv, tbl *data.Table) error) {
 	for _, m := range [][2]int{{20, 4}, {100, 8}, {500, 8}} {
 		for _, rows := range []int{1000, 100000} {
@@ -869,8 +869,8 @@ func BenchmarkAdaptiveReopt(b *testing.B) {
 	}
 	// Same pipeline shape as the adaptive tests, but with a realistically
 	// sized forest: at 120 depth-4 trees the DNN lowering's fixed cost
-	// (tensorizing every tree into GEMM form) dwarfs a 10-row tree walk,
-	// so the switch's payoff is decisive rather than marginal.
+	// (flattening every tree into traversal tensors) dwarfs a 10-row tree
+	// walk, so the switch's payoff is decisive rather than marginal.
 	benchTree := func(seed int) model.Tree {
 		nodes := make([]model.TreeNode, 31)
 		for j := 0; j < 15; j++ {

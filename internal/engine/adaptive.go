@@ -89,70 +89,22 @@ type AdaptivePredict struct {
 	ExecDOP int
 
 	dec   *adaptiveDecision
-	feed  *predictFeed
+	feed  *relational.BatchSource
 	inner Operator
 	stats relational.OpStats
 }
-
-// predictFeed is the single-batch leaf the inner operator reads from: each
-// AdaptivePredict.Next loads one child batch into it, pulls the inner
-// result, and the feed reports end-of-stream until reloaded.
-type predictFeed struct {
-	cols   []string
-	schema data.Schema
-	typed  bool
-	batch  *data.Table
-	stats  relational.OpStats
-}
-
-func (f *predictFeed) Columns() []string          { return f.cols }
-func (f *predictFeed) Open(*relational.Env) error { return nil }
-func (f *predictFeed) Close() error               { return nil }
-func (f *predictFeed) Stats() *relational.OpStats { return &f.stats }
-func (f *predictFeed) Children() []Operator       { return nil }
-func (f *predictFeed) Next() (*data.Table, error) {
-	t := f.batch
-	f.batch = nil
-	return t, nil
-}
-
-// OutputSchema forwards the child's schema so typed empty results survive
-// the feed indirection.
-func (f *predictFeed) OutputSchema() (data.Schema, bool) { return f.schema, f.typed }
 
 // Columns returns pass-through columns plus mapped prediction outputs —
 // identical under every choice, which is what makes switching invisible to
 // the operators above.
 func (a *AdaptivePredict) Columns() []string {
-	var out []string
-	if a.KeepInput {
-		out = append(out, a.Child.Columns()...)
-	}
-	for _, v := range a.Pipeline.Outputs {
-		if name, ok := a.OutputMap[v]; ok {
-			out = append(out, name)
-		}
-	}
-	return out
+	return predictColumns(a.Child, a.Pipeline, a.OutputMap, a.KeepInput)
 }
 
 // OutputSchema implements relational.SchemaProvider (prediction outputs are
 // Float64 score columns under every choice).
 func (a *AdaptivePredict) OutputSchema() (data.Schema, bool) {
-	var out data.Schema
-	if a.KeepInput {
-		child, ok := relational.SchemaOf(a.Child)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, child...)
-	}
-	for _, v := range a.Pipeline.Outputs {
-		if name, ok := a.OutputMap[v]; ok {
-			out = append(out, data.Field{Name: name, Type: data.Float64})
-		}
-	}
-	return out, true
+	return predictSchema(a.Child, a.Pipeline, a.OutputMap, a.KeepInput)
 }
 
 // Open opens the child (draining the join builds below and populating the
@@ -231,15 +183,12 @@ func (a *AdaptivePredict) rechoose(obs relational.AdaptiveContext) {
 
 // openInner builds and opens the physical operator for the decided choice.
 func (a *AdaptivePredict) openInner(env *relational.Env) error {
-	a.feed = &predictFeed{cols: a.Child.Columns()}
-	if s, ok := relational.SchemaOf(a.Child); ok {
-		a.feed.schema, a.feed.typed = s, true
-	}
+	a.feed = relational.NewBatchSource(a.Child)
 	switch a.dec.choice {
 	case opt.ChoiceSQL:
 		var exprs []relational.NamedExpr
 		if a.KeepInput {
-			for _, c := range a.feed.cols {
+			for _, c := range a.feed.Columns() {
 				exprs = append(exprs, relational.NamedExpr{Name: c, E: relational.Col(c)})
 			}
 		}
@@ -274,7 +223,7 @@ func (a *AdaptivePredict) Next() (*data.Table, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		a.feed.batch = b
+		a.feed.Load(b)
 		out, err := a.inner.Next()
 		if err != nil {
 			return nil, err

@@ -34,7 +34,7 @@ func compileDNN(p *model.Pipeline, inputMap map[string]string) (*dnnProgram, err
 	case *model.TreeEnsemble:
 		out.labelVal, out.scoreVal = m.OutLabel, m.OutScore
 	}
-	prog, err := hummingbird.Compile(bound, hummingbird.StrategyAuto)
+	prog, err := hummingbird.Compile(bound)
 	if err != nil {
 		return nil, err
 	}
@@ -62,36 +62,12 @@ type DNNOp struct {
 
 // Columns returns pass-through columns plus mapped prediction outputs.
 func (d *DNNOp) Columns() []string {
-	var out []string
-	if d.KeepInput {
-		out = append(out, d.Child.Columns()...)
-	}
-	for _, v := range d.Pipeline.Outputs {
-		if name, ok := d.OutputMap[v]; ok {
-			out = append(out, name)
-		}
-	}
-	return out
+	return predictColumns(d.Child, d.Pipeline, d.OutputMap, d.KeepInput)
 }
 
-// OutputSchema implements relational.SchemaProvider: pass-through columns
-// keep the child's types and every mapped prediction output is a Float64
-// score column.
+// OutputSchema implements relational.SchemaProvider.
 func (d *DNNOp) OutputSchema() (data.Schema, bool) {
-	var out data.Schema
-	if d.KeepInput {
-		child, ok := relational.SchemaOf(d.Child)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, child...)
-	}
-	for _, v := range d.Pipeline.Outputs {
-		if name, ok := d.OutputMap[v]; ok {
-			out = append(out, data.Field{Name: name, Type: data.Float64})
-		}
-	}
-	return out, true
+	return predictSchema(d.Child, d.Pipeline, d.OutputMap, d.KeepInput)
 }
 
 // Open opens the child; the program was compiled at lowering.

@@ -104,7 +104,7 @@ func ExecuteContext(ctx context.Context, root Operator, prof Profile) (res *Resu
 	}
 	var rs *opt.RuntimeStats
 	if prof.Adaptive {
-		rs = opt.NewRuntimeStats(prof.ReoptFactor)
+		rs = opt.NewRuntimeStats()
 		env.Observe = rs
 	}
 	defer relational.RecoverPanic("query execution", &err)

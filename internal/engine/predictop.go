@@ -48,38 +48,50 @@ type PredictOp struct {
 // Operator aliases the relational operator interface for engine plans.
 type Operator = relational.Operator
 
-// Columns returns pass-through columns plus mapped prediction outputs.
-func (p *PredictOp) Columns() []string {
+// predictColumns is the output of every predict operator, under every
+// runtime choice: the child's columns when keep is set, then each mapped
+// pipeline output.
+func predictColumns(child Operator, p *model.Pipeline, outputMap map[string]string, keep bool) []string {
 	var out []string
-	if p.KeepInput {
-		out = append(out, p.Child.Columns()...)
+	if keep {
+		out = append(out, child.Columns()...)
 	}
-	for _, v := range p.Pipeline.Outputs {
-		if name, ok := p.OutputMap[v]; ok {
+	for _, v := range p.Outputs {
+		if name, ok := outputMap[v]; ok {
 			out = append(out, name)
 		}
 	}
 	return out
 }
 
-// OutputSchema implements relational.SchemaProvider: pass-through columns
-// keep the child's types and every mapped prediction output is a Float64
-// score column, so empty results stay correctly typed.
-func (p *PredictOp) OutputSchema() (data.Schema, bool) {
+// predictSchema types predictColumns for relational.SchemaProvider:
+// pass-through columns keep the child's types and every mapped prediction
+// output is a Float64 score column, so empty results stay correctly typed.
+func predictSchema(child Operator, p *model.Pipeline, outputMap map[string]string, keep bool) (data.Schema, bool) {
 	var out data.Schema
-	if p.KeepInput {
-		child, ok := relational.SchemaOf(p.Child)
+	if keep {
+		cs, ok := relational.SchemaOf(child)
 		if !ok {
 			return nil, false
 		}
-		out = append(out, child...)
+		out = append(out, cs...)
 	}
-	for _, v := range p.Pipeline.Outputs {
-		if name, ok := p.OutputMap[v]; ok {
+	for _, v := range p.Outputs {
+		if name, ok := outputMap[v]; ok {
 			out = append(out, data.Field{Name: name, Type: data.Float64})
 		}
 	}
 	return out, true
+}
+
+// Columns returns pass-through columns plus mapped prediction outputs.
+func (p *PredictOp) Columns() []string {
+	return predictColumns(p.Child, p.Pipeline, p.OutputMap, p.KeepInput)
+}
+
+// OutputSchema implements relational.SchemaProvider.
+func (p *PredictOp) OutputSchema() (data.Schema, bool) {
+	return predictSchema(p.Child, p.Pipeline, p.OutputMap, p.KeepInput)
 }
 
 // Open opens the child and resets the boundary counters. The ML session is

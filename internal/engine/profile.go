@@ -46,14 +46,10 @@ type Profile struct {
 	// numbers — switching the ML runtime choice for downstream predict
 	// segments, the dense-vs-hash grouping path, and the worker count of
 	// the next exchange segment when the plan-time estimate was off by
-	// ReoptFactor. Every switch preserves byte-identity to the serial plan,
-	// except a predict switch into or out of MLtoDNN, whose float32 scores
-	// agree only within rounding.
+	// opt.DefaultReoptFactor. Every switch preserves byte-identity to the
+	// serial plan, except a predict switch into or out of MLtoDNN, whose
+	// float32 scores agree only within rounding.
 	Adaptive bool
-	// ReoptFactor is the estimate-vs-observed mismatch factor that triggers
-	// re-optimization at a breaker boundary; 0 applies
-	// opt.DefaultReoptFactor.
-	ReoptFactor float64
 	// AdaptiveChooser re-picks the ML runtime for a predict segment given
 	// the corrected input cardinality; nil disables runtime switching
 	// (breaker observations and DOP/grouping adaptation still apply).

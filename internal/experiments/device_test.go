@@ -42,7 +42,7 @@ func TestGPUCostModelScalesWithModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := hummingbird.Compile(p, hummingbird.StrategyAuto)
+		prog, err := hummingbird.Compile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestDNNWorkLogPricesLikeItsBatches(t *testing.T) {
 	const n, batch = 1000, 128
 	prof := engine.Profile{Name: "small-batches", BatchSize: batch}
 	d, tbl := dnnPlan(t, n, prof)
-	prog, err := hummingbird.Compile(testfix.CovidPipeline(), hummingbird.StrategyAuto)
+	prog, err := hummingbird.Compile(testfix.CovidPipeline())
 	if err != nil {
 		t.Fatal(err)
 	}

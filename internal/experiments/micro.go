@@ -376,7 +376,7 @@ func parity(p *model.Pipeline, ds *datagen.Dataset) (sqlMis, dnnMis, maxDelta fl
 	}
 	sqlMis = float64(mis) / float64(n)
 
-	prog, err := hummingbird.Compile(p, hummingbird.StrategyAuto)
+	prog, err := hummingbird.Compile(p)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -1,6 +1,7 @@
 package hummingbird
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,7 +37,7 @@ func randomCovidBatch(n int, seed int64) *data.Table {
 
 // runBoth executes the pipeline on the ML runtime and on a compiled
 // program, returning both score vectors.
-func runBoth(t *testing.T, p *model.Pipeline, batch *data.Table, s Strategy) (mlScores, dnnScores []float64) {
+func runBoth(t *testing.T, p *model.Pipeline, batch *data.Table) (mlScores, dnnScores []float64) {
 	t.Helper()
 	sess, err := mlruntime.NewSession(p)
 	if err != nil {
@@ -46,7 +47,7 @@ func runBoth(t *testing.T, p *model.Pipeline, batch *data.Table, s Strategy) (ml
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(p, s)
+	prog, err := Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,21 +58,10 @@ func runBoth(t *testing.T, p *model.Pipeline, batch *data.Table, s Strategy) (ml
 	return out["score"].Block.Data, res.Score
 }
 
-func TestCompileCovidGEMMParity(t *testing.T) {
-	p := testfix.CovidPipeline()
-	batch := randomCovidBatch(300, 1)
-	ml, dnn := runBoth(t, p, batch, StrategyGEMM)
-	for i := range ml {
-		if math.Abs(ml[i]-dnn[i]) > 1e-5 {
-			t.Fatalf("row %d: ML=%v DNN=%v", i, ml[i], dnn[i])
-		}
-	}
-}
-
 func TestCompileCovidTTParity(t *testing.T) {
 	p := testfix.CovidPipeline()
 	batch := randomCovidBatch(300, 2)
-	ml, dnn := runBoth(t, p, batch, StrategyTreeTraversal)
+	ml, dnn := runBoth(t, p, batch)
 	for i := range ml {
 		if math.Abs(ml[i]-dnn[i]) > 1e-5 {
 			t.Fatalf("row %d: ML=%v DNN=%v", i, ml[i], dnn[i])
@@ -121,70 +111,13 @@ func TestTrainedModelsParityAllKinds(t *testing.T) {
 	}
 	for _, c := range cases {
 		p, batch := trainedPipeline(t, c.kind, 8, 5)
-		ml, dnn := runBoth(t, p, batch, StrategyAuto)
+		ml, dnn := runBoth(t, p, batch)
 		for i := range ml {
 			if math.Abs(ml[i]-dnn[i]) > c.tol {
 				t.Fatalf("%v row %d: ML=%v DNN=%v", c.kind, i, ml[i], dnn[i])
 			}
 		}
 	}
-}
-
-func TestStrategyAutoSelection(t *testing.T) {
-	small, _ := trainedPipeline(t, train.KindDecisionTree, 1, 4)
-	prog, err := Compile(small, StrategyAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.Strategy != StrategyGEMM {
-		t.Fatalf("small tree should pick GEMM, got %v", prog.Strategy)
-	}
-	// A deep synthetic ensemble must exceed the GEMM size limit.
-	big := &model.Pipeline{
-		Name:   "big",
-		Inputs: []model.Input{{Name: "x"}},
-		Ops: []model.Operator{
-			&model.Concat{Name: "c", In: []string{"x"}, Out: "F"},
-			&model.TreeEnsemble{Name: "m", In: "F", OutScore: "score",
-				Trees: manyFullTrees(200, 6), Task: model.Regression,
-				Algo: model.GradientBoosting, Features: 1},
-		},
-		Outputs: []string{"score"},
-	}
-	prog2, err := Compile(big, StrategyAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog2.Strategy != StrategyTreeTraversal {
-		t.Fatalf("big ensemble should pick TreeTraversal, got %v", prog2.Strategy)
-	}
-}
-
-// manyFullTrees builds count perfect trees of the given depth splitting on
-// feature 0 with distinct thresholds.
-func manyFullTrees(count, depth int) []model.Tree {
-	var build func(nodes *[]model.TreeNode, d int, lo, hi float64) int
-	build = func(nodes *[]model.TreeNode, d int, lo, hi float64) int {
-		id := len(*nodes)
-		if d == 0 {
-			*nodes = append(*nodes, model.TreeNode{Feature: -1, Value: lo})
-			return id
-		}
-		mid := (lo + hi) / 2
-		*nodes = append(*nodes, model.TreeNode{Feature: 0, Threshold: mid})
-		l := build(nodes, d-1, lo, mid)
-		r := build(nodes, d-1, mid, hi)
-		(*nodes)[id].Left = l
-		(*nodes)[id].Right = r
-		return id
-	}
-	trees := make([]model.Tree, count)
-	for i := range trees {
-		var nodes []model.TreeNode
-		build(&nodes, depth, float64(i), float64(i+1))
-		trees[i] = model.Tree{Nodes: nodes}
-	}
-	return trees
 }
 
 func TestCompileErrors(t *testing.T) {
@@ -197,7 +130,7 @@ func TestCompileErrors(t *testing.T) {
 		},
 		Outputs: []string{"F"},
 	}
-	if _, err := Compile(noModel, StrategyAuto); err == nil {
+	if _, err := Compile(noModel); err == nil {
 		t.Fatal("expected no-model error")
 	}
 	// Normalizer has no tensor translation.
@@ -212,7 +145,7 @@ func TestCompileErrors(t *testing.T) {
 		},
 		Outputs: []string{"score"},
 	}
-	if _, err := Compile(norm, StrategyAuto); err == nil {
+	if _, err := Compile(norm); err == nil {
 		t.Fatal("expected normalizer translation error")
 	}
 }
@@ -242,7 +175,7 @@ func TestConstantFeatureFoldsThroughScaler(t *testing.T) {
 		Outputs: []string{"score"},
 	}
 	batch := data.MustNewTable("d", data.NewFloat("x", []float64{5}))
-	ml, dnn := runBoth(t, p, batch, StrategyAuto)
+	ml, dnn := runBoth(t, p, batch)
 	// (5-1)*2 + (4-2)*3 = 8 + 6 = 14.
 	if math.Abs(ml[0]-14) > 1e-9 || math.Abs(dnn[0]-14) > 1e-4 {
 		t.Fatalf("ml=%v dnn=%v want 14", ml[0], dnn[0])
@@ -261,7 +194,7 @@ func TestLabelEncoderFeature(t *testing.T) {
 		Outputs: []string{"score"},
 	}
 	batch := data.MustNewTable("d", data.NewString("k", []string{"c", "zzz"}))
-	ml, dnn := runBoth(t, p, batch, StrategyAuto)
+	ml, dnn := runBoth(t, p, batch)
 	if ml[0] != 20 || dnn[0] != 20 {
 		t.Fatalf("label encoding: ml=%v dnn=%v", ml[0], dnn[0])
 	}
@@ -283,67 +216,136 @@ func withNonFinite(batch *data.Table, seed int64) *data.Table {
 	return out
 }
 
-// Property: GEMM and TreeTraversal strategies agree with each other on
-// random batches, and with the ML runtime on rows whose features include
-// NaN or ±Inf: a non-finite feature may only steer the nodes that test it.
-func TestQuickStrategiesAgree(t *testing.T) {
-	p := testfix.CovidPipeline()
-	gemmProg, err := Compile(p, StrategyGEMM)
-	if err != nil {
-		t.Fatal(err)
+// randomEnsemble builds a random ensemble over the four numeric inputs
+// x0..x3: 1–60 trees of depth 1–7 whose nodes split with probability 3/4,
+// so sizes range from a single stump to a few thousand nodes. Thresholds
+// lie on gridValue's grid and leaf values are float32-exact, so float32
+// and float64 comparisons take the same branch.
+func randomEnsemble(rng *rand.Rand) *model.Pipeline {
+	algos := []model.Algo{model.DecisionTree, model.RandomForest, model.GradientBoosting}
+	tasks := []model.Task{model.Regression, model.Classification}
+	ens := &model.TreeEnsemble{Name: "m", In: "F", OutScore: "score",
+		Trees: make([]model.Tree, 1+rng.Intn(60)), Task: tasks[rng.Intn(2)],
+		Algo: algos[rng.Intn(3)], BaseScore: float64(float32(rng.NormFloat64())), Features: 4}
+	if ens.Algo == model.DecisionTree {
+		ens.Trees = ens.Trees[:1]
 	}
-	ttProg, err := Compile(p, StrategyTreeTraversal)
-	if err != nil {
-		t.Fatal(err)
+	depth := 1 + rng.Intn(7)
+	var grow func(nodes *[]model.TreeNode, d int) int
+	grow = func(nodes *[]model.TreeNode, d int) int {
+		id := len(*nodes)
+		if d == 0 || (id > 0 && rng.Intn(4) == 0) {
+			*nodes = append(*nodes, model.TreeNode{Feature: -1, Value: float64(float32(rng.Float64()*2 - 1))})
+			return id
+		}
+		*nodes = append(*nodes, model.TreeNode{Feature: rng.Intn(4), Threshold: gridValue(rng)})
+		l := grow(nodes, d-1)
+		r := grow(nodes, d-1)
+		(*nodes)[id].Left, (*nodes)[id].Right = l, r
+		return id
 	}
+	for i := range ens.Trees {
+		var nodes []model.TreeNode
+		grow(&nodes, depth)
+		ens.Trees[i] = model.Tree{Nodes: nodes}
+	}
+	return &model.Pipeline{
+		Name:   "rand",
+		Inputs: []model.Input{{Name: "x0"}, {Name: "x1"}, {Name: "x2"}, {Name: "x3"}},
+		Ops: []model.Operator{
+			&model.Concat{Name: "c", In: []string{"x0", "x1", "x2", "x3"}, Out: "F"},
+			ens,
+		},
+		Outputs: []string{"score"},
+	}
+}
+
+// gridValue draws from the multiples of 1/4 in [−2, 2]: exact in float32,
+// and coarse enough that features often equal a threshold.
+func gridValue(rng *rand.Rand) float64 { return float64(rng.Intn(17)-8) / 4 }
+
+// randomNumericBatch draws x0..x3 from gridValue's grid; every fifth value
+// is NaN, +Inf or −Inf.
+func randomNumericBatch(n int, rng *rand.Rand) *data.Table {
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	cols := make([]*data.Column, 4)
+	for j := range cols {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = gridValue(rng)
+			if rng.Intn(5) == 0 {
+				vals[i] = bad[rng.Intn(len(bad))]
+			}
+		}
+		cols[j] = data.NewFloat(fmt.Sprintf("x%d", j), vals)
+	}
+	return data.MustNewTable("d", cols...)
+}
+
+// agree reports whether the compiled program scores batch like the ML
+// runtime, within float32 rounding of the summed leaf values.
+func agree(t *testing.T, p *model.Pipeline, batch *data.Table, label string) bool {
+	t.Helper()
 	sess, err := mlruntime.NewSession(p)
 	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(seed int64) bool {
-		batch := randomCovidBatch(23, seed)
-		g, _, err := gemmProg.Run(batch)
-		if err != nil {
-			return false
-		}
-		tt, _, err := ttProg.Run(batch)
-		if err != nil {
-			return false
-		}
-		for i := range g.Score {
-			if math.Abs(g.Score[i]-tt.Score[i]) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+		return false
 	}
+	ml, err := sess.RunTable(batch)
+	if err != nil {
+		t.Error(err)
+		return false
+	}
+	prog, err := Compile(p)
+	if err != nil {
+		t.Error(err)
+		return false
+	}
+	got, _, err := prog.Run(batch)
+	if err != nil {
+		t.Error(err)
+		return false
+	}
+	for i, want := range ml["score"].Block.Data {
+		if math.Abs(got.Score[i]-want) > 1e-5*math.Max(1, math.Abs(want)) {
+			t.Logf("%s row %d: runtime=%v program=%v", label, i, want, got.Score[i])
+			return false
+		}
+	}
+	return true
+}
+
+// Property: the compiled program agrees with the ML runtime on the covid
+// pipeline and on random ensembles, small (at most 512 nodes) and large
+// alike, including on rows whose features are NaN or ±Inf: a non-finite
+// feature may only steer the nodes that test it.
+func TestQuickStrategiesAgree(t *testing.T) {
+	covid := testfix.CovidPipeline()
 	nonFinite := func(seed int64) bool {
-		batch := withNonFinite(randomCovidBatch(64, seed), seed)
-		ml, err := sess.RunTable(batch)
-		if err != nil {
-			return false
-		}
-		g, _, err := gemmProg.Run(batch)
-		if err != nil {
-			return false
-		}
-		tt, _, err := ttProg.Run(batch)
-		if err != nil {
-			return false
-		}
-		for i, want := range ml["score"].Block.Data {
-			if math.Abs(g.Score[i]-want) > 1e-5 || math.Abs(tt.Score[i]-want) > 1e-5 {
-				t.Logf("seed %d row %d: runtime=%v gemm=%v tt=%v", seed, i, want, g.Score[i], tt.Score[i])
-				return false
-			}
-		}
-		return true
+		return agree(t, covid, withNonFinite(randomCovidBatch(64, seed), seed), fmt.Sprintf("covid seed %d", seed))
 	}
 	if err := quick.Check(nonFinite, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+	small, large := 0, 0
+	random := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomEnsemble(rng)
+		nodes := 0
+		for _, tr := range p.FinalModel().(*model.TreeEnsemble).Trees {
+			nodes += len(tr.Nodes)
+		}
+		if nodes <= 512 {
+			small++
+		} else {
+			large++
+		}
+		return agree(t, p, randomNumericBatch(1+rng.Intn(100), rng), fmt.Sprintf("ensemble seed %d", seed))
+	}
+	if err := quick.Check(random, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	} else if small == 0 || large == 0 {
+		t.Errorf("generated %d ensembles of at most 512 nodes and %d larger; want both", small, large)
 	}
 }
 
@@ -357,7 +359,7 @@ func TestLabelsMatchRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(p, StrategyAuto)
+	prog, err := Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}

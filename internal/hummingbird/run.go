@@ -59,8 +59,6 @@ func (p *Program) Run(batch *data.Table) (*Output, *CostLog, error) {
 	switch {
 	case p.linW != nil:
 		scores, err = p.runLinear(x, log)
-	case p.gemm != nil:
-		scores, err = p.runGEMM(x, log)
 	case p.tt != nil:
 		scores = p.runTT(x, log)
 	default:
@@ -160,48 +158,6 @@ func (p *Program) runLinear(x *tensor.Mat, log *CostLog) (*tensor.Mat, error) {
 	return y, nil
 }
 
-func (p *Program) runGEMM(x *tensor.Mat, log *CostLog) (*tensor.Mat, error) {
-	g := p.gemm
-	// T = 1[X·A <= B]. A is one-hot, so X·A only selects X[r, feat(i)]
-	// for internal node i: gather it instead of multiplying, because a
-	// NaN or ±Inf feature times A's zeros would poison every node (x·0 is
-	// NaN) rather than only the nodes that test it. The log still prices
-	// the dense GEMM of the formulation.
-	t := tensor.New(x.Rows, g.internal)
-	for r := 0; r < x.Rows; r++ {
-		row, dst := x.Row(r), t.Row(r)
-		for i, f := range g.feat {
-			if row[f] <= g.b[i] {
-				dst[i] = 1
-			}
-		}
-	}
-	log.Kernels += 2
-	log.GEMMFlops += tensor.FLOPs(x.Rows, x.Cols, g.internal)
-	log.GatherElems += int64(t.Rows * t.Cols)
-	cm := &tensor.Mat{Rows: g.internal, Cols: g.leaves, Data: g.c}
-	pm, err := tensor.MatMul(t, cm)
-	if err != nil {
-		return nil, err
-	}
-	log.AddKernel()
-	log.GEMMFlops += tensor.FLOPs(t.Rows, t.Cols, g.leaves)
-	pm, err = tensor.EqBroadcast(pm, g.d)
-	if err != nil {
-		return nil, err
-	}
-	log.AddKernel()
-	log.GatherElems += int64(pm.Rows * pm.Cols)
-	em := &tensor.Mat{Rows: g.leaves, Cols: 1, Data: g.e}
-	y, err := tensor.MatMul(pm, em)
-	if err != nil {
-		return nil, err
-	}
-	log.AddKernel()
-	log.GEMMFlops += tensor.FLOPs(pm.Rows, pm.Cols, 1)
-	return y, nil
-}
-
 // runTT evaluates all trees with the vectorized traversal loop: every
 // (row, tree) pair walks one level per iteration via gathers.
 func (p *Program) runTT(x *tensor.Mat, log *CostLog) *tensor.Mat {
@@ -246,9 +202,5 @@ func (p *Program) runTT(x *tensor.Mat, log *CostLog) *tensor.Mat {
 	}
 	log.AddKernel()
 	log.GatherElems += int64(n * nt)
-	if p.algo == model.DecisionTree {
-		// Single tree: sum over one tree is the leaf value already.
-		return y
-	}
 	return y
 }

@@ -221,7 +221,7 @@ func Measure(c *Case) (*strategy.Example, error) {
 	}
 
 	// Option 3: MLtoDNN (tensor program on CPU).
-	prog, err := hummingbird.Compile(c.Pipeline, hummingbird.StrategyAuto)
+	prog, err := hummingbird.Compile(c.Pipeline)
 	if err != nil {
 		ex.Runtimes[opt.ChoiceDNN] = math.Inf(1)
 	} else {

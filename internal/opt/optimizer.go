@@ -248,7 +248,7 @@ func (o *Optimizer) selectRuntime(n *ir.Node, rep *Report) error {
 		}
 		rep.fire("MLtoSQL")
 	case ChoiceDNN:
-		if _, err := hummingbird.Compile(n.Pipeline, hummingbird.StrategyAuto); err != nil {
+		if _, err := hummingbird.Compile(n.Pipeline); err != nil {
 			rep.Notes = append(rep.Notes, "MLtoDNN failed: "+err.Error())
 			choice = ChoiceNone
 			break

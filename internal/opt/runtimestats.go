@@ -51,19 +51,14 @@ const DefaultReoptFactor = 2.0
 // It implements relational.AdaptiveContext, so the relational operators
 // can record into it without importing this package.
 type RuntimeStats struct {
-	// Factor is the re-cost trigger threshold; 0 means
-	// DefaultReoptFactor.
-	Factor float64
-
 	mu       sync.Mutex
 	obs      []Observation
 	switches []Switch
 }
 
-// NewRuntimeStats returns an empty per-query stats collector with the
-// given trigger factor (0 selects DefaultReoptFactor).
-func NewRuntimeStats(factor float64) *RuntimeStats {
-	return &RuntimeStats{Factor: factor}
+// NewRuntimeStats returns an empty per-query stats collector.
+func NewRuntimeStats() *RuntimeStats {
+	return &RuntimeStats{}
 }
 
 // ObserveCardinality records a true cardinality seen at a breaker.
@@ -98,17 +93,9 @@ func (rs *RuntimeStats) Switches() []Switch {
 	return out
 }
 
-// triggerFactor resolves the configured trigger.
-func (rs *RuntimeStats) triggerFactor() float64 {
-	if rs.Factor > 0 {
-		return rs.Factor
-	}
-	return DefaultReoptFactor
-}
-
 // Reoptimize scales a downstream plan-time estimate by the observed
-// misestimation so far and reports whether the accumulated error crosses
-// the trigger factor. The scaling multiplies the estimate by each
+// misestimation so far and reports whether some observation is off by
+// DefaultReoptFactor. The scaling multiplies the estimate by each
 // observation's observed/estimated ratio: under the foreign-key join
 // assumption a build side that kept fraction f of its estimated rows
 // shrinks the probe output (and everything above it) by the same f, so
@@ -121,14 +108,13 @@ func (rs *RuntimeStats) Reoptimize(est float64) (adj float64, trigger bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	adj = est
-	threshold := rs.triggerFactor()
 	for _, o := range rs.obs {
 		if !cardinalityPoint(o.Point) {
 			continue
 		}
 		r := ratio(o.Observed, o.Estimated)
 		adj *= r
-		if r >= threshold || 1/r >= threshold {
+		if r >= DefaultReoptFactor || 1/r >= DefaultReoptFactor {
 			trigger = true
 		}
 	}

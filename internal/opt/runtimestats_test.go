@@ -26,7 +26,7 @@ func TestCardinalityPoint(t *testing.T) {
 }
 
 func TestReoptimizeSkipsNonCardinalityPoints(t *testing.T) {
-	rs := NewRuntimeStats(0)
+	rs := NewRuntimeStats()
 	// A limit-truncated sort merge: 1000 rows estimated, the merge only
 	// saw the top 10 because every per-worker run was cut at the limit.
 	rs.ObserveCardinality("sort_merge_truncated", 1000, 10)

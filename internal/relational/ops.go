@@ -735,63 +735,6 @@ func (a *Aggregate) Stats() *OpStats { return &a.stats }
 // Children returns the single child.
 func (a *Aggregate) Children() []Operator { return []Operator{a.Child} }
 
-// Materialize drains its child into memory at Open and then streams the
-// buffered rows. The MADlib profile inserts these between featurization
-// steps, reproducing MADlib's forced materialization.
-type Materialize struct {
-	Child Operator
-
-	stats OpStats
-	buf   *data.Table
-	pos   int
-}
-
-// materializeBatch is the row count of the batches Materialize streams.
-const materializeBatch = 10000
-
-// Columns returns the child's columns.
-func (m *Materialize) Columns() []string { return m.Child.Columns() }
-
-// Open drains the child into the buffer. On error the already-opened
-// child is closed here: Drain does not Close a tree whose Open failed, so
-// a failing Open must not strand child resources.
-func (m *Materialize) Open(env *Env) error {
-	m.stats = OpStats{Name: "Materialize"}
-	defer startTimer(&m.stats)()
-	if err := m.Child.Open(env); err != nil {
-		return err
-	}
-	m.pos = 0
-	var err error
-	if m.buf, err = drainConcat(env.orZero().Ctx, m.Child, false); err != nil {
-		m.Child.Close()
-	}
-	return err
-}
-
-// Next streams the buffered rows.
-func (m *Materialize) Next() (*data.Table, error) {
-	defer startTimer(&m.stats)()
-	if m.buf == nil || m.pos >= m.buf.NumRows() {
-		return nil, nil
-	}
-	hi := min(m.pos+materializeBatch, m.buf.NumRows())
-	out := m.buf.Slice(m.pos, hi)
-	m.pos = hi
-	m.stats.Rows += int64(out.NumRows())
-	m.stats.Batches++
-	return out, nil
-}
-
-// Close closes the child.
-func (m *Materialize) Close() error { return m.Child.Close() }
-
-// Stats returns the materialize statistics.
-func (m *Materialize) Stats() *OpStats { return &m.stats }
-
-// Children returns the single child.
-func (m *Materialize) Children() []Operator { return []Operator{m.Child} }
-
 // Union streams its children one after another (used to stitch
 // per-partition plans together).
 type Union struct {

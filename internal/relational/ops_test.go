@@ -257,20 +257,6 @@ func TestAggregateOp(t *testing.T) {
 	}
 }
 
-func TestMaterializeOp(t *testing.T) {
-	m := &Materialize{Child: scanFixture(2)}
-	out, err := Drain(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 5 {
-		t.Fatalf("rows = %d", out.NumRows())
-	}
-	if m.Stats().Rows != 5 {
-		t.Fatalf("materialize stats = %+v", m.Stats())
-	}
-}
-
 func TestUnionOp(t *testing.T) {
 	u := &Union{Inputs: []Operator{scanFixture(2), scanFixture(3)}}
 	out, err := Drain(u)

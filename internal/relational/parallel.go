@@ -152,26 +152,45 @@ func (s *Scan) MorselBatch(m Morsel, cache *data.ChunkCache, st *OpStats) (*data
 	return s.readBatch(m.Part, m.Lo, m.Hi, cache, st)
 }
 
-// batchSource is the leaf of a worker chain: it yields exactly the batch
-// the worker loaded for the current morsel, then reports end-of-stream so
-// the chain drains per morsel.
-type batchSource struct {
-	cols  []string
-	batch *data.Table
-	stats OpStats
+// BatchSource is a single-batch leaf: it yields the batch last handed to
+// Load, then reports end-of-stream until reloaded. Each exchange worker
+// chain reads its morsels through one, and the engine's adaptive predict
+// operator its child's batches.
+type BatchSource struct {
+	cols   []string
+	schema data.Schema
+	typed  bool
+	batch  *data.Table
+	stats  OpStats
 }
 
-func (b *batchSource) Columns() []string    { return b.cols }
-func (b *batchSource) Open(*Env) error      { return nil }
-func (b *batchSource) Close() error         { return nil }
-func (b *batchSource) Stats() *OpStats      { return &b.stats }
-func (b *batchSource) Children() []Operator { return nil }
-func (b *batchSource) reset(t *data.Table)  { b.batch = t }
-func (b *batchSource) Next() (*data.Table, error) {
+// NewBatchSource returns an empty leaf standing in for op: it reports op's
+// columns and, when derivable, op's schema, so typed empty results
+// survive the indirection.
+func NewBatchSource(op Operator) *BatchSource {
+	b := &BatchSource{cols: op.Columns()}
+	b.schema, b.typed = SchemaOf(op)
+	return b
+}
+
+func (b *BatchSource) Columns() []string    { return b.cols }
+func (b *BatchSource) Open(*Env) error      { return nil }
+func (b *BatchSource) Close() error         { return nil }
+func (b *BatchSource) Stats() *OpStats      { return &b.stats }
+func (b *BatchSource) Children() []Operator { return nil }
+
+// Load sets the batch the next Next call yields.
+func (b *BatchSource) Load(t *data.Table) { b.batch = t }
+
+// Next yields the loaded batch once.
+func (b *BatchSource) Next() (*data.Table, error) {
 	t := b.batch
 	b.batch = nil
 	return t, nil
 }
+
+// OutputSchema implements SchemaProvider.
+func (b *BatchSource) OutputSchema() (data.Schema, bool) { return b.schema, b.typed }
 
 // seqBatch is a worker result tagged with its morsel sequence number; nil
 // tables mark morsels the chain filtered out entirely.
@@ -206,7 +225,7 @@ func tasksOf(morsels []Morsel) []task {
 // plus private scan statistics.
 type worker struct {
 	root      Operator
-	src       *batchSource
+	src       *BatchSource
 	clones    []Operator // aligned with Exchange.chain (root-first)
 	scanStats OpStats
 }
@@ -377,7 +396,7 @@ func (e *Exchange) Open(env *Env) error {
 		return err
 	}
 	for i := 0; i < dop; i++ {
-		w := &worker{src: &batchSource{cols: e.scan.Columns()}}
+		w := &worker{src: &BatchSource{cols: e.scan.Columns()}}
 		w.scanStats = OpStats{Name: e.scan.stats.Name}
 		var op Operator = w.src
 		w.clones = make([]Operator, len(e.chain))
@@ -485,7 +504,7 @@ func (e *Exchange) execMorsel(w *worker, m Morsel, cache *data.ChunkCache) (*dat
 	if err != nil {
 		return nil, err
 	}
-	w.src.reset(batch)
+	w.src.Load(batch)
 	return drainConcat(nil, w.root, false)
 }
 
@@ -741,8 +760,6 @@ func rewrite(op Operator, c rwConf) (Operator, error) {
 		// LIMIT consumes the morsel-ordered batch stream serially; the
 		// cutoff is deterministic because that stream equals the serial
 		// one.
-		o.Child, err = rewrite(o.Child, c)
-	case *Materialize:
 		o.Child, err = rewrite(o.Child, c)
 	case *Union:
 		for i, in := range o.Inputs {

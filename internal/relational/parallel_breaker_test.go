@@ -364,11 +364,11 @@ func TestJoinBuildTypedIndexes(t *testing.T) {
 func TestScanOfMalformedSegment(t *testing.T) {
 	// A chain whose leaf is not a Scan must yield an error, not a panic
 	// (scanOf used to dereference Children()[0] unconditionally).
-	bad := &Filter{Child: &batchSource{}, Pred: Num(1)}
+	bad := &Filter{Child: &BatchSource{}, Pred: Num(1)}
 	if _, err := scanOf(bad); err == nil || !strings.Contains(err.Error(), "not a Scan") {
 		t.Fatalf("want leaf error, got %v", err)
 	}
-	if _, err := scanOf(&batchSource{}); err == nil {
+	if _, err := scanOf(&BatchSource{}); err == nil {
 		t.Fatal("want error for scan-less leaf")
 	}
 	// A cyclic chain terminates with a depth error instead of spinning.

@@ -60,8 +60,6 @@ func SchemaOf(op Operator) (data.Schema, bool) {
 		return SchemaOf(o.Child)
 	case *Limit:
 		return SchemaOf(o.Child)
-	case *Materialize:
-		return SchemaOf(o.Child)
 	case *Union:
 		if len(o.Inputs) == 0 {
 			return nil, false

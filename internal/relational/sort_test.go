@@ -334,13 +334,13 @@ func TestPartialSortSingleRowNoAlloc(t *testing.T) {
 	tbl := data.DictEncodeTable(data.MustNewTable("one",
 		data.NewString("s", []string{"x"}), data.NewFloat("f", []float64{3})))
 	batch := tbl.Slice(0, 1)
-	src := &batchSource{cols: []string{"s", "f"}}
+	src := &BatchSource{cols: []string{"s", "f"}}
 	ps := &PartialSort{Child: src, Keys: []SortKey{{Col: "s"}, {Col: "f", Desc: true}}, Limit: -1}
 	if err := ps.Open(nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		src.reset(batch)
+		src.Load(batch)
 		out, err := ps.Next()
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package tensor implements the dense float32 tensor substrate used by
-// the MLtoDNN path: row-major matrices with GEMM, broadcast comparisons
-// and elementwise math — the operator vocabulary DNN runtimes execute.
+// the MLtoDNN path: row-major matrices with GEMM and elementwise math —
+// the operator vocabulary DNN runtimes execute.
 // float32 is deliberate: it matches GPU inference precision, so the
 // rounding behaviour of translated models mirrors the paper's §7.4
 // accuracy study.
@@ -22,30 +22,11 @@ func New(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromFloat64 builds a matrix from a row-major float64 slice.
-func FromFloat64(rows, cols int, vals []float64) *Mat {
-	m := New(rows, cols)
-	for i, v := range vals {
-		m.Data[i] = float32(v)
-	}
-	return m
-}
-
 // Row returns the r-th row slice.
 func (m *Mat) Row(r int) []float32 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
-// At returns element (r, c).
-func (m *Mat) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
-
 // Set assigns element (r, c).
 func (m *Mat) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
-
-// Clone deep-copies the matrix.
-func (m *Mat) Clone() *Mat {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // MatMul computes a·b with a blocked inner loop (ikj order for cache
 // friendliness). Panics on shape mismatch are avoided by returning an
@@ -66,24 +47,6 @@ func MatMul(a, b *Mat) (*Mat, error) {
 			brow := b.Row(k)
 			for j, bv := range brow {
 				orow[j] += av * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// EqBroadcast returns 0/1 indicator of m[r,c] == row[c].
-func EqBroadcast(m *Mat, row []float32) (*Mat, error) {
-	if len(row) != m.Cols {
-		return nil, fmt.Errorf("tensor: broadcast width %d vs %d", len(row), m.Cols)
-	}
-	out := New(m.Rows, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		src := m.Row(r)
-		dst := out.Row(r)
-		for c, v := range src {
-			if v == row[c] {
-				dst[c] = 1
 			}
 		}
 	}
@@ -134,7 +97,7 @@ func (m *Mat) Threshold(t float32) *Mat {
 func (m *Mat) Float64Col(c int) []float64 {
 	out := make([]float64, m.Rows)
 	for r := 0; r < m.Rows; r++ {
-		out[r] = float64(m.At(r, c))
+		out[r] = float64(m.Data[r*m.Cols+c])
 	}
 	return out
 }
