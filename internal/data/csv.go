@@ -249,17 +249,14 @@ func encodeCSVBlock(h string, typ Type, recs [][]string, j int, db *dictBuilder,
 	default:
 		// Dict codes are packed directly: the dictionary is still growing,
 		// so EncodeColumn (which wants a frozen *Dictionary) does not apply.
-		codes := make([]uint64, n)
-		var maxCode uint64
+		codes := make([]int32, n)
 		for i, rec := range recs {
-			code := uint64(db.code(rec[j]))
-			codes[i] = code
-			if code > maxCode {
-				maxCode = code
-			}
+			codes[i] = db.code(rec[j])
 		}
-		m := BlockMeta{Name: h, Type: String, Rows: n, Enc: EncDictCodes, Width: bitsFor(maxCode)}
-		return ColumnBlock{Meta: m, Data: packUints(codes, m.Width)}, nil
+		m := BlockMeta{Name: h, Type: String, Rows: n, Enc: EncDictCodes}
+		var raw []byte
+		m.Width, raw = packCodes(codes)
+		return ColumnBlock{Meta: m, Data: raw}, nil
 	}
 	m, raw, err := EncodeColumn(c)
 	if err != nil {

@@ -29,7 +29,13 @@
 // frame-of-reference bit-packed integers (a constant column packs to
 // width 0 with an empty payload), dict codes, packed bools, raw
 // float bits, length-prefixed strings, plus an optional null bitmap.
-// BlockMeta keeps the live *Dictionary pointer — metadata never hits
+// Bit-packed values move one 64-bit word at a time: each is ORed into,
+// and read back from, the little-endian window at its first byte, and
+// decoding writes straight into the column's []int64 or []int32 — so a
+// block decodes at memory speed and any row of it is at a computable
+// offset. DecodeColumn validates every block (row count, width, payload
+// and null-bitmap lengths) first, so an inconsistent block is an error,
+// not a panic. BlockMeta keeps the live *Dictionary pointer — metadata never hits
 // disk — so decoded columns share the original dictionary by pointer
 // identity and stay on every dict fast path. ChunkedTable/ChunkedBuilder/
 // ChunkReader store tables as per-chunk encoded blocks. A ChunkView is

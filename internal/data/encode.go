@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Compressed column-block encoding — the storage format shared by the
@@ -32,6 +33,14 @@ import (
 // no null representation, so EncodeColumn emits all-valid blocks; the
 // bitmap exists for loaders (ReadCSVChunked maps empty numeric CSV fields
 // to nulls) and round-trips through the format.
+//
+// Bit-packed payloads are LSB-first streams of exactly
+// ceil(rows·width/8) bytes, moved a 64-bit word per value: packUints ORs
+// each value into the little-endian window at its first byte and
+// unpackUints reads it back from the same window, writing straight into
+// the column's []int64 or []int32. DecodeColumn validates a block before
+// decoding it — row count, width, payload and bitmap lengths — so a short
+// or inconsistent block is an error, never an out-of-range index.
 
 // Encoding identifies the physical encoding of one column block.
 type Encoding uint8
@@ -93,27 +102,14 @@ func EncodeColumn(c *Column) (BlockMeta, []byte, error) {
 		m.Min = lo
 		// Two's-complement subtraction in uint64 gives the true
 		// non-negative delta for any int64 pair with hi >= lo.
-		m.Width = bitsFor(uint64(hi) - uint64(lo))
-		deltas := make([]uint64, len(c.I64))
-		for i, v := range c.I64 {
-			deltas[i] = uint64(v) - uint64(lo)
-		}
-		return m, packUints(deltas, m.Width), nil
+		m.Width = uint8(bits.Len64(uint64(hi) - uint64(lo)))
+		return m, packUints(c.I64, m.Width, uint64(lo)), nil
 	case c.IsDict():
 		m.Enc = EncDictCodes
 		m.Dict = c.Dict
-		var maxCode uint64
-		for _, code := range c.Codes {
-			if uint64(code) > maxCode {
-				maxCode = uint64(code)
-			}
-		}
-		m.Width = bitsFor(maxCode)
-		codes := make([]uint64, len(c.Codes))
-		for i, code := range c.Codes {
-			codes[i] = uint64(code)
-		}
-		return m, packUints(codes, m.Width), nil
+		var raw []byte
+		m.Width, raw = packCodes(c.Codes)
+		return m, raw, nil
 	case c.Type == Bool:
 		m.Enc = EncBits
 		return m, PackBits(c.B), nil
@@ -139,39 +135,36 @@ func EncodeColumn(c *Column) (BlockMeta, []byte, error) {
 // DecodeColumn decodes a block back into a column identical to the one
 // encoded: same type, same values, same representation (dictionary blocks
 // decode to codes over the same shared *Dictionary). Rows the validity
-// bitmap marks absent decode to the type's zero value.
+// bitmap marks absent decode to the type's zero value. A block whose
+// metadata and payload disagree is an error.
 func DecodeColumn(m BlockMeta, raw []byte) (*Column, error) {
+	if err := checkBlock(m, raw); err != nil {
+		return nil, err
+	}
 	c := &Column{Name: m.Name, Type: m.Type}
 	switch m.Enc {
 	case EncIntFOR:
 		c.I64 = make([]int64, m.Rows)
-		if m.Rows == 0 {
-			return c, nil
-		}
-		deltas := unpackUints(raw, m.Rows, m.Width)
-		for i, d := range deltas {
-			c.I64[i] = int64(uint64(m.Min) + d)
-		}
+		unpackUints(c.I64, raw, m.Width, uint64(m.Min))
 	case EncDictCodes:
 		if m.Dict == nil {
 			return nil, fmt.Errorf("data: dict-coded block %q lacks its dictionary", m.Name)
 		}
 		c.Dict = m.Dict
 		c.Codes = make([]int32, m.Rows)
-		codes := unpackUints(raw, m.Rows, m.Width)
-		limit := uint64(m.Dict.Len())
-		for i, code := range codes {
-			if code >= limit {
-				return nil, fmt.Errorf("data: block %q row %d: code %d outside dictionary of %d", m.Name, i, code, limit)
+		unpackUints(c.Codes, raw, m.Width, 0)
+		// Width-w codes are below 1<<w, so only a dictionary smaller than
+		// that can be overrun.
+		if limit := uint64(m.Dict.Len()); 1<<m.Width > limit {
+			for i, code := range c.Codes {
+				if uint64(uint32(code)) >= limit {
+					return nil, fmt.Errorf("data: block %q row %d: code %d outside dictionary of %d", m.Name, i, uint32(code), limit)
+				}
 			}
-			c.Codes[i] = int32(code)
 		}
 	case EncBits:
 		c.B = UnpackBits(raw, m.Rows)
 	case EncRawFloat:
-		if len(raw) < 8*m.Rows {
-			return nil, fmt.Errorf("data: float block %q: %d bytes for %d rows", m.Name, len(raw), m.Rows)
-		}
 		c.F64 = make([]float64, m.Rows)
 		for i := range c.F64 {
 			c.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
@@ -219,54 +212,132 @@ func zeroInvalid(c *Column, valid []byte) {
 	}
 }
 
-// bitsFor returns the number of bits needed to represent x (0 for x == 0,
-// the constant-block case).
-func bitsFor(x uint64) uint8 {
-	var n uint8
-	for x != 0 {
-		n++
-		x >>= 1
+// checkBlock rejects a block whose metadata and payload disagree before
+// any decoder indexes into them: a non-negative row count, a width the
+// encoding can hold, a payload no shorter than the rows need (a raw
+// string row needs at least its one-byte length) and a validity bitmap
+// covering every row. Only payload lengths are ever multiplied, never
+// the row count, so no row count can overflow the comparisons.
+func checkBlock(m BlockMeta, raw []byte) error {
+	if m.Rows < 0 {
+		return fmt.Errorf("data: block %q: negative row count %d", m.Name, m.Rows)
 	}
-	return n
+	if m.Valid != nil && m.Rows > 8*len(m.Valid) {
+		return fmt.Errorf("data: block %q: %d-byte validity bitmap for %d rows", m.Name, len(m.Valid), m.Rows)
+	}
+	short := false
+	switch m.Enc {
+	case EncIntFOR, EncDictCodes:
+		maxWidth := 64
+		if m.Enc == EncDictCodes {
+			maxWidth = 32
+		}
+		if int(m.Width) > maxWidth {
+			return fmt.Errorf("data: block %q: width %d exceeds %d", m.Name, m.Width, maxWidth)
+		}
+		short = m.Width > 0 && m.Rows > 8*len(raw)/int(m.Width)
+	case EncBits:
+		short = m.Rows > 8*len(raw)
+	case EncRawFloat:
+		short = m.Rows > len(raw)/8
+	case EncRawString:
+		short = m.Rows > len(raw)
+	}
+	if short {
+		return fmt.Errorf("data: block %q: %d bytes for %d rows at width %d", m.Name, len(raw), m.Rows, m.Width)
+	}
+	return nil
 }
 
-// packUints packs vals at the given bit width into a little-endian
-// LSB-first bit stream. Width 0 packs nothing (all values are zero).
-func packUints(vals []uint64, width uint8) []byte {
+// packCodes bit-packs dictionary codes at the width of the largest one.
+func packCodes(codes []int32) (uint8, []byte) {
+	var maxCode int32
+	for _, code := range codes {
+		maxCode = max(maxCode, code)
+	}
+	width := uint8(bits.Len32(uint32(maxCode)))
+	return width, packUints(codes, width, 0)
+}
+
+// packUints packs the width-bit values uint64(v)-base of src into an
+// LSB-first bit stream of exactly ceil(len(src)·width/8) bytes. Width 0
+// packs nothing (every value equals base).
+func packUints[T int64 | int32](src []T, width uint8, base uint64) []byte {
 	if width == 0 {
 		return nil
 	}
-	out := make([]byte, (len(vals)*int(width)+7)/8)
-	bit := 0
-	for _, v := range vals {
-		for b := 0; b < int(width); b++ {
-			if v&(1<<b) != 0 {
-				out[bit>>3] |= 1 << (bit & 7)
-			}
-			bit++
-		}
+	out := make([]byte, (len(src)*int(width)+7)/8)
+	i, bit := packWindows(out, src, 0, width, base)
+	if i < len(src) {
+		// Fewer than 9 bytes remain: finish in a zero-padded copy that
+		// holds every remaining value's window.
+		var pad [17]byte
+		p := bit >> 3
+		copy(pad[:], out[p:])
+		packWindows(pad[:], src[i:], bit&7, width, base)
+		copy(out[p:], pad[:])
 	}
 	return out
 }
 
-// unpackUints reverses packUints for n values.
-func unpackUints(raw []byte, n int, width uint8) []uint64 {
-	out := make([]uint64, n)
-	if width == 0 {
-		return out
-	}
-	bit := 0
-	for i := range out {
-		var v uint64
-		for b := 0; b < int(width); b++ {
-			if raw[bit>>3]&(1<<(bit&7)) != 0 {
-				v |= 1 << b
-			}
-			bit++
+// packWindows packs src starting at bit offset bit of out, one 64-bit
+// window per value: the value is ORed in at bit&7 of the little-endian
+// word at byte bit>>3, and when (bit&7)+width > 64 its high bits go into
+// the ninth byte. It stops before the first value whose 9-byte window
+// would leave out, returning how many values it packed and the bit
+// offset it reached.
+func packWindows[T int64 | int32](out []byte, src []T, bit uint, width uint8, base uint64) (int, uint) {
+	w := uint(width)
+	mask := uint64(1)<<w - 1
+	for i, x := range src {
+		p, s := bit>>3, bit&7
+		if p+9 > uint(len(out)) {
+			return i, bit
 		}
-		out[i] = v
+		v := (uint64(x) - base) & mask
+		win := out[p : p+8]
+		binary.LittleEndian.PutUint64(win, binary.LittleEndian.Uint64(win)|v<<s)
+		if s+w > 64 {
+			out[p+8] |= byte(v >> (64 - s))
+		}
+		bit += w
 	}
-	return out
+	return len(src), bit
+}
+
+// unpackUints reverses packUints into dst: len(dst) width-bit values, each
+// plus base. raw must hold ceil(len(dst)·width/8) bytes (checkBlock);
+// width 0 needs none and fills dst with base.
+func unpackUints[T int64 | int32](dst []T, raw []byte, width uint8, base uint64) {
+	i, bit := unpackWindows(dst, raw, 0, width, base)
+	if i < len(dst) {
+		// Fewer than 9 bytes remain: finish from a zero-padded copy that
+		// holds every remaining value's window.
+		var pad [17]byte
+		copy(pad[:], raw[bit>>3:])
+		unpackWindows(dst[i:], pad[:], bit&7, width, base)
+	}
+}
+
+// unpackWindows is packWindows' inverse: each value is the little-endian
+// word at byte bit>>3 shifted right by bit&7, ORed with the ninth byte
+// when (bit&7)+width > 64, masked to width.
+func unpackWindows[T int64 | int32](dst []T, raw []byte, bit uint, width uint8, base uint64) (int, uint) {
+	w := uint(width)
+	mask := uint64(1)<<w - 1
+	for i := range dst {
+		p, s := bit>>3, bit&7
+		if p+9 > uint(len(raw)) {
+			return i, bit
+		}
+		v := binary.LittleEndian.Uint64(raw[p:]) >> s
+		if s+w > 64 {
+			v |= uint64(raw[p+8]) << (64 - s)
+		}
+		dst[i] = T(base + v&mask)
+		bit += w
+	}
+	return len(dst), bit
 }
 
 // PackBits packs a bool slice one bit per entry, LSB-first — the shared
