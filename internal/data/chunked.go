@@ -32,7 +32,7 @@ type Chunk struct {
 // blocks are decoded.
 func (ch *Chunk) Decode(name string, names []string) (*Table, error) {
 	if names == nil {
-		return ch.decode(name, nil)
+		return ch.decode(name, nil, nil, nil)
 	}
 	idx := make([]int, len(names))
 	for j, n := range names {
@@ -47,12 +47,15 @@ func (ch *Chunk) Decode(name string, names []string) (*Table, error) {
 			return nil, fmt.Errorf("data: chunk of %q has no column %q", name, n)
 		}
 	}
-	return ch.decode(name, idx)
+	return ch.decode(name, idx, nil, nil)
 }
 
 // decode materializes the blocks at the given indexes, in that order (nil
-// = every block).
-func (ch *Chunk) decode(name string, idx []int) (*Table, error) {
+// = every block): every row when pos is nil, otherwise only the rows at
+// pos (DecodeColumnAt). When every row is wanted, a block whose entry in
+// have (indexed by block; nil = none) holds its decoded column is taken
+// from there instead of being decoded again.
+func (ch *Chunk) decode(name string, idx []int, pos []int32, have []*Column) (*Table, error) {
 	t, err := NewTable(name)
 	if err != nil {
 		return nil, err
@@ -62,13 +65,24 @@ func (ch *Chunk) decode(name string, idx []int) (*Table, error) {
 		n = len(ch.Blocks)
 	}
 	for j := 0; j < n; j++ {
-		blk := &ch.Blocks[j]
+		bi := j
 		if idx != nil {
-			blk = &ch.Blocks[idx[j]]
+			bi = idx[j]
 		}
-		c, err := DecodeColumn(blk.Meta, blk.Data)
-		if err != nil {
-			return nil, err
+		var c *Column
+		if pos == nil && have != nil {
+			c = have[bi]
+		}
+		if c == nil {
+			blk := &ch.Blocks[bi]
+			if pos == nil {
+				c, err = DecodeColumn(blk.Meta, blk.Data)
+			} else {
+				c, err = DecodeColumnAt(blk.Meta, blk.Data, pos)
+			}
+			if err != nil {
+				return nil, err
+			}
 		}
 		if err := t.AddColumn(c); err != nil {
 			return nil, err
@@ -161,12 +175,14 @@ func (ct *ChunkedTable) rowOffsets() []int {
 
 // ChunkCache memoizes the most recently decoded chunk for one sequential
 // consumer, so a walk forward decodes each chunk once, and counts the
-// decodes it could not avoid. It is not safe for concurrent use: parallel
-// consumers each hold their own cache, and a cache must always be used
-// with the same table and column set.
+// decodes it could not avoid. Under a view with a row filter it holds the
+// chunk's selection too: the selected rows, decoded, and their positions.
+// It is not safe for concurrent use: parallel consumers each hold their
+// own cache, and a cache must always be used with the same view.
 type ChunkCache struct {
 	idx     int
-	t       *Table
+	t       *Table  // the decoded chunk, or its selected rows; nil when none are
+	sel     []int32 // positions of t's rows within the chunk; nil = every row
 	decodes int
 }
 
@@ -176,48 +192,104 @@ func NewChunkCache() *ChunkCache { return &ChunkCache{idx: -1} }
 // Decodes returns how many chunks were decoded through the cache.
 func (c *ChunkCache) Decodes() int { return c.decodes }
 
-func (ct *ChunkedTable) decodeChunk(i int, idx []int, cache *ChunkCache) (*Table, error) {
-	if cache != nil && cache.idx == i && cache.t != nil {
-		return cache.t, nil
-	}
-	dec, err := ct.chunks[i].decode(ct.Name, idx)
-	if err != nil {
-		return nil, err
-	}
-	if cache != nil {
-		cache.idx, cache.t = i, dec
-		cache.decodes++
-	}
-	return dec, nil
+// RowFilter narrows a view from live chunks to the rows within them that
+// a scan keeps. Cols are the columns Select reads; they are decoded in
+// full once per chunk, and Select returns the ascending positions of the
+// chunk's rows to keep. Only those rows of the view's columns are decoded.
+type RowFilter struct {
+	Cols   []string
+	Select func(pred *Table) ([]int32, error)
 }
 
 // ChunkView is one scan's fixed reading plan over a chunked table: the
-// projected columns, resolved to block indexes once, and the chunks the
-// scan's zone predicates left live. It is immutable, so the workers of a
+// projected columns, resolved to block indexes once, the chunks the
+// scan's zone predicates left live and, optionally, the row filter
+// selecting rows within them. It is immutable, so the workers of a
 // parallel scan share one view and each bring their own ChunkCache.
 type ChunkView struct {
-	ct   *ChunkedTable
-	idx  []int  // block index per output column; nil = every block
-	live []bool // per chunk; nil = every chunk
+	ct     *ChunkedTable
+	idx    []int  // block index per output column; nil = every block
+	live   []bool // per chunk; nil = every chunk
+	filter *RowFilter
+	where  []int // block index per filter column
 }
 
 // View resolves cols (nil = all, otherwise decoded in the order given)
 // against the table's schema. live, when non-nil, has one entry per chunk:
-// rows of a chunk marked false are never decoded or returned.
-func (ct *ChunkedTable) View(cols []string, live []bool) (*ChunkView, error) {
+// rows of a chunk marked false are never decoded or returned. filter, when
+// non-nil, further keeps only the rows it selects within live chunks.
+func (ct *ChunkedTable) View(cols []string, live []bool, filter *RowFilter) (*ChunkView, error) {
 	if live != nil && len(live) != len(ct.chunks) {
 		return nil, fmt.Errorf("data: %d liveness entries for the %d chunks of %q", len(live), len(ct.chunks), ct.Name)
 	}
-	v := &ChunkView{ct: ct, live: live}
+	v := &ChunkView{ct: ct, live: live, filter: filter}
+	var err error
 	if cols != nil {
-		v.idx = make([]int, len(cols))
-		for j, n := range cols {
-			if v.idx[j] = ct.schema.Index(n); v.idx[j] < 0 {
-				return nil, fmt.Errorf("data: chunked table %q has no column %q", ct.Name, n)
-			}
+		if v.idx, err = ct.blockIndexes(cols); err != nil {
+			return nil, err
+		}
+	}
+	if filter != nil {
+		if v.where, err = ct.blockIndexes(filter.Cols); err != nil {
+			return nil, err
 		}
 	}
 	return v, nil
+}
+
+// blockIndexes resolves column names to block indexes.
+func (ct *ChunkedTable) blockIndexes(cols []string) ([]int, error) {
+	idx := make([]int, len(cols))
+	for j, n := range cols {
+		if idx[j] = ct.schema.Index(n); idx[j] < 0 {
+			return nil, fmt.Errorf("data: chunked table %q has no column %q", ct.Name, n)
+		}
+	}
+	return idx, nil
+}
+
+// decodeChunk returns chunk i as the view reads it — every row, or under
+// a row filter the selected rows and their positions (nil = every row) —
+// through the cache when it holds chunk i. A selection of every row
+// decodes the chunk as an unfiltered view does; an empty one decodes
+// nothing more.
+func (v *ChunkView) decodeChunk(i int, cache *ChunkCache) (*Table, []int32, error) {
+	if cache != nil && cache.idx == i {
+		return cache.t, cache.sel, nil
+	}
+	ch := v.ct.chunks[i]
+	var sel []int32
+	var have []*Column
+	if v.filter != nil {
+		pred, err := ch.decode(v.ct.Name, v.where, nil, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		if sel, err = v.filter.Select(pred); err != nil {
+			return nil, nil, err
+		}
+		if len(sel) == ch.Rows {
+			sel = nil
+			have = make([]*Column, len(ch.Blocks))
+			for k, bi := range v.where {
+				have[bi] = pred.Cols[k]
+			}
+		} else if sel == nil {
+			sel = []int32{}
+		}
+	}
+	var dec *Table
+	if sel == nil || len(sel) > 0 {
+		var err error
+		if dec, err = ch.decode(v.ct.Name, v.idx, sel, have); err != nil {
+			return nil, nil, err
+		}
+	}
+	if cache != nil {
+		cache.idx, cache.t, cache.sel = i, dec, sel
+		cache.decodes++
+	}
+	return dec, sel, nil
 }
 
 // ChunkOf returns the index of the chunk holding the given row.
@@ -225,27 +297,14 @@ func (ct *ChunkedTable) ChunkOf(row int) int {
 	return sort.SearchInts(ct.rowOffsets(), row+1) - 1
 }
 
-// Live reports whether any row of [lo, hi) lies in a live chunk.
-func (v *ChunkView) Live(lo, hi int) bool {
-	if v.live == nil {
-		return lo < hi
-	}
-	starts := v.ct.rowOffsets()
-	for ci := v.ct.ChunkOf(lo); ci < len(v.live) && starts[ci] < hi; ci++ {
-		if v.live[ci] {
-			return true
-		}
-	}
-	return false
-}
-
-// Range materializes the rows of [lo, hi) that lie in live chunks, or nil
-// when there are none. Rows from a single chunk come back as a zero-copy
-// slice of the decoded chunk — the common case when batch size and chunk
-// size are of the same order; rows from several chunks are copied
-// together. Decoded string columns keep the chunked table's shared
-// *Dictionary pointers, so every dict fast path downstream survives
-// out-of-core storage.
+// Range materializes the rows of [lo, hi) that lie in live chunks and
+// pass the row filter, or nil when there are none. Rows from a single
+// chunk come back as a zero-copy slice of the decoded chunk (or of its
+// decoded selection) — the common case when batch size and chunk size are
+// of the same order; rows from several chunks are copied together.
+// Decoded string columns keep the chunked table's shared *Dictionary
+// pointers, so every dict fast path downstream survives out-of-core
+// storage.
 func (v *ChunkView) Range(lo, hi int, cache *ChunkCache) (*Table, error) {
 	ct := v.ct
 	if lo < 0 || hi > ct.rows || lo > hi {
@@ -261,12 +320,20 @@ func (v *ChunkView) Range(lo, hi int, cache *ChunkCache) (*Table, error) {
 		if v.live != nil && !v.live[ci] {
 			continue
 		}
-		dec, err := ct.decodeChunk(ci, v.idx, cache)
+		dec, sel, err := v.decodeChunk(ci, cache)
 		if err != nil {
 			return nil, err
 		}
 		clo, chi := starts[ci], starts[ci+1]
-		part := dec.Slice(max(lo, clo)-clo, min(hi, chi)-clo)
+		a, b := max(lo, clo)-clo, min(hi, chi)-clo
+		if sel != nil {
+			// The selected rows of [a, b) are a run of the selection.
+			a, b = searchPos(sel, a), searchPos(sel, b)
+			if a == b {
+				continue
+			}
+		}
+		part := dec.Slice(a, b)
 		if out == nil {
 			out = part
 			continue
@@ -284,11 +351,31 @@ func (v *ChunkView) Range(lo, hi int, cache *ChunkCache) (*Table, error) {
 	return out, nil
 }
 
+// searchPos returns the index of the first position in sel at or after
+// row.
+func searchPos(sel []int32, row int) int {
+	return sort.Search(len(sel), func(i int) bool { return int(sel[i]) >= row })
+}
+
+// LiveRows counts the rows of [lo, hi) that lie in live chunks: the rows
+// a scan reads, whether or not the row filter keeps them, since the
+// filter's columns are decoded in full.
+func (v *ChunkView) LiveRows(lo, hi int) int {
+	starts := v.ct.rowOffsets()
+	n := 0
+	for ci := v.ct.ChunkOf(lo); ci < len(v.ct.chunks) && starts[ci] < hi; ci++ {
+		if v.live == nil || v.live[ci] {
+			n += min(hi, starts[ci+1]) - max(lo, starts[ci])
+		}
+	}
+	return n
+}
+
 // DecodeRange materializes rows [lo, hi) of the named columns (nil = all):
 // View + Range for a caller without zone predicates. An empty range
 // returns a zero-row table of the full schema.
 func (ct *ChunkedTable) DecodeRange(lo, hi int, cols []string, cache *ChunkCache) (*Table, error) {
-	v, err := ct.View(cols, nil)
+	v, err := ct.View(cols, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -33,25 +33,38 @@
 // and read back from, the little-endian window at its first byte, and
 // decoding writes straight into the column's []int64 or []int32 — so a
 // block decodes at memory speed and any row of it is at a computable
-// offset. DecodeColumn validates every block (row count, width, payload
-// and null-bitmap lengths) first, so an inconsistent block is an error,
-// not a panic. BlockMeta keeps the live *Dictionary pointer — metadata never hits
-// disk — so decoded columns share the original dictionary by pointer
-// identity and stay on every dict fast path. ChunkedTable/ChunkedBuilder/
-// ChunkReader store tables as per-chunk encoded blocks. A ChunkView is
-// one scan's reading plan over them — the projection resolved to block
-// indexes once, plus the chunks its zone predicates left live — and its
-// Range decodes an arbitrary row range of the live chunks through the
-// caller's one-chunk ChunkCache — a zero-copy Slice when it falls inside
-// one chunk, Clone plus AppendFrom when it spans chunks (the Clone is
+// offset. DecodeColumnAt uses that offset to decode only given rows: one
+// 64-bit window per bit-packed value, one load per float, one bit per
+// bool; raw strings walk every length prefix but allocate only the rows
+// asked for. DecodeColumn and DecodeColumnAt share one body, so both
+// validate every block (row count, width, payload and null-bitmap
+// lengths) first — an inconsistent block is an error, not a panic — and
+// apply the null bitmap alike. BlockMeta keeps the live *Dictionary
+// pointer — metadata never hits disk — so decoded columns share the
+// original dictionary by pointer identity and stay on every dict fast
+// path. ChunkedTable/ChunkedBuilder/ChunkReader store tables as per-chunk
+// encoded blocks. A ChunkView is one scan's reading plan over them — the
+// projection resolved to block indexes once, the chunks its zone
+// predicates left live and, optionally, a RowFilter — and its Range
+// decodes an arbitrary row range of the live chunks through the caller's
+// one-chunk ChunkCache — a zero-copy Slice when it falls inside one
+// chunk, Clone plus AppendFrom when it spans chunks (the Clone is
 // load-bearing: a slice shares the cached chunk's arrays, and appending
 // into it would write through the cache); DecodeRange is the same without
-// zone predicates. ChunkPartitioned wraps a ChunkedTable as a chunk-backed
+// zone predicates. Under a RowFilter the cache decodes a chunk's filter
+// columns in full, asks the filter for the ascending positions of the
+// rows it keeps, and decodes only those rows of the projected columns
+// (DecodeColumnAt); Range then returns the kept rows of the range, still
+// zero-copy within one chunk. A selection of every row decodes the chunk
+// as an unfiltered view does, reusing the filter columns, and an empty one
+// decodes and returns nothing. ChunkPartitioned wraps a ChunkedTable as a chunk-backed
 // Partition so catalog scans decode on demand instead of holding tables
 // resident, and keeps one zone map per chunk (Partition.ChunkStats) beside
 // the merged partition statistics, computed by streaming one chunk at a
-// time so statistics never materialize the table either. ColStats.HasNaN records NaN presence, which
-// min/max cannot express. ReadCSVChunked streams a CSV file straight
+// time so statistics never materialize the table either; GlobalStats
+// merges the partitions' statistics once per table and shares the result
+// read-only. ColStats.HasNaN records NaN presence, which min/max cannot
+// express. ReadCSVChunked streams a CSV file straight
 // into chunks without materializing the table — its dictionaries are
 // frozen at end of file and patched into every chunk; empty numeric/bool
 // fields become nulls (decoded as zero values).

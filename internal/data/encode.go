@@ -138,63 +138,111 @@ func EncodeColumn(c *Column) (BlockMeta, []byte, error) {
 // bitmap marks absent decode to the type's zero value. A block whose
 // metadata and payload disagree is an error.
 func DecodeColumn(m BlockMeta, raw []byte) (*Column, error) {
+	return decodeColumn(m, raw, nil)
+}
+
+// DecodeColumnAt decodes only the rows of the block at the given
+// positions, which must ascend strictly within [0, m.Rows): the column
+// DecodeColumn would return, gathered at pos. Each bit-packed value is one
+// 64-bit window read, a float one load and a bool one bit; raw strings
+// walk the length prefixes of the whole block — the same validation
+// DecodeColumn performs — but allocate only the selected strings. A
+// dictionary code outside the dictionary is an error only at a selected
+// position, reported with its row index within the block. A nil pos
+// selects no rows.
+func DecodeColumnAt(m BlockMeta, raw []byte, pos []int32) (*Column, error) {
+	if pos == nil {
+		pos = []int32{}
+	}
+	return decodeColumn(m, raw, pos)
+}
+
+// decodeColumn is DecodeColumn (pos == nil: every row) and DecodeColumnAt
+// (the rows at pos) in one body, so both validate, range-check codes and
+// apply the validity bitmap identically.
+func decodeColumn(m BlockMeta, raw []byte, pos []int32) (*Column, error) {
 	if err := checkBlock(m, raw); err != nil {
 		return nil, err
+	}
+	n := m.Rows
+	if pos != nil {
+		n = len(pos)
+		last := int32(-1)
+		for _, p := range pos {
+			if p <= last || int(p) >= m.Rows {
+				return nil, fmt.Errorf("data: block %q: position %d out of order or outside %d rows", m.Name, p, m.Rows)
+			}
+			last = p
+		}
 	}
 	c := &Column{Name: m.Name, Type: m.Type}
 	switch m.Enc {
 	case EncIntFOR:
-		c.I64 = make([]int64, m.Rows)
-		unpackUints(c.I64, raw, m.Width, uint64(m.Min))
+		c.I64 = make([]int64, n)
+		unpack(c.I64, raw, pos, m.Width, uint64(m.Min))
 	case EncDictCodes:
 		if m.Dict == nil {
 			return nil, fmt.Errorf("data: dict-coded block %q lacks its dictionary", m.Name)
 		}
 		c.Dict = m.Dict
-		c.Codes = make([]int32, m.Rows)
-		unpackUints(c.Codes, raw, m.Width, 0)
+		c.Codes = make([]int32, n)
+		unpack(c.Codes, raw, pos, m.Width, 0)
 		// Width-w codes are below 1<<w, so only a dictionary smaller than
 		// that can be overrun.
 		if limit := uint64(m.Dict.Len()); 1<<m.Width > limit {
 			for i, code := range c.Codes {
 				if uint64(uint32(code)) >= limit {
-					return nil, fmt.Errorf("data: block %q row %d: code %d outside dictionary of %d", m.Name, i, uint32(code), limit)
+					return nil, fmt.Errorf("data: block %q row %d: code %d outside dictionary of %d", m.Name, rowAt(pos, i), uint32(code), limit)
 				}
 			}
 		}
 	case EncBits:
-		c.B = UnpackBits(raw, m.Rows)
+		c.B = unpackBits(raw, pos, n)
 	case EncRawFloat:
-		c.F64 = make([]float64, m.Rows)
-		for i := range c.F64 {
-			c.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		f := make([]float64, n)
+		for i := range f {
+			f[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*rowAt(pos, i):]))
 		}
+		c.F64 = f
 	case EncRawString:
-		c.Str = make([]string, 0, m.Rows)
-		for i := 0; i < m.Rows; i++ {
-			n, used := binary.Uvarint(raw)
-			if used <= 0 || uint64(len(raw)-used) < n {
-				return nil, fmt.Errorf("data: string block %q truncated at row %d", m.Name, i)
+		c.Str = make([]string, n)
+		next := 0 // index of the next wanted output row
+		for row := 0; row < m.Rows; row++ {
+			l, used := binary.Uvarint(raw)
+			if used <= 0 || uint64(len(raw)-used) < l {
+				return nil, fmt.Errorf("data: string block %q truncated at row %d", m.Name, row)
 			}
-			raw = raw[used:]
-			c.Str = append(c.Str, string(raw[:n]))
-			raw = raw[n:]
+			if next < n && rowAt(pos, next) == row {
+				c.Str[next] = string(raw[used : used+int(l)])
+				next++
+			}
+			raw = raw[used+int(l):]
 		}
 	default:
 		return nil, fmt.Errorf("data: unknown block encoding %d for %q", m.Enc, m.Name)
 	}
 	if m.Valid != nil {
-		zeroInvalid(c, m.Valid)
+		zeroInvalid(c, m.Valid, pos)
 	}
 	return c, nil
 }
 
+// rowAt maps output row i to its row within the block: pos[i], or i when
+// every row is decoded (pos == nil).
+func rowAt(pos []int32, i int) int {
+	if pos == nil {
+		return i
+	}
+	return int(pos[i])
+}
+
 // zeroInvalid forces rows the validity bitmap marks absent to the type's
 // zero value, so a null survives the round trip deterministically no
-// matter what the encoder packed in its slot.
-func zeroInvalid(c *Column, valid []byte) {
+// matter what the encoder packed in its slot. Output row i is block row
+// rowAt(pos, i).
+func zeroInvalid(c *Column, valid []byte, pos []int32) {
 	for i := 0; i < c.Len(); i++ {
-		if BitAt(valid, i) {
+		if BitAt(valid, rowAt(pos, i)) {
 			continue
 		}
 		switch c.Type {
@@ -305,6 +353,39 @@ func packWindows[T int64 | int32](out []byte, src []T, bit uint, width uint8, ba
 	return len(src), bit
 }
 
+// unpack fills dst with the width-bit values (plus base) of raw: every
+// value when pos is nil, otherwise the values at pos.
+func unpack[T int64 | int32](dst []T, raw []byte, pos []int32, width uint8, base uint64) {
+	if pos == nil {
+		unpackUints(dst, raw, width, base)
+		return
+	}
+	unpackAt(dst, raw, pos, width, base)
+}
+
+// unpackAt reads the value at each position of pos with one 64-bit window,
+// exactly as unpackWindows reads the values in sequence; a window that
+// would leave raw is read from a zero-padded copy of the bytes left.
+func unpackAt[T int64 | int32](dst []T, raw []byte, pos []int32, width uint8, base uint64) {
+	w := uint(width)
+	mask := uint64(1)<<w - 1
+	for i, p := range pos {
+		bit := uint(p) * w
+		b, s := bit>>3, bit&7
+		win := raw
+		if b+9 > uint(len(raw)) {
+			var pad [9]byte
+			copy(pad[:], raw[min(b, uint(len(raw))):])
+			win, b = pad[:], 0
+		}
+		v := binary.LittleEndian.Uint64(win[b:]) >> s
+		if s+w > 64 {
+			v |= uint64(win[b+8]) << (64 - s)
+		}
+		dst[i] = T(base + v&mask)
+	}
+}
+
 // unpackUints reverses packUints into dst: len(dst) width-bit values, each
 // plus base. raw must hold ceil(len(dst)·width/8) bytes (checkBlock);
 // width 0 needs none and fills dst with base.
@@ -352,11 +433,12 @@ func PackBits(bits []bool) []byte {
 	return out
 }
 
-// UnpackBits reverses PackBits for n entries.
-func UnpackBits(raw []byte, n int) []bool {
+// unpackBits reads n bits of an LSB-first bitmap: the first n, or the
+// ones at pos.
+func unpackBits(raw []byte, pos []int32, n int) []bool {
 	out := make([]bool, n)
 	for i := range out {
-		out[i] = BitAt(raw, i)
+		out[i] = BitAt(raw, rowAt(pos, i))
 	}
 	return out
 }

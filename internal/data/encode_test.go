@@ -2,6 +2,7 @@ package data
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -477,12 +478,17 @@ func TestDecodeColumnRejectsBadBlocks(t *testing.T) {
 	}
 }
 
-// FuzzDecodeColumn decodes arbitrary blocks. DecodeColumn must never
-// panic, must allocate no more than the rows and payload account for,
-// and whatever it decodes must survive EncodeColumn → DecodeColumn
-// unchanged. The committed corpus (testdata/fuzz/FuzzDecodeColumn) holds
-// canonical blocks at widths 0–64 with row counts around the short-tail
-// path, plus one block per rejected shape.
+// FuzzDecodeColumn decodes arbitrary blocks, in full and at the positions
+// a bitmap selects. DecodeColumn must never panic, must allocate no more
+// than the rows and payload account for, and whatever it decodes must
+// survive EncodeColumn → DecodeColumn unchanged. DecodeColumnAt must never
+// panic either, must allocate no more than the selected rows and payload
+// account for, and must return DecodeColumn's column gathered at the
+// positions, or DecodeColumn's error — except that a code outside the
+// dictionary is its error only at a selected row, where it names that row.
+// The committed corpus (testdata/fuzz/FuzzDecodeColumn) holds canonical
+// blocks at widths 0–64 with row counts around the short-tail path, plus
+// one block per rejected shape, each with a position bitmap.
 func FuzzDecodeColumn(f *testing.F) {
 	types := [...]Type{EncRawFloat: Float64, EncIntFOR: Int64, EncDictCodes: String, EncBits: Bool, EncRawString: String}
 	dicts := make([]*Dictionary, 16)
@@ -493,7 +499,7 @@ func FuzzDecodeColumn(f *testing.F) {
 		}
 		dicts[i] = NewDictionary(vals)
 	}
-	f.Fuzz(func(t *testing.T, enc, width uint8, rows uint16, base int64, dictLen uint8, raw, valid []byte) {
+	f.Fuzz(func(t *testing.T, enc, width uint8, rows uint16, base int64, dictLen uint8, raw, valid, mask []byte) {
 		m := BlockMeta{Name: "f", Rows: int(rows), Enc: Encoding(enc % 6), Width: width, Min: base}
 		if int(m.Enc) < len(types) {
 			m.Type = types[m.Enc]
@@ -504,6 +510,12 @@ func FuzzDecodeColumn(f *testing.F) {
 		if len(valid) > 0 {
 			m.Valid = valid
 		}
+		pos := []int32{}
+		for i := 0; i < m.Rows && i < 8*len(mask); i++ {
+			if BitAt(mask, i) {
+				pos = append(pos, int32(i))
+			}
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		c, err := DecodeColumn(m, raw)
@@ -511,6 +523,13 @@ func FuzzDecodeColumn(f *testing.F) {
 		if got, bound := after.TotalAlloc-before.TotalAlloc, 64*uint64(rows)+2*uint64(len(raw))+4096; got > bound {
 			t.Fatalf("decode allocated %d bytes for %d rows of %d payload bytes, bound %d", got, rows, len(raw), bound)
 		}
+		runtime.ReadMemStats(&before)
+		at, errAt := DecodeColumnAt(m, raw, pos)
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(pos))+2*uint64(len(raw))+4096; got > bound {
+			t.Fatalf("positional decode allocated %d bytes for %d of %d rows of %d payload bytes, bound %d", got, len(pos), rows, len(raw), bound)
+		}
+		checkDecodeAt(t, m, raw, pos, c, err, at, errAt)
 		if err != nil {
 			return
 		}
@@ -527,6 +546,145 @@ func FuzzDecodeColumn(f *testing.F) {
 		}
 		assertColumnsIdentical(t, c, c2)
 	})
+}
+
+// checkDecodeAt asserts that DecodeColumnAt(m, raw, pos) — at, errAt —
+// agrees with DecodeColumn(m, raw) — full, err: the full column gathered
+// at pos, or the same error. A code outside the dictionary fails the
+// positional decode only at a selected row, and its error names that row.
+func checkDecodeAt(t *testing.T, m BlockMeta, raw []byte, pos []int32, full *Column, err error, at *Column, errAt error) {
+	t.Helper()
+	if err != nil && strings.Contains(err.Error(), "outside dictionary") {
+		codes := refUnpackUints(raw, m.Rows, m.Width)
+		limit := uint64(m.Dict.Len())
+		for _, p := range pos {
+			if codes[p] >= limit {
+				want := fmt.Sprintf("data: block %q row %d: code %d outside dictionary of %d", m.Name, p, codes[p], limit)
+				if errAt == nil || errAt.Error() != want {
+					t.Fatalf("positional decode: error %v, want %q", errAt, want)
+				}
+				return
+			}
+		}
+		if errAt != nil {
+			t.Fatalf("positional decode of in-dictionary rows failed: %v", errAt)
+		}
+		for i, p := range pos {
+			if uint64(uint32(at.Codes[i])) != codes[p] || at.Dict != m.Dict {
+				t.Fatalf("position %d: code %d, want %d", p, at.Codes[i], codes[p])
+			}
+		}
+		return
+	}
+	if err != nil {
+		if errAt == nil || errAt.Error() != err.Error() {
+			t.Fatalf("positional decode: error %v, full decode %v", errAt, err)
+		}
+		return
+	}
+	if errAt != nil {
+		t.Fatalf("positional decode failed where the full decode did not: %v", errAt)
+	}
+	idx := make([]int, len(pos))
+	for i, p := range pos {
+		idx[i] = int(p)
+	}
+	want := full.Gather(idx)
+	assertColumnsIdentical(t, want, at)
+	if at.Name != want.Name || at.Dict != want.Dict || at.IsDict() != want.IsDict() {
+		t.Fatalf("positional decode changed the representation: %+v vs %+v", at, want)
+	}
+}
+
+// TestDecodeColumnAtMatchesFullDecode pins DecodeColumnAt to DecodeColumn
+// gathered at the same positions: frame-of-reference Int64 blocks at every
+// width 0–64 and row counts on both sides of the short-tail path, dict
+// codes, floats, bools and raw strings, each with and without a validity
+// bitmap, at the first row, the last row, the rows whose 64-bit window
+// starts in the last 9 payload bytes, every row and none.
+func TestDecodeColumnAtMatchesFullDecode(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	dict := NewDictionary([]string{"a", "b", "c", "d", "e"})
+	var cols []*Column
+	for w := 0; w <= 64; w++ {
+		for _, n := range []int{1, 7, 9, 64, 65, 300} {
+			mask := uint64(1)<<w - 1
+			lo := int64(-1) << 62
+			if w == 64 {
+				lo = math.MinInt64
+			}
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = int64(uint64(lo) + r.Uint64()&mask)
+			}
+			vals[0] = lo
+			vals[n-1] = int64(uint64(lo) + mask)
+			cols = append(cols, NewInt("w"+itoa(w), vals))
+		}
+	}
+	for _, n := range []int{1, 9, 300} {
+		f := make([]float64, n)
+		b := make([]bool, n)
+		s := make([]string, n)
+		codes := make([]int32, n)
+		for i := range f {
+			f[i] = r.NormFloat64()
+			b[i] = r.Intn(2) == 0
+			s[i] = strings.Repeat("x", r.Intn(200))
+			codes[i] = int32(r.Intn(dict.Len()))
+		}
+		f[0], f[n-1] = math.NaN(), math.Copysign(0, -1)
+		cols = append(cols, NewFloat("f", f), NewBool("b", b), NewString("s", s),
+			&Column{Name: "d", Type: String, Dict: dict, Codes: codes})
+	}
+	for _, c := range cols {
+		m, raw, err := EncodeColumn(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.Len()
+		every := make([]int32, n)
+		for i := range every {
+			every[i] = int32(i)
+		}
+		var tail []int32
+		if m.Width > 0 {
+			for i := range every {
+				if i*int(m.Width)/8+9 > len(raw) {
+					tail = append(tail, int32(i))
+				}
+			}
+		}
+		validity := make([]bool, n)
+		for i := range validity {
+			validity[i] = r.Intn(3) > 0
+		}
+		for _, valid := range [][]byte{nil, PackBits(validity)} {
+			m.Valid = valid
+			full, err := DecodeColumn(m, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pos := range [][]int32{{0}, {int32(n - 1)}, tail, every, {}} {
+				at, errAt := DecodeColumnAt(m, raw, pos)
+				checkDecodeAt(t, m, raw, pos, full, nil, at, errAt)
+			}
+		}
+	}
+}
+
+// TestDecodeColumnAtRejectsBadPositions: positions must ascend strictly
+// within the block; anything else is an error, never an out-of-range read.
+func TestDecodeColumnAtRejectsBadPositions(t *testing.T) {
+	m, raw, err := EncodeColumn(NewInt("i", []int64{1, 2, 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pos := range [][]int32{{-1}, {3}, {1, 1}, {2, 0}} {
+		if c, err := DecodeColumnAt(m, raw, pos); err == nil {
+			t.Fatalf("positions %v: decoded %d rows, want an error", pos, c.Len())
+		}
+	}
 }
 
 // BenchmarkDecodeColumn prices DecodeColumn on one 8192-row block per

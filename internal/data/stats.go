@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // ColStats holds zone-map style statistics for one column: min/max for
@@ -186,6 +187,9 @@ type PartitionedTable struct {
 	PartitionColumn string
 	Parts           []*Partition
 	schema          Schema
+
+	globalOnce sync.Once
+	global     TableStats
 }
 
 // SinglePartition wraps a table as a one-partition PartitionedTable,
@@ -297,12 +301,17 @@ func (p *PartitionedTable) NumRows() int {
 func (p *PartitionedTable) Schema() Schema { return p.schema }
 
 // GlobalStats merges per-partition statistics into table-level statistics.
+// A registered table is immutable, so the merge runs once, at the first
+// call, and every call returns that one map: it is shared and read-only —
+// callers must not modify it or the *ColStats it holds.
 func (p *PartitionedTable) GlobalStats() TableStats {
-	out := make(TableStats)
-	for _, part := range p.Parts {
-		mergeTableStats(out, part.Stats)
-	}
-	return out
+	p.globalOnce.Do(func() {
+		p.global = make(TableStats)
+		for _, part := range p.Parts {
+			mergeTableStats(p.global, part.Stats)
+		}
+	})
+	return p.global
 }
 
 // mergeTableStats folds src into dst, widening ranges and unioning

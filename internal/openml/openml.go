@@ -185,7 +185,9 @@ func synthTable(name string, nNum int, cards []int, rows int, rng *rand.Rand) *d
 
 // Measure times the three transformation options for one case over its
 // evaluation rows and returns a strategy training example. All options
-// compute for real on the host CPU.
+// compute for real on the host CPU. Each time is the fastest of
+// measureRuns runs: the labels the strategies learn are which option is
+// fastest, and a single wall-clock sample on a shared host flips them.
 func Measure(c *Case) (*strategy.Example, error) {
 	ex := &strategy.Example{Name: c.Name, F: opt.ExtractFeatures(c.Pipeline)}
 	// Identity binding: eval table columns carry the input names.
@@ -200,38 +202,56 @@ func Measure(c *Case) (*strategy.Example, error) {
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	if _, err := sess.RunTable(c.Table); err != nil {
+	if ex.Runtimes[opt.ChoiceNone], err = fastest(func() error {
+		_, err := sess.RunTable(c.Table)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	ex.Runtimes[opt.ChoiceNone] = time.Since(t0).Seconds()
 
 	// Option 2: MLtoSQL (expression evaluation on the data engine).
 	exprs, err := opt.CompileToSQL(c.Pipeline, inputMap, outputMap)
 	if err != nil {
 		ex.Runtimes[opt.ChoiceSQL] = math.Inf(1)
-	} else {
-		t0 = time.Now()
+	} else if ex.Runtimes[opt.ChoiceSQL], err = fastest(func() error {
 		for _, ne := range exprs {
 			if _, err := ne.E.Eval(c.Table); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		ex.Runtimes[opt.ChoiceSQL] = time.Since(t0).Seconds()
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Option 3: MLtoDNN (tensor program on CPU).
 	prog, err := hummingbird.Compile(c.Pipeline)
 	if err != nil {
 		ex.Runtimes[opt.ChoiceDNN] = math.Inf(1)
-	} else {
-		t0 = time.Now()
-		if _, _, err := prog.Run(c.Table); err != nil {
-			return nil, err
-		}
-		ex.Runtimes[opt.ChoiceDNN] = time.Since(t0).Seconds()
+	} else if ex.Runtimes[opt.ChoiceDNN], err = fastest(func() error {
+		_, _, err := prog.Run(c.Table)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return ex, nil
+}
+
+// measureRuns is how many times Measure runs each option.
+const measureRuns = 3
+
+// fastest runs f measureRuns times and returns its fastest wall time in
+// seconds.
+func fastest(f func() error) (float64, error) {
+	best := math.Inf(1)
+	for range measureRuns {
+		t0 := time.Now()
+		if err := f(); err != nil {
+			return 0, err
+		}
+		best = min(best, time.Since(t0).Seconds())
+	}
+	return best, nil
 }
 
 // MeasureAll measures every case (the strategy training set).

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"raven/internal/data"
+	"raven/internal/datagen"
 	"raven/internal/engine"
 	"raven/internal/ir"
 	"raven/internal/model"
@@ -696,4 +697,69 @@ func TestTrainedPipelineOptimizationEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOptimizeLeavesGlobalStatsUnchanged: GlobalStats is computed once per
+// table and shared by every optimization, so no rule may write into it.
+// Optimizing every datagen query shape, with and without WHERE conjuncts
+// and per-partition plans, must leave each table's statistics deep-equal
+// to a copy taken before, and every call must return the one shared map.
+func TestOptimizeLeavesGlobalStatsUnchanged(t *testing.T) {
+	sets := []func(int, int64) *datagen.Dataset{datagen.CreditCard, datagen.Hospital, datagen.Expedia, datagen.Flights}
+	for _, gen := range sets {
+		ds := gen(2000, 1)
+		t.Run(ds.Name, func(t *testing.T) {
+			cat := ds.Catalog()
+			pipe, err := ds.Train(train.KindDecisionTree, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cat.RegisterModel(pipe); err != nil {
+				t.Fatal(err)
+			}
+			snapshot := map[string]data.TableStats{}
+			for _, name := range cat.TableNames() {
+				pt, _ := cat.Table(name)
+				snapshot[name] = copyStats(pt.GlobalStats())
+			}
+			where := "d." + ds.Spec.Numeric[0] + " >= 0"
+			queries := []string{ds.Query(pipe.Name), ds.Query(pipe.Name, where), ds.AggregateQuery(pipe.Name, where)}
+			if len(ds.Spec.Categorical) > 0 {
+				queries = append(queries, ds.GroupedAggregateQuery(pipe.Name, where),
+					ds.RankedGroupedQuery(pipe.Name, 0.5, 10), ds.OrderedGroupedQuery(pipe.Name, true, where))
+			}
+			for _, q := range queries {
+				g, err := sqlparse.ParseAndPlan(q, cat)
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				opts := opt.DefaultOptions()
+				opts.PerPartition = true
+				if _, _, err := opt.New(cat, opts).Optimize(g); err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+			}
+			for name, want := range snapshot {
+				pt, _ := cat.Table(name)
+				got := pt.GlobalStats()
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("table %s: statistics changed by Optimize", name)
+				}
+				if reflect.ValueOf(got).Pointer() != reflect.ValueOf(pt.GlobalStats()).Pointer() {
+					t.Fatalf("table %s: GlobalStats returned two different maps", name)
+				}
+			}
+		})
+	}
+}
+
+// copyStats deep-copies table statistics.
+func copyStats(s data.TableStats) data.TableStats {
+	out := make(data.TableStats, len(s))
+	for k, cs := range s {
+		cp := *cs
+		cp.Distinct = append([]string(nil), cs.Distinct...)
+		out[k] = &cp
+	}
+	return out
 }

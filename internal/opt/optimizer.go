@@ -198,8 +198,9 @@ func (o *Optimizer) Optimize(g *ir.Graph) (*ir.Graph, *Report, error) {
 		if err := pushdownRelationalProjections(out, o.Cat, o.Opts.AssumeFK, rep); err != nil {
 			return nil, nil, err
 		}
-		pushdownZonePredicates(out, rep)
-		resolveRenamedPredicates(out, o.Cat, rep)
+		if err := pushdownZonePredicates(out, o.Cat, rep); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// Logical-to-physical: runtime selection per predict node (§5).

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 
 	"raven/internal/data"
 	"raven/internal/ir"
@@ -208,116 +209,120 @@ func cloneSet(s map[string]bool) map[string]bool {
 	return out
 }
 
-// pushdownZonePredicates copies filter conjuncts onto the scans they
-// constrain as zone predicates, enabling partition skipping from min/max
-// statistics (the engine-side half of data skipping, §4.2).
-func pushdownZonePredicates(g *ir.Graph, rep *Report) {
-	var conjs []conjunct
-	ir.Walk(g.Root, func(n *ir.Node) {
-		if n.Kind == ir.KindFilter {
-			splitConjuncts(n.Pred, &conjs)
-		}
-	})
-	if len(conjs) == 0 {
-		return
-	}
-	scans := ir.FindAll(g.Root, func(n *ir.Node) bool { return n.Kind == ir.KindScan })
+// pushdownZonePredicates copies filter conjuncts onto the scans whose rows
+// they constrain, as zone predicates: the scan skips partitions and chunks
+// whose min/max statistics rule a conjunct out (the engine-side half of
+// data skipping, §4.2) and, on chunk-backed partitions, decodes only the
+// rows that satisfy them. The Filter stays in the plan, so a copy is sound
+// exactly where filtering before the operator equals filtering after it.
+// One top-down walk carries each conjunct from its Filter through Filter,
+// Project (following ColRef renames, so CTE renames d.x ← t.x resolve),
+// Predict (input columns only), inner Join (to the side producing the
+// column), Union and a Sort without LIMIT/OFFSET. It stops at a Sort that
+// cuts rows, at Aggregate and at Having: a conjunct above them constrains
+// their output, not the rows they read.
+func pushdownZonePredicates(g *ir.Graph, cat ir.Catalog, rep *Report) error {
 	count := 0
-	for _, s := range scans {
-		for _, c := range conjs {
-			base, matches := scanColumn(s, c.col)
-			if !matches {
-				continue
+	var walk func(n *ir.Node, conjs []conjunct) error
+	walk = func(n *ir.Node, conjs []conjunct) error {
+		switch n.Kind {
+		case ir.KindFilter:
+			conjs = slices.Clip(conjs) // siblings share the parent's slice
+			splitConjuncts(n.Pred, &conjs)
+		case ir.KindProject:
+			var through []conjunct
+			for _, c := range conjs {
+				for _, e := range n.Exprs {
+					if e.Name != c.col {
+						continue
+					}
+					if cr, ok := e.E.(*relational.ColRef); ok {
+						c.col = cr.Name
+						through = append(through, c)
+					}
+					break
+				}
 			}
-			zp := relational.ZonePredicate{Col: base, Op: c.op}
-			if c.isStr {
-				zp.IsStr, zp.StrV = true, c.str
-			} else {
-				zp.Val = c.num
+			conjs = through
+		case ir.KindPredict:
+			var through []conjunct
+			if n.KeepInput {
+				outs := make(map[string]bool, len(n.OutputMap))
+				for _, col := range n.OutputMap {
+					outs[col] = true
+				}
+				for _, c := range conjs {
+					if !outs[c.col] {
+						through = append(through, c)
+					}
+				}
 			}
-			s.Prune = append(s.Prune, zp)
-			count++
+			conjs = through
+		case ir.KindSort:
+			if n.Limit >= 0 || n.Offset > 0 {
+				conjs = nil
+			}
+		case ir.KindAggregate, ir.KindHaving:
+			conjs = nil
+		case ir.KindJoin:
+			if len(conjs) == 0 {
+				break
+			}
+			right, err := ir.OutputColumns(n.Children[1], cat)
+			if err != nil {
+				return err
+			}
+			rightSet := make(map[string]bool, len(right))
+			for _, c := range right {
+				rightSet[c] = true
+			}
+			var l, r []conjunct
+			for _, c := range conjs {
+				if rightSet[c.col] {
+					r = append(r, c)
+				} else {
+					l = append(l, c)
+				}
+			}
+			if err := walk(n.Children[0], l); err != nil {
+				return err
+			}
+			return walk(n.Children[1], r)
+		case ir.KindScan:
+			t, ok := cat.Table(n.Table)
+			if !ok || n.Alias == "" {
+				return nil
+			}
+			for _, c := range conjs {
+				base := ir.BaseName(c.col)
+				if c.col != ir.Qualify(n.Alias, base) || t.Schema().Index(base) < 0 {
+					continue
+				}
+				zp := relational.ZonePredicate{Col: base, Op: c.op}
+				if c.isStr {
+					zp.IsStr, zp.StrV = true, c.str
+				} else {
+					zp.Val = c.num
+				}
+				n.Prune = append(n.Prune, zp)
+				count++
+			}
+			return nil
 		}
+		for _, ch := range n.Children {
+			if err := walk(ch, conjs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(g.Root, nil); err != nil {
+		return err
 	}
 	if count > 0 {
 		rep.fire("zone-predicate-pushdown")
 	}
-}
-
-// scanColumn reports whether a qualified filter column refers to this
-// scan, returning the base column name. Columns renamed by intermediate
-// projections (e.g. the CTE rename d.x ← pi.x) still match by base name
-// when only one scan provides it.
-func scanColumn(s *ir.Node, col string) (string, bool) {
-	alias := s.Alias
-	base := ir.BaseName(col)
-	if alias != "" && col == ir.Qualify(alias, base) {
-		return base, true
-	}
-	return base, false
-}
-
-// resolveRenamedPredicates maps filter conjuncts expressed over renamed
-// columns (d.x) back to scan columns (pi.x) by following project
-// expressions, then applies zone predicates. This widens partition
-// skipping to queries using CTE renames.
-func resolveRenamedPredicates(g *ir.Graph, cat ir.Catalog, rep *Report) {
-	// Build rename map: projected name -> source column (only for pure
-	// column references).
-	rename := map[string]string{}
-	ir.Walk(g.Root, func(n *ir.Node) {
-		if n.Kind != ir.KindProject {
-			return
-		}
-		for _, e := range n.Exprs {
-			if cr, ok := e.E.(*relational.ColRef); ok && e.Name != cr.Name {
-				rename[e.Name] = cr.Name
-			}
-		}
-	})
-	if len(rename) == 0 {
-		return
-	}
-	var conjs []conjunct
-	ir.Walk(g.Root, func(n *ir.Node) {
-		if n.Kind == ir.KindFilter {
-			splitConjuncts(n.Pred, &conjs)
-		}
-	})
-	scans := ir.FindAll(g.Root, func(n *ir.Node) bool { return n.Kind == ir.KindScan })
-	count := 0
-	for _, c := range conjs {
-		src := c.col
-		for {
-			if next, ok := rename[src]; ok {
-				src = next
-				continue
-			}
-			break
-		}
-		if src == c.col {
-			continue
-		}
-		for _, s := range scans {
-			if _, ok := cat.Table(s.Table); !ok {
-				continue
-			}
-			if src != ir.Qualify(s.Alias, ir.BaseName(src)) {
-				continue
-			}
-			zp := relational.ZonePredicate{Col: ir.BaseName(src), Op: c.op}
-			if c.isStr {
-				zp.IsStr, zp.StrV = true, c.str
-			} else {
-				zp.Val = c.num
-			}
-			s.Prune = append(s.Prune, zp)
-			count++
-		}
-	}
-	if count > 0 {
-		rep.fire("zone-predicate-pushdown")
-	}
+	return nil
 }
 
 // scanStatsFor returns the global column statistics of the (unique) table

@@ -23,9 +23,20 @@
 // morsels starting in one chunk, so that chunk is decoded once. Zone
 // predicates are evaluated per partition and then per chunk
 // (data.Partition.ChunkStats) once per scan; rows of an excluded chunk
-// are never decoded or emitted, which the Filter the predicates were
-// copied from makes invisible downstream. A zone that holds a NaN is
-// never excluded. OpStats.ChunksDecoded/ChunksSkipped count both.
+// are never decoded or emitted. A zone that holds a NaN is never
+// excluded. Within a live chunk the scan decodes the predicate columns,
+// evaluates the predicates as the very BinOps the Filter above evaluates
+// (same Expr kernels: NaN compares as equal, int64 as float, dictionary
+// strings by code) into a selection of row positions, and decodes only
+// those rows of the other columns (data.RowFilter, DecodeColumnAt). Each
+// batch still covers its BatchSize row range and carries exactly the rows
+// of it that satisfy every predicate, or is not emitted; the Filter the
+// predicates were copied from would have dropped the rest, so it passes
+// the same rows in the same batches. The optimizer copies a conjunct only
+// through operators it commutes with (never below a LIMIT, an aggregate
+// or a HAVING). OpStats.ChunksDecoded/ChunksSkipped count chunk decodes
+// and exclusions; a scan's OpStats.Rows counts every row of the live
+// chunks it read, selected or not.
 //
 // # The execution environment
 //

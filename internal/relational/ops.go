@@ -3,6 +3,7 @@ package relational
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"raven/internal/data"
@@ -13,7 +14,12 @@ import (
 // inclusive (contains time spent in children); the engine derives
 // exclusive times by subtracting child inclusive times.
 type OpStats struct {
-	Name      string
+	Name string
+	// Rows counts the rows the operator produced — except on scans, where
+	// it counts the rows read: a chunk-backed scan with zone predicates
+	// emits only the rows satisfying them, but reads the predicate columns
+	// of every row of the chunks their zone maps left live, and counts all
+	// of those.
 	Rows      int64
 	Batches   int64
 	WallNs    int64
@@ -98,9 +104,9 @@ func startTimer(s *OpStats) func() {
 // package (e.g. the engine's PredictOp).
 func Timer(s *OpStats) func() { return startTimer(s) }
 
-// ZonePredicate is a simple comparison (col op literal) used for
-// zone-map pruning at the scan, of whole partitions and of the chunks of
-// chunk-backed ones.
+// ZonePredicate is a simple comparison (col op literal) copied from a
+// Filter above the scan: zone maps prune whole partitions and the chunks
+// of chunk-backed ones with it, and those chunks' rows are selected by it.
 type ZonePredicate struct {
 	Col   string
 	Op    BinOpKind
@@ -152,8 +158,9 @@ func (z ZonePredicate) CanSkip(stats data.TableStats) bool {
 
 // Scan streams a partitioned table in batches, reading only the requested
 // columns and skipping what the zone predicates rule out: whole partitions,
-// and single chunks of chunk-backed partitions. When Alias is set, output
-// columns are qualified "alias.col".
+// single chunks of chunk-backed partitions and, within their live chunks,
+// the rows that fail a predicate. When Alias is set, output columns are
+// qualified "alias.col".
 type Scan struct {
 	Table     *data.PartitionedTable
 	Cols      []string // nil means all columns
@@ -172,6 +179,9 @@ type Scan struct {
 	// resolved to blocks, live chunks), set by enter. Allocated at the
 	// first chunk-backed partition, so in-memory scans never pay for it.
 	views []*data.ChunkView
+	// rows is the views' row filter, built from Prune with views (nil
+	// without zone predicates).
+	rows *data.RowFilter
 	// cache holds the serial cursor's most recently decoded chunk when the
 	// current partition is chunk-backed; reset at each partition start.
 	cache *data.ChunkCache
@@ -267,10 +277,56 @@ func (s *Scan) enter(pi int) (bool, error) {
 	}
 	if s.views == nil {
 		s.views = make([]*data.ChunkView, len(s.Table.Parts))
+		s.rows = s.rowFilter()
 	}
 	var err error
-	s.views[pi], err = p.Chunked.View(s.Cols, live)
+	s.views[pi], err = p.Chunked.View(s.Cols, live, s.rows)
 	return true, err
+}
+
+// rowFilter turns the zone predicates into the row filter of the scan's
+// chunk views (nil without predicates): each conjunct is the BinOp the
+// Filter above evaluates — column op literal — and the conjunction runs
+// through the same Expr kernels, so the rows selected are exactly the rows
+// that Filter keeps by construction (NaN compares as equal, int64 as
+// float, dictionary strings by code).
+func (s *Scan) rowFilter() *data.RowFilter {
+	if len(s.Prune) == 0 {
+		return nil
+	}
+	var pred Expr
+	var cols []string
+	for _, z := range s.Prune {
+		var lit Expr = Num(z.Val)
+		if z.IsStr {
+			lit = Str(z.StrV)
+		}
+		conj := NewBinOp(z.Op, Col(z.Col), lit)
+		if pred == nil {
+			pred = conj
+		} else {
+			pred = NewBinOp(OpAnd, pred, conj)
+		}
+		if !slices.Contains(cols, z.Col) {
+			cols = append(cols, z.Col)
+		}
+	}
+	return &data.RowFilter{Cols: cols, Select: func(t *data.Table) ([]int32, error) {
+		c, err := pred.Eval(t)
+		if err != nil {
+			return nil, err
+		}
+		if c.Type != data.Bool {
+			return nil, fmt.Errorf("relational: zone predicate %s is not boolean", pred)
+		}
+		sel := make([]int32, 0, data.CountTrue(c.B))
+		for i, keep := range c.B {
+			if keep {
+				sel = append(sel, int32(i))
+			}
+		}
+		return sel, nil
+	}}
 }
 
 // Next returns the next batch.
@@ -309,26 +365,35 @@ func (s *Scan) Next() (*data.Table, error) {
 }
 
 // readBatch is the one scan body: it produces the qualified batch for rows
-// [lo, hi) of partition part, counting into st, or nil when every row lies
-// in a chunk the zone maps excluded. The serial cursor and the exchange tasks
-// both call it, each with a ChunkCache of its own, so a forward walk
-// decodes a chunk once.
+// [lo, hi) of partition part, counting into st, or nil when no row is left
+// to emit. The serial cursor and the exchange tasks both call it, each
+// with a ChunkCache of its own, so a forward walk decodes a chunk once.
 //
 // Chunk-backed batches stay cut at BatchSize boundaries — never at chunk
-// boundaries — so the batch stream is identical to the in-memory scan's
-// and order-sensitive folds downstream see the same boundaries (the
-// byte-identity contract). A batch that straddles an excluded and a live
-// chunk carries only the live rows; what is dropped, the Filter the zone
-// predicate was copied from would have dropped.
+// boundaries — so the batch stream is the in-memory scan's with the rows
+// the zone predicates exclude taken out, and order-sensitive folds
+// downstream see the same boundaries (the byte-identity contract). The
+// zone predicates exclude whole chunks by their zone maps and, within the
+// live chunks, every row that fails one of them (data.RowFilter): a batch
+// carries exactly the live rows of [lo, hi) that satisfy every predicate.
+// What is dropped, the Filter the predicates were copied from would have
+// dropped, so the Filter passes the same rows in the same batches. Rows
+// counts every row of [lo, hi) in a live chunk, kept or not, because the
+// predicate columns of those rows are decoded and read.
 func (s *Scan) readBatch(part, lo, hi int, cache *data.ChunkCache, st *OpStats) (*data.Table, error) {
 	p := s.Table.Parts[part]
 	var batch *data.Table
 	if p.Chunked != nil {
+		v := s.views[part]
 		before := cache.Decodes()
-		dec, err := s.views[part].Range(lo, hi, cache)
+		dec, err := v.Range(lo, hi, cache)
 		st.ChunksDecoded += int64(cache.Decodes() - before)
-		if dec == nil || err != nil {
+		if err != nil {
 			return nil, err
+		}
+		st.Rows += int64(v.LiveRows(lo, hi))
+		if dec == nil {
+			return nil, nil
 		}
 		batch = dec
 	} else {
@@ -341,6 +406,7 @@ func (s *Scan) readBatch(part, lo, hi int, cache *data.ChunkCache, st *OpStats) 
 			}
 		}
 		batch = src.Slice(lo, hi)
+		st.Rows += int64(batch.NumRows())
 	}
 	// Qualify output names.
 	out, err := data.NewTable(s.Table.Name)
@@ -355,7 +421,6 @@ func (s *Scan) readBatch(part, lo, hi int, cache *data.ChunkCache, st *OpStats) 
 		}
 		st.BytesRead += qc.ByteSize()
 	}
-	st.Rows += int64(out.NumRows())
 	st.Batches++
 	return out, nil
 }

@@ -130,7 +130,7 @@ func (s *Scan) Morsels(size int) ([]Morsel, error) {
 		for lo := 0; lo < n; lo += size {
 			m := Morsel{Part: pi, Lo: lo, Hi: min(lo+size, n), Chunk: -1}
 			if p.Chunked != nil {
-				if !s.views[pi].Live(m.Lo, m.Hi) {
+				if s.views[pi].LiveRows(m.Lo, m.Hi) == 0 {
 					continue
 				}
 				m.Chunk = p.Chunked.ChunkOf(lo)
