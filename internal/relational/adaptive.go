@@ -48,7 +48,7 @@ const adaptiveDenseMinRows = 1024
 // operator Open (after the child opened, so upstream join builds have
 // already been observed): when re-optimization triggers and the corrected
 // input estimate is tiny, the dense path is disabled for this execution.
-// The returned limit feeds accumulateGroupedBatch; the operator's
+// The returned limit feeds groupScratch.partial; the operator's
 // configured DenseLimit field is never mutated.
 func resolveDenseLimit(ctx AdaptiveContext, denseLimit int, estRows float64, point string) int {
 	if ctx == nil || denseLimit < 0 {

@@ -68,21 +68,31 @@
 //     query thread, indexing with up to DOP workers, and the worker clones
 //     (Right == nil) probe their chains against that shared, immutable
 //     build.
-//   - Aggregate keeps one COUNT/SUM/MIN/MAX accumulator per batch (AVG as
-//     SUM and COUNT, divided only at the end; MIN and MAX start from ±Inf)
-//     — one addition tree at any DOP.
-//   - GroupAggregate keeps one grouped accumulator per batch and merges it
-//     by key VALUE, never by dictionary code, so partials with mismatched
+//   - Both aggregations keep their state in one struct-of-arrays
+//     accumulator, aggState: COUNT plus per-aggregate SUM/MIN/MAX float64
+//     slices indexed by group id (AVG as SUM and COUNT, divided only at the
+//     end; MIN and MAX start from ±Inf). A partial's state columns — in an
+//     exchange batch or a spill slab — are those slices, so no per-group or
+//     per-row object exists anywhere.
+//   - Aggregate is the one-group case: it folds one batch partial per batch
+//     into its identity slot — one addition tree at any DOP.
+//   - GroupAggregate groups each batch into a partial and merges it by key
+//     VALUE, never by dictionary code, so partials with mismatched
 //     dictionaries or raw strings agree; groups come out in first-
-//     occurrence order. The per-batch step groups either through a dense
-//     code→group array, when the single key is dictionary-encoded with a
-//     cardinality within DenseLimit (Profile.DenseGroupLimit: 0 means
+//     occurrence order. A batch is grouped in two passes, a group id per
+//     row then a column-at-a-time fold, and the merge likewise assigns ids
+//     then folds state columns. Group ids come from a dense code→group
+//     array, when the single key is dictionary-encoded with a cardinality
+//     within DenseLimit (Profile.DenseGroupLimit: 0 means
 //     DefaultDenseGroupLimit = 4096, negative disables; one array per
-//     worker, reset through the touched-code list), or by hashing the
-//     canonical key bytes (int64 and float bits with NaNs collapsed,
-//     fixed-width bools, length-prefixed string values). Both visit rows in
-//     batch order with the same updates, so they are bit-identical; dense
-//     measured ≈1.4–1.9× faster on the kernel-shape benchmark.
+//     worker, reset through the touched-code list), or from a typed key
+//     index: a single int64, float64 (NaNs collapsed by floatKey) or bool
+//     key probes a map[uint64]int32 on its value, a single string key a
+//     map[string]int32 on its value, and only key tuples are encoded to
+//     canonical bytes (8-byte words, one-byte bools, length-prefixed
+//     strings). Every path visits rows in batch order with the same
+//     updates, so they are bit-identical; dense measured ≈1.4–1.9× faster
+//     on the kernel-shape benchmark.
 //   - Sort turns each batch into one stable sorted run cut to its top
 //     Offset+Limit rows (a row outside its run's window can never enter
 //     the global one; a bounded heap finds the window in O(n log k)), and
@@ -114,10 +124,12 @@
 // the key column and typed indexes stay resident, so probe order is
 // untouched (a grace-hash join would reorder output); it holds its grant
 // until the query's Cleanup. Grouped aggregation grace-hash-partitions its
-// groups into 16 partitions of partial-aggregate state with fold sequence
-// numbers, so re-folding a partition reproduces the serial per-key fold
-// and sorting by first sequence restores first-occurrence order; it
-// releases its reservation at the switch. The sort migrates its held runs
+// groups (fnv32a over the canonical key bytes) into 16 partitions of
+// partial-aggregate state with fold sequence numbers, so re-folding a
+// partition reproduces the serial per-key fold; each re-folded partition
+// lists its groups in ascending first sequence, so one linear 16-way merge
+// restores first-occurrence order; it releases its reservation at the
+// switch. The sort migrates its held runs
 // to disk, writes every later run directly and releases its reservation;
 // the external merge keeps the earlier-run tie-break. The grouped spill's
 // partition buffers together stay within the query's floor. The partial

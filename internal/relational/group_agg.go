@@ -3,7 +3,7 @@ package relational
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
 
 	"raven/internal/data"
 	"raven/internal/fault"
@@ -11,18 +11,20 @@ import (
 
 // Grouped aggregation (GROUP BY) — the grouped twin of the global
 // aggregation in ops.go / parallel_agg.go, built on the same per-batch
-// partial + in-order fold discipline:
+// partial + in-order fold discipline and the same struct-of-arrays
+// accumulator (aggState) indexed by group id:
 //
-//   - every input batch is folded into a batch-local grouped accumulator
-//     (groups in first-occurrence row order, each holding the same
-//     COUNT/SUM/MIN/MAX state the global aggPartial carries, AVG
+//   - every input batch is grouped into a batch partial: its key columns
+//     gathered at each group's first row, in first-occurrence row order,
+//     plus an aggState holding each group's COUNT/SUM/MIN/MAX (AVG
 //     decomposed into SUM+COUNT) — inline in the GroupAggregate breaker,
-//     or in the PartialGroupAggregate workers of an exchange, which encode
-//     it as a table;
-//   - the breaker merges batch accumulators by group KEY VALUE into a
-//     global accumulator in stream order (serial: batch order; exchanged:
-//     morsel order, which the Exchange guarantees equals serial batch
-//     order).
+//     or in the PartialGroupAggregate workers of an exchange, which emit it
+//     as a table whose state columns are the accumulator's slices;
+//   - the breaker's groupedMerge folds batch partials by group key VALUE
+//     into one global aggState in stream order (serial: batch order;
+//     exchanged: morsel order, which the Exchange guarantees equals serial
+//     batch order). A group's first partial becomes its state as is; later
+//     ones fold into it.
 //
 // Because both placements of the partial step run the identical per-batch
 // accumulation and the breaker the identical value-keyed fold — and the
@@ -31,84 +33,32 @@ import (
 // representation. Output row order is deterministic: first occurrence of
 // the group key in serial batch order.
 //
-// Two grouping paths compute the batch-local accumulator:
+// A batch is grouped in two passes: a group id per row, then a
+// column-at-a-time fold of each aggregate's values into its group's slots
+// (aggState.addRows). The group ids come from one of two paths:
 //
 //   - dense: a single dictionary-encoded key column with cardinality at
 //     most the dense limit indexes a per-operator (per-worker, under an
 //     Exchange) dense code→group array — no hashing at all. The array is
 //     reused across batches and reset via the touched-code list.
-//   - hash: typed group keys are canonically encoded (int64/float-bits
-//     with NaN canonicalized/bool fixed width, strings length-prefixed by
-//     value — dictionary codes are never compared across dictionaries)
-//     into a reused buffer probing a map[string]int.
+//   - hash: a keyIndex on the key value. A single int64, float64 or bool
+//     key probes a map[uint64]int32 on its value (floats through floatKey,
+//     which collapses NaNs); a single string key probes a map[string]int32
+//     on its value, whatever the representation (dictionary codes are never
+//     compared across dictionaries); only multi-column keys are encoded to
+//     canonical bytes (self-delimiting per type) probing a
+//     map[string]int32.
 //
-// Both paths visit rows in batch order and update per-group state with
-// the same operations, so dense and hash grouping are bit-identical; the
-// engine picks between them per Profile (DenseGroupLimit).
+// The merge probes the same keyIndex, then folds the partial's state
+// columns one at a time (aggState.foldRows). Both paths visit rows in
+// batch order and update per-group state with the same operations, so
+// dense and hash grouping are bit-identical; the engine picks between them
+// per Profile (DenseGroupLimit).
 
 // DefaultDenseGroupLimit is the largest dictionary cardinality the dense
 // code→group grouping path is used for when the operator's DenseLimit is
 // 0 (the per-worker dense array costs 4 bytes per dictionary entry).
 const DefaultDenseGroupLimit = 4096
-
-// groupKeyEnc appends row i's canonical key bytes to dst. Encodings are
-// self-delimiting per column type, so concatenating a fixed schema of
-// keys is unambiguous.
-type groupKeyEnc func(i int, dst []byte) []byte
-
-// canonFloatBits maps a float64 to comparable key bits: all NaN payloads
-// collapse to one group (matching the join build's NaN canonicalization).
-func canonFloatBits(v float64) uint64 {
-	if math.IsNaN(v) {
-		return math.Float64bits(math.NaN())
-	}
-	return math.Float64bits(v)
-}
-
-// keyEncoder returns the canonical encoder for one key column.
-func keyEncoder(c *data.Column) (groupKeyEnc, error) {
-	switch c.Type {
-	case data.Int64:
-		vals := c.I64
-		return func(i int, dst []byte) []byte {
-			return binary.LittleEndian.AppendUint64(dst, uint64(vals[i]))
-		}, nil
-	case data.Float64:
-		vals := c.F64
-		return func(i int, dst []byte) []byte {
-			return binary.LittleEndian.AppendUint64(dst, canonFloatBits(vals[i]))
-		}, nil
-	case data.Bool:
-		vals := c.B
-		return func(i int, dst []byte) []byte {
-			if vals[i] {
-				return append(dst, 1)
-			}
-			return append(dst, 0)
-		}, nil
-	case data.String:
-		at := strAt(c)
-		return func(i int, dst []byte) []byte {
-			s := at(i)
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			return append(dst, s...)
-		}, nil
-	}
-	return nil, fmt.Errorf("relational: cannot group by column %q of type %s", c.Name, c.Type)
-}
-
-// keyEncoders returns the canonical encoders of a key tuple's columns.
-func keyEncoders(cols []*data.Column) ([]groupKeyEnc, error) {
-	encs := make([]groupKeyEnc, len(cols))
-	for i, c := range cols {
-		enc, err := keyEncoder(c)
-		if err != nil {
-			return nil, err
-		}
-		encs[i] = enc
-	}
-	return encs, nil
-}
 
 // keyColumns resolves the named key columns of b.
 func keyColumns(b *data.Table, keys []string) ([]*data.Column, error) {
@@ -121,83 +71,109 @@ func keyColumns(b *data.Table, keys []string) ([]*data.Column, error) {
 	return cols, nil
 }
 
-// keyBuilder accumulates first-occurrence key values for one key column
-// and renders them as an output column. String keys are emitted as raw
-// strings regardless of the input representation, so raw and
-// dictionary-encoded runs produce identical output columns.
-type keyBuilder struct {
-	name string
-	typ  data.Type
-	f64  []float64
-	i64  []int64
-	str  []string
-	b    []bool
-}
-
-func newKeyBuilder(name string, typ data.Type) *keyBuilder {
-	return &keyBuilder{name: name, typ: typ}
-}
-
-// add appends row i of c (which must match the builder's type).
-func (k *keyBuilder) add(c *data.Column, i int) error {
-	if c.Type != k.typ {
-		return fmt.Errorf("relational: group key %q changed type from %s to %s", k.name, k.typ, c.Type)
-	}
-	switch k.typ {
-	case data.Float64:
-		k.f64 = append(k.f64, c.F64[i])
+// keyWord returns an int64, float64 or bool key at row r as an index word.
+func keyWord(c *data.Column, r int) uint64 {
+	switch c.Type {
 	case data.Int64:
-		k.i64 = append(k.i64, c.I64[i])
-	case data.String:
-		k.str = append(k.str, c.AsString(i))
-	case data.Bool:
-		k.b = append(k.b, c.B[i])
+		return uint64(c.I64[r])
+	case data.Float64:
+		return floatKey(c.F64[r])
 	}
-	return nil
+	if c.B[r] {
+		return 1
+	}
+	return 0
 }
 
-func (k *keyBuilder) column() *data.Column {
-	switch k.typ {
-	case data.Float64:
-		return data.NewFloat(k.name, k.f64)
-	case data.Int64:
-		return data.NewInt(k.name, k.i64)
-	case data.Bool:
-		return data.NewBool(k.name, k.b)
+// appendKey appends row r's canonical key bytes to dst: int64 and float
+// words as 8 little-endian bytes, bools as one byte, strings by value with
+// a length prefix. Every encoding is self-delimiting, so a key tuple's
+// concatenation is unambiguous.
+func appendKey(cols []*data.Column, r int, dst []byte) []byte {
+	for _, c := range cols {
+		switch c.Type {
+		case data.Bool:
+			dst = append(dst, byte(keyWord(c, r)))
+		case data.String:
+			s := c.AsString(r)
+			dst = append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+		default:
+			dst = binary.LittleEndian.AppendUint64(dst, keyWord(c, r))
+		}
+	}
+	return dst
+}
+
+// keyIndex maps group key values to group ids: a single int64, float64 or
+// bool key by its word in words, a single string key by value and a key
+// tuple by its canonical bytes in strs.
+type keyIndex struct {
+	words map[uint64]int32
+	strs  map[string]int32
+	buf   []byte
+}
+
+// id returns the group of the key at row r of cols, entering the key as
+// group next when it is absent; added reports whether it was.
+func (x *keyIndex) id(cols []*data.Column, r int, next int32) (g int32, added bool) {
+	if x.words == nil {
+		x.words, x.strs = make(map[uint64]int32), make(map[string]int32)
+	}
+	var ok bool
+	switch c := cols[0]; {
+	case len(cols) > 1:
+		x.buf = appendKey(cols, r, x.buf[:0])
+		if g, ok = x.strs[string(x.buf)]; !ok {
+			x.strs[string(x.buf)] = next
+		}
+	case c.Type == data.String:
+		s := c.AsString(r)
+		if g, ok = x.strs[s]; !ok {
+			x.strs[s] = next
+		}
 	default:
-		return data.NewString(k.name, k.str)
+		w := keyWord(c, r)
+		if g, ok = x.words[w]; !ok {
+			x.words[w] = next
+		}
 	}
+	if ok {
+		return g, false
+	}
+	return next, true
 }
 
-// batchGroups is the grouped accumulator of one batch: per group (in
-// first-occurrence row order) the first row index and the aggregate
-// partial, plus the batch's key columns for value extraction.
-type batchGroups struct {
-	keyCols   []*data.Column
-	firstRows []int
-	parts     []*aggPartial
+// emptyLike returns empty raw columns named and typed like cols, to which
+// rows are appended (Column.AppendRow): groups' first-occurrence key
+// values, or the merged rows of a spilled result. String keys come out as
+// raw strings whatever the input representation, so raw and
+// dictionary-encoded runs produce identical output columns.
+func emptyLike(cols []*data.Column) []*data.Column {
+	out := make([]*data.Column, len(cols))
+	for i, c := range cols {
+		out[i] = &data.Column{Name: c.Name, Type: c.Type}
+	}
+	return out
 }
 
 // groupScratch holds the per-operator (per-worker) reusable state of the
 // batch accumulation hot path: the dense code→group array keyed on the
-// dictionary identity, the composite-key buffer and resolved column
-// slices. It is not safe for concurrent use; exchange workers each own a
-// clone's scratch.
+// dictionary identity, the hash path's key index, the per-row group ids
+// and resolved column slices. It is not safe for concurrent use; exchange
+// workers each own a clone's scratch.
 type groupScratch struct {
 	dict    *data.Dictionary
 	denseG  []int32 // code → group index + 1; 0 = unseen this batch
-	buf     []byte
+	idx     keyIndex
+	gids    []int32
+	first   []int
 	aggCols []*data.Column
-	hashIdx map[string]int
 }
 
 // resolveAggCols caches the per-batch aggregate input columns (nil slots
 // for COUNT, which reads no column).
 func (s *groupScratch) resolveAggCols(b *data.Table, aggs []AggSpec) error {
-	if cap(s.aggCols) < len(aggs) {
-		s.aggCols = make([]*data.Column, len(aggs))
-	}
-	s.aggCols = s.aggCols[:len(aggs)]
+	s.aggCols = slices.Grow(s.aggCols[:0], len(aggs))[:len(aggs)]
 	for gi, g := range aggs {
 		if g.Fn == AggCount {
 			s.aggCols[gi] = nil
@@ -210,26 +186,6 @@ func (s *groupScratch) resolveAggCols(b *data.Table, aggs []AggSpec) error {
 		s.aggCols[gi] = c
 	}
 	return nil
-}
-
-// addRow folds row i of the batch into the group's partial. Visiting rows
-// in batch order with these exact operations is the contract every
-// grouping path (dense, hash, serial, parallel) shares.
-func (s *groupScratch) addRow(p *aggPartial, i int) {
-	p.count++
-	for gi, c := range s.aggCols {
-		if c == nil {
-			continue
-		}
-		v := c.AsFloat(i)
-		p.sums[gi] += v
-		if v < p.mins[gi] {
-			p.mins[gi] = v
-		}
-		if v > p.maxs[gi] {
-			p.maxs[gi] = v
-		}
-	}
 }
 
 // denseKey reports whether the batch's key columns qualify for the dense
@@ -249,8 +205,12 @@ func denseKey(keyCols []*data.Column, limit int) (*data.Column, bool) {
 	return nil, false
 }
 
-// accumulateGroupedBatch computes the batch-local grouped accumulator.
-func (s *groupScratch) accumulateGroupedBatch(b *data.Table, keys []string, aggs []AggSpec, denseLimit int) (*batchGroups, error) {
+// partial computes one batch's partial table: the key columns gathered at
+// each group's first row (keeping their representation), then the groups'
+// accumulator as its state columns, in first-occurrence row order. Without
+// keys it is a global aggregation's one-row partial. The serial breakers
+// fold exactly the partial an exchange worker emits.
+func (s *groupScratch) partial(b *data.Table, keys []string, aggs []AggSpec, denseLimit int) (*data.Table, error) {
 	keyCols, err := keyColumns(b, keys)
 	if err != nil {
 		return nil, err
@@ -258,9 +218,15 @@ func (s *groupScratch) accumulateGroupedBatch(b *data.Table, keys []string, aggs
 	if err := s.resolveAggCols(b, aggs); err != nil {
 		return nil, err
 	}
-	bg := &batchGroups{keyCols: keyCols}
 	n := b.NumRows()
-	if kc, ok := denseKey(keyCols, denseLimit); ok {
+	s.gids = slices.Grow(s.gids[:0], n)[:n]
+	s.first = s.first[:0]
+	if kc, ok := denseKey(keyCols, denseLimit); len(keys) == 0 {
+		// A global aggregation: one group of every row, present even
+		// when the batch is empty.
+		clear(s.gids)
+		s.first = append(s.first, 0)
+	} else if ok {
 		// Dense path: the shared dictionary indexes a reusable code→group
 		// array. A dictionary switch (new table, re-encoded column)
 		// reinitializes it; otherwise only the codes touched by the
@@ -274,63 +240,54 @@ func (s *groupScratch) accumulateGroupedBatch(b *data.Table, keys []string, aggs
 			code := codes[i]
 			gi := s.denseG[code]
 			if gi == 0 {
-				bg.firstRows = append(bg.firstRows, i)
-				bg.parts = append(bg.parts, newAggPartial(len(aggs)))
-				gi = int32(len(bg.parts))
+				s.first = append(s.first, i)
+				gi = int32(len(s.first))
 				s.denseG[code] = gi
 			}
-			s.addRow(bg.parts[gi-1], i)
+			s.gids[i] = gi - 1
 		}
-		for _, r := range bg.firstRows {
+		for _, r := range s.first {
 			s.denseG[codes[r]] = 0
 		}
-		return bg, nil
-	}
-	encs, err := keyEncoders(keyCols)
-	if err != nil {
-		return nil, err
-	}
-	if s.hashIdx == nil {
-		s.hashIdx = make(map[string]int, 16)
 	} else {
-		clear(s.hashIdx)
-	}
-	for i := 0; i < n; i++ {
-		s.buf = s.buf[:0]
-		for _, enc := range encs {
-			s.buf = enc(i, s.buf)
+		clear(s.idx.words)
+		clear(s.idx.strs)
+		for i := 0; i < n; i++ {
+			g, added := s.idx.id(keyCols, i, int32(len(s.first)))
+			if added {
+				s.first = append(s.first, i)
+			}
+			s.gids[i] = g
 		}
-		gi, ok := s.hashIdx[string(s.buf)]
-		if !ok {
-			gi = len(bg.parts)
-			s.hashIdx[string(s.buf)] = gi
-			bg.firstRows = append(bg.firstRows, i)
-			bg.parts = append(bg.parts, newAggPartial(len(aggs)))
-		}
-		s.addRow(bg.parts[gi], i)
 	}
-	return bg, nil
+	st := newAggState(len(aggs), len(s.first))
+	st.addRows(s.gids, s.aggCols)
+	for i, kc := range keyCols {
+		keyCols[i] = kc.Gather(s.first)
+	}
+	return data.NewTable("partial", append(keyCols, st.columns()...)...)
 }
 
-// groupedMerge is the global grouped accumulator the breaker (or the
-// serial operator) folds batch accumulators into. Groups are keyed by
-// canonical key VALUE — never by dictionary code — so partials carrying
-// mismatched dictionaries or raw strings merge correctly, and ordered by
-// first occurrence in fold order.
+// groupedMerge is the global grouped accumulator the breaker folds batch
+// partials into. Groups are keyed by key VALUE — never by dictionary code —
+// so partials carrying mismatched dictionaries or raw strings merge
+// correctly, and numbered (their aggState slot) by first occurrence in
+// fold order.
 type groupedMerge struct {
 	keyNames []string
 	aggs     []AggSpec
 
-	keys  []*keyBuilder
-	parts []*aggPartial
-	idx   map[string]int
+	keys  []*data.Column // first-occurrence key values; typed by the first fold
+	state aggState
+	idx   keyIndex
+	gids  []int32 // per-row group ids of the fold in progress
 	buf   []byte
 
 	// budget, when set, caps the resident group state: once retained
 	// exceeds it, the accumulator migrates to grace-hash partition spill
 	// (group_spill.go) and all later folds route there. seq numbers every
-	// fold; firstSeq remembers each resident group's first one so the
-	// spilled output can be restored to first-occurrence order.
+	// folded row; firstSeq remembers each resident group's first one so
+	// the spilled output can be restored to first-occurrence order.
 	budget   *MemBudget
 	res      *Reservation
 	seq      float64
@@ -340,51 +297,121 @@ type groupedMerge struct {
 }
 
 func newGroupedMerge(keyNames []string, aggs []AggSpec) *groupedMerge {
-	return &groupedMerge{keyNames: keyNames, aggs: aggs, idx: make(map[string]int)}
+	return &groupedMerge{keyNames: keyNames, aggs: aggs, state: newAggState(len(aggs), 0)}
 }
 
 // groupStateBytes approximates the resident cost of one group beyond its
-// key bytes: map entry, partial struct, three float slices.
-func groupStateBytes(nAggs int) int64 { return 64 + 8*int64(1+3*nAggs) }
+// canonical key bytes (which stand in for the key column's copy of the
+// key: 8 bytes for an int64 or float64 key, a string's bytes plus its
+// length prefix). With n aggregates it is
+//
+//	8·(1+3n)  aggState: COUNT, then SUM, MIN and MAX per aggregate
+//	+ 8       firstSeq
+//	+ 32      keyIndex slot: a 12–20-byte key/value slot rounded to 16–24
+//	          bytes plus one control byte, at the map's 7/16–7/8 load
+//
+// = 48 + 24n bytes: 72 for the one AVG of a per-search ranking. Slices
+// grow by doubling, so capacity can run up to 2× the counted lengths.
+func groupStateBytes(nAggs int) int64 { return 48 + 24*int64(nAggs) }
 
-// fold merges one group — key values at row r of keyCols (encoded by
-// encs), partial state p — into the accumulator, taking ownership of p.
-func (m *groupedMerge) fold(keyCols []*data.Column, encs []groupKeyEnc, r int, p *aggPartial) error {
-	m.buf = m.buf[:0]
-	for _, enc := range encs {
-		m.buf = enc(r, m.buf)
-	}
-	seq := m.seq
-	m.seq++
-	if m.spill != nil {
-		return m.spill.add(m.buf, keyCols, r, p, seq)
-	}
-	if gi, ok := m.idx[string(m.buf)]; ok {
-		m.parts[gi].fold(p)
+// fold merges an encoded grouped partial in row order: group r's key at
+// row r of keyCols, its state at row r of src. seqs, when non-nil, are the
+// rows' fold sequence numbers (a spill slab's __seq column); otherwise the
+// rows continue the merge's own numbering.
+func (m *groupedMerge) fold(keyCols []*data.Column, src *aggState, seqs []float64) error {
+	n := src.len()
+	if n == 0 {
 		return nil
 	}
 	if m.keys == nil {
-		m.keys = make([]*keyBuilder, len(m.keyNames))
-		for i, name := range m.keyNames {
-			m.keys[i] = newKeyBuilder(name, keyCols[i].Type)
+		m.keys = emptyLike(keyCols)
+	}
+	for i, c := range keyCols {
+		if want := m.keys[i].Type; c.Type != want {
+			return fmt.Errorf("relational: group key %q changed type from %s to %s", m.keyNames[i], want, c.Type)
 		}
 	}
-	for i, kb := range m.keys {
-		if err := kb.add(keyCols[i], r); err != nil {
+	seqOf := func(r int) float64 {
+		if seqs != nil {
+			return seqs[r]
+		}
+		return m.seq + float64(r)
+	}
+	r := 0
+	if m.spill == nil {
+		var over bool
+		var err error
+		if r, over, err = m.foldResident(keyCols, src, seqOf); err != nil {
+			return err
+		}
+		if over {
+			if err := m.startSpill(); err != nil {
+				return err
+			}
+		}
+	}
+	for ; r < n; r++ {
+		if err := m.spill.add(keyCols, r, src, seqOf(r)); err != nil {
 			return err
 		}
 	}
-	m.idx[string(m.buf)] = len(m.parts)
-	m.parts = append(m.parts, p)
-	m.firstSeq = append(m.firstSeq, seq)
-	m.retained += int64(len(m.buf)) + groupStateBytes(len(m.aggs))
-	if m.res == nil {
-		m.res = m.budget.Reserve()
-	}
-	if m.res.Over(m.retained) {
-		return m.startSpill()
-	}
+	m.seq += float64(n)
 	return nil
+}
+
+// foldResident folds the rows of src into the resident groups in two
+// passes: the key index assigns every row its group (entering new keys),
+// then the state columns fold one at a time. When the budget denies a new
+// group's bytes it stops after that row and reports over; it returns the
+// number of rows folded.
+func (m *groupedMerge) foldResident(keyCols []*data.Column, src *aggState, seqOf func(int) float64) (int, bool, error) {
+	n := src.len()
+	gids := m.gids[:0]
+	end, over := n, false
+	for r := 0; r < n; r++ {
+		g, added := m.idx.id(keyCols, r, int32(len(m.firstSeq)))
+		if !added {
+			gids = append(gids, g)
+			continue
+		}
+		gids = append(gids, ^g)
+		for i, c := range m.keys {
+			if err := c.AppendRow(keyCols[i], r); err != nil {
+				return 0, false, err
+			}
+		}
+		m.firstSeq = append(m.firstSeq, seqOf(r))
+		if m.budget == nil {
+			continue
+		}
+		m.buf = appendKey(keyCols, r, m.buf[:0])
+		m.retained += int64(len(m.buf)) + groupStateBytes(len(m.aggs))
+		if m.res == nil {
+			m.res = m.budget.Reserve()
+		}
+		if m.res.Over(m.retained) {
+			end, over = r+1, true
+			break
+		}
+	}
+	m.state.foldRows(gids, src)
+	m.gids = gids
+	return end, over, nil
+}
+
+// foldPartials merges an encoded grouped-partial batch — a
+// PartialGroupAggregate output or a grouped spill slab (with its seqs) —
+// row by row, reading its state columns in place.
+func (m *groupedMerge) foldPartials(b *data.Table, seqs []float64) error {
+	keyCols, err := keyColumns(b, m.keyNames)
+	if err != nil {
+		return err
+	}
+	st, err := stateOf(b, len(m.aggs))
+	if err != nil {
+		return err
+	}
+	return m.fold(keyCols, &st, seqs)
 }
 
 // startSpill switches the accumulator to grace-hash spill, migrating the
@@ -394,30 +421,17 @@ func (m *groupedMerge) fold(keyCols []*data.Column, encs []groupKeyEnc, r int, p
 // of the same key fold after it in stream order, so the re-fold
 // reproduces the serial fold exactly.
 func (m *groupedMerge) startSpill() error {
-	sp, err := newGroupSpill(m.budget, m.keyNames, m.aggs)
+	sp, err := newGroupSpill(m.budget, m.keyNames, m.keys, m.aggs)
 	if err != nil {
 		return err
 	}
-	if len(m.parts) > 0 {
-		keyCols := builtColumns(m.keys)
-		encs, err := keyEncoders(keyCols)
-		if err != nil {
+	for g := 0; g < m.state.len(); g++ {
+		if err := sp.add(m.keys, g, &m.state, m.firstSeq[g]); err != nil {
 			return err
-		}
-		buf := make([]byte, 0, 64)
-		for gi, p := range m.parts {
-			buf = buf[:0]
-			for _, enc := range encs {
-				buf = enc(gi, buf)
-			}
-			if err := sp.add(buf, keyCols, gi, p, m.firstSeq[gi]); err != nil {
-				return err
-			}
 		}
 	}
 	m.spill = sp
-	m.keys, m.parts, m.firstSeq = nil, nil, nil
-	m.idx = make(map[string]int)
+	m.keys, m.state, m.firstSeq, m.idx, m.gids = emptyLike(m.keys), aggState{}, nil, keyIndex{}, nil
 	m.retained = 0
 	// The resident group state just moved to the spill partitions, whose
 	// buffers are bounded by the flush threshold; hand the reservation
@@ -444,92 +458,16 @@ func (m *groupedMerge) spilledBytes() int64 {
 	return m.spill.spilledBytes()
 }
 
-// foldBatch merges a batch-local accumulator group by group, in the
-// batch's first-occurrence order.
-func (m *groupedMerge) foldBatch(bg *batchGroups) error {
-	encs, err := keyEncoders(bg.keyCols)
-	if err != nil {
-		return err
-	}
-	for gi, r := range bg.firstRows {
-		if err := m.fold(bg.keyCols, encs, r, bg.parts[gi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// resolveGroupedPartials resolves an encoded grouped-partial batch (a
-// PartialGroupAggregate output or a grouped spill slab) for folding row by
-// row: its key columns with their encoders, and the state columns named
-// by state.
-func resolveGroupedPartials(b *data.Table, keys, state []string) ([]*data.Column, []groupKeyEnc, partialCols, error) {
-	keyCols, err := keyColumns(b, keys)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	encs, err := keyEncoders(keyCols)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pc, err := resolvePartials(b, state)
-	return keyCols, encs, pc, err
-}
-
-// foldPartials merges an encoded grouped-partial batch row by row.
-func (m *groupedMerge) foldPartials(b *data.Table, state []string) error {
-	keyCols, encs, pc, err := resolveGroupedPartials(b, m.keyNames, state)
-	if err != nil {
-		return err
-	}
-	for r := 0; r < b.NumRows(); r++ {
-		if err := m.fold(keyCols, encs, r, pc.row(r)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// builtColumns renders key builders as columns.
-func builtColumns(keys []*keyBuilder) []*data.Column {
-	cols := make([]*data.Column, len(keys))
-	for i, kb := range keys {
-		cols[i] = kb.column()
-	}
-	return cols
-}
-
 // finalize renders the accumulated groups: key columns (first-occurrence
-// order) followed by one float column per aggregate, AVG divided only
-// here. Zero groups returns nil — the operator synthesizes a typed empty
-// batch from its static schema instead (SchemaOf), so empty grouped
-// results keep their real key column types.
+// order) followed by one float column per aggregate. Zero groups returns
+// nil — the operator synthesizes a typed empty batch from its static
+// schema instead (SchemaOf), so empty grouped results keep their real key
+// column types.
 func (m *groupedMerge) finalize() (*data.Table, error) {
-	if len(m.parts) == 0 {
+	if m.state.len() == 0 {
 		return nil, nil
 	}
-	cols := append(make([]*data.Column, 0, len(m.keyNames)+len(m.aggs)), builtColumns(m.keys)...)
-	for gi, g := range m.aggs {
-		vals := make([]float64, len(m.parts))
-		for p, part := range m.parts {
-			switch g.Fn {
-			case AggCount:
-				vals[p] = part.count
-			case AggSum:
-				vals[p] = part.sums[gi]
-			case AggAvg:
-				if part.count > 0 {
-					vals[p] = part.sums[gi] / part.count
-				}
-			case AggMin:
-				vals[p] = part.mins[gi]
-			case AggMax:
-				vals[p] = part.maxs[gi]
-			}
-		}
-		cols = append(cols, data.NewFloat(g.As, vals))
-	}
-	return data.NewTable("group_agg", cols...)
+	return data.NewTable("group_agg", append(m.keys, m.state.results(m.aggs)...)...)
 }
 
 // groupedColumns is the operator output schema: keys then aggregates.
@@ -612,7 +550,6 @@ func (a *GroupAggregate) Next() (*data.Table, error) {
 	a.done = true
 	acc := newGroupedMerge(a.Keys, a.Aggs)
 	acc.budget = a.env.Budget
-	state := partialColumns(len(a.Aggs))
 	for {
 		b, err := pull(a.env.Ctx, a.Child)
 		if err != nil {
@@ -621,13 +558,11 @@ func (a *GroupAggregate) Next() (*data.Table, error) {
 		if b == nil {
 			break
 		}
-		if a.exchanged {
-			err = acc.foldPartials(b, state)
-		} else {
-			var bg *batchGroups
-			if bg, err = a.scratch.accumulateGroupedBatch(b, a.Keys, a.Aggs, a.denseLimit); err == nil {
-				err = acc.foldBatch(bg)
-			}
+		if !a.exchanged {
+			b, err = a.scratch.partial(b, a.Keys, a.Aggs, a.denseLimit)
+		}
+		if err == nil {
+			err = acc.foldPartials(b, nil)
 		}
 		if err != nil {
 			return nil, err
@@ -681,8 +616,9 @@ func (a *GroupAggregate) Children() []Operator { return []Operator{a.Child} }
 // PartialGroupAggregate is the partial step of grouped aggregation moved
 // below an exchange: each worker turns every input batch into one encoded
 // partial table — the group-key columns gathered at their first-occurrence
-// rows (preserving the dictionary representation) plus the per-group
-// COUNT/SUM/MIN/MAX state as float columns. The exchange re-emits these
+// rows (preserving the dictionary representation) plus the batch
+// accumulator's COUNT/SUM/MIN/MAX slices as float columns. The exchange
+// re-emits these
 // tables in morsel order, so the GroupAggregate above folds exactly the
 // serial batch sequence.
 type PartialGroupAggregate struct {
@@ -731,19 +667,11 @@ func (a *PartialGroupAggregate) Next() (*data.Table, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	bg, err := a.scratch.accumulateGroupedBatch(b, a.Keys, a.Aggs, a.denseLimit)
+	out, err := a.scratch.partial(b, a.Keys, a.Aggs, a.denseLimit)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]*data.Column, 0, len(a.Keys)+1+3*len(a.Aggs))
-	for _, kc := range bg.keyCols {
-		cols = append(cols, kc.Gather(bg.firstRows))
-	}
-	out, err := data.NewTable("group_partial", append(cols, encodePartials(bg.parts, len(a.Aggs))...)...)
-	if err != nil {
-		return nil, err
-	}
-	a.stats.Rows += int64(len(bg.parts))
+	a.stats.Rows += int64(out.NumRows())
 	a.stats.Batches++
 	return out, nil
 }

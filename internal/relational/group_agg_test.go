@@ -42,10 +42,12 @@ func refGroupAggregate(tb *data.Table, keys []string, aggs []AggSpec) []*refGrou
 	for r := 0; r < tb.NumRows(); r++ {
 		parts := make([]string, len(keyCols))
 		for i, c := range keyCols {
-			// Render float keys by canonical bits so NaNs form one group,
-			// mirroring the engine's key encoding.
-			if c.Type == data.Float64 {
-				parts[i] = strconv.FormatUint(canonFloatBits(c.F64[r]), 16)
+			// Render float keys by their bits, every NaN payload as one
+			// "NaN": NaNs form one group, −0 and +0 two.
+			if v := c.F64; c.Type == data.Float64 && math.IsNaN(v[r]) {
+				parts[i] = "NaN"
+			} else if c.Type == data.Float64 {
+				parts[i] = strconv.FormatUint(math.Float64bits(v[r]), 16)
 			} else {
 				parts[i] = c.AsString(r)
 			}
@@ -119,10 +121,20 @@ var propAggs = []AggSpec{
 // both the engine and the reference must agree.
 var propEdgeValues = []float64{0, 1, -1, 1e15, -1e15, 1e-12, 97.25, -97.25, math.NaN()}
 
+// propIntKeys and propFloatKeys are the typed key values the skewed shape
+// draws from: the int64 extremes around the sign and the word boundary,
+// and float keys with −0 next to +0 (two groups) and two distinct NaN
+// payloads (one group).
+var (
+	propIntKeys   = []int64{math.MinInt64, math.MaxInt64, -1, 0, 7, 1 << 40, -(1 << 40)}
+	propFloatKeys = []float64{0, math.Copysign(0, -1), 1.5, -2, 1e300,
+		math.NaN(), math.Float64frombits(0x7ff8_0000_dead_beef)}
+)
+
 // randGroupTable builds a randomized grouping fixture. shape picks the
 // distribution: "skew" (zipf-ish hot keys, empty-string key present),
-// "one" (all rows one group), "distinct" (every row its own group),
-// "empty" (no rows).
+// "one" (all rows one group), "distinct" (every row its own group, over
+// at least ten 128-row batches), "empty" (no rows).
 func randGroupTable(rng *rand.Rand, shape string) *data.Table {
 	rows := 200 + rng.Intn(2800)
 	switch shape {
@@ -130,19 +142,32 @@ func randGroupTable(rng *rand.Rand, shape string) *data.Table {
 		rows = 0
 	case "one":
 		rows = 1 + rng.Intn(400)
+	case "distinct":
+		rows = 1280 + rng.Intn(1720)
 	}
 	sk := make([]string, rows)
 	fk := make([]float64, rows)
 	ik := make([]int64, rows)
+	bk := make([]bool, rows)
 	vs := make([]float64, rows)
 	edge := make([]float64, rows)
 	nKeys := 1 + rng.Intn(24)
 	for i := 0; i < rows; i++ {
 		switch shape {
 		case "one":
-			sk[i], fk[i], ik[i] = "only", 1.5, 7
+			sk[i], fk[i], ik[i], bk[i] = "only", 1.5, 7, true
 		case "distinct":
-			sk[i], fk[i], ik[i] = fmt.Sprintf("u%d", i), float64(i), int64(i)
+			sk[i], fk[i], ik[i], bk[i] = fmt.Sprintf("u%d", i), float64(i), int64(i), i%2 == 0
+			switch i {
+			case 1: // −0 next to row 0's +0: still its own group
+				fk[i] = math.Copysign(0, -1)
+			case 2:
+				ik[i] = math.MinInt64
+			case 3:
+				ik[i] = math.MaxInt64
+			case 4:
+				ik[i] = -1
+			}
 		default:
 			k := rng.Intn(nKeys)
 			if rng.Float64() < 0.6 {
@@ -153,18 +178,20 @@ func randGroupTable(rng *rand.Rand, shape string) *data.Table {
 			} else {
 				sk[i] = fmt.Sprintf("k%d", k)
 			}
-			fk[i] = float64(k % 5)
+			fk[i] = propFloatKeys[k%len(propFloatKeys)]
 			if rng.Float64() < 0.1 {
-				fk[i] = math.NaN() // NaN float keys must form one group
+				// NaN float keys, whatever their payload, form one group.
+				fk[i] = propFloatKeys[5+rng.Intn(2)]
 			}
-			ik[i] = int64(k % 7)
+			ik[i] = propIntKeys[k%len(propIntKeys)]
+			bk[i] = k%2 == 1
 		}
 		vs[i] = rng.NormFloat64() * 100
 		edge[i] = propEdgeValues[rng.Intn(len(propEdgeValues))]
 	}
 	return data.MustNewTable("t",
 		data.NewString("sk", sk), data.NewFloat("fk", fk), data.NewInt("ik", ik),
-		data.NewFloat("v", vs), data.NewFloat("edge", edge))
+		data.NewBool("bk", bk), data.NewFloat("v", vs), data.NewFloat("edge", edge))
 }
 
 // assertMatchesReference checks a grouped result table against the naive
@@ -225,15 +252,18 @@ func assertMatchesReference(t *testing.T, label string, got *data.Table, keys []
 }
 
 // TestGroupAggregatePropertyVsReference drives randomized tables —
-// skewed, one-group, all-distinct and empty shapes, with NaN, empty
-// strings and magnitude-edge values — through the grouped operator in
-// every configuration (single batch, multi-batch, dict-encoded,
-// hash-forced, parallel) and checks each against the naive reference,
-// plus byte-identity between the configurations themselves.
+// skewed, one-group, all-distinct and empty shapes, with NaN (two
+// payloads), −0 and +0, int64 extremes, bool keys, empty strings and
+// magnitude-edge values — through the grouped operator in every
+// configuration (single batch, multi-batch, dict-encoded, hash-forced,
+// parallel) and checks each against the naive reference, plus
+// byte-identity between the configurations themselves. Every typed key
+// index is covered: single int64, float64, bool and string keys, and key
+// tuples.
 func TestGroupAggregatePropertyVsReference(t *testing.T) {
-	shapes := []string{"skew", "skew", "skew", "one", "distinct", "empty"}
-	keySets := [][]string{{"sk"}, {"ik"}, {"fk"}, {"sk", "ik"}, {"sk", "fk", "ik"}}
-	for seed := int64(1); seed <= 6; seed++ {
+	shapes := []string{"skew", "skew", "skew", "one", "distinct", "empty", "distinct"}
+	keySets := [][]string{{"sk"}, {"ik"}, {"fk"}, {"bk"}, {"sk", "ik"}, {"bk", "fk"}, {"sk", "fk", "ik"}}
+	for seed := int64(1); seed <= int64(len(shapes)); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		shape := shapes[int(seed-1)%len(shapes)]
 		tb := randGroupTable(rng, shape)

@@ -711,10 +711,11 @@ type AggSpec struct {
 
 // Aggregate computes global aggregates over its input (the SQL Server
 // experiments add an aggregate over prediction results). It folds one
-// partial accumulator per input batch in stream order (parallel_agg.go),
-// computed inline from each batch when lowered serially, or read from the
-// one-row partials an exchange of PartialAggregate workers emits in morsel
-// order when Parallelize moved the partial step below it. Both fold the
+// one-group partial accumulator per input batch into its identity slot in
+// stream order (parallel_agg.go), computed inline from each batch when
+// lowered serially, or read from the one-row partials an exchange of
+// PartialAggregate workers emits in morsel order when Parallelize moved
+// the partial step below it. Both fold the
 // same partials in the same order, so the aggregates are bit-identical at
 // any DOP.
 type Aggregate struct {
@@ -727,6 +728,7 @@ type Aggregate struct {
 	stats     OpStats
 	done      bool
 	env       *Env
+	scratch   groupScratch
 }
 
 // Columns returns the aggregate output names.
@@ -756,8 +758,7 @@ func (a *Aggregate) Next() (*data.Table, error) {
 		return nil, nil
 	}
 	a.done = true
-	acc := newAggPartial(len(a.Aggs))
-	state := partialColumns(len(a.Aggs))
+	acc := newAggState(len(a.Aggs), 1)
 	for {
 		b, err := pull(a.env.Ctx, a.Child)
 		if err != nil {
@@ -767,22 +768,18 @@ func (a *Aggregate) Next() (*data.Table, error) {
 			break
 		}
 		if !a.exchanged {
-			p, err := accumulateBatch(b, a.Aggs)
-			if err != nil {
-				return nil, err
-			}
-			acc.fold(p)
-			continue
+			b, err = a.scratch.partial(b, nil, a.Aggs, -1)
 		}
-		pc, err := resolvePartials(b, state)
+		var p aggState
+		if err == nil {
+			p, err = stateOf(b, len(a.Aggs))
+		}
 		if err != nil {
 			return nil, err
 		}
-		for r := 0; r < b.NumRows(); r++ {
-			acc.fold(pc.row(r))
-		}
+		acc.foldRows(make([]int32, p.len()), &p)
 	}
-	out, err := acc.finalize(a.Aggs)
+	out, err := data.NewTable("agg", acc.results(a.Aggs)...)
 	if err != nil {
 		return nil, err
 	}

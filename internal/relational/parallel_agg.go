@@ -3,112 +3,183 @@ package relational
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"raven/internal/data"
 )
 
-// Global aggregation is one breaker folding one partial accumulator per
-// input batch — COUNT plus per-aggregate SUM/MIN/MAX, AVG carried
-// decomposed as SUM+COUNT — in stream order. Serially the Aggregate computes
-// each partial inline from its input batch; under Parallelize the
-// PartialAggregate workers of an exchange compute them and encode each as a
-// one-row table, which the Aggregate above reads back in morsel order. As
-// long as batch boundaries match morsel boundaries (both are the profile
-// batch size) both fold the same partials in the same order, so the result
-// is bit-identical at any DOP.
+// Every aggregation — global and grouped, serial and exchanged, in memory
+// and spilled — keeps its state in one struct-of-arrays accumulator,
+// aggState: COUNT plus per-aggregate SUM/MIN/MAX float64 slices indexed by
+// group id, AVG carried decomposed as SUM+COUNT and divided only when the
+// result is rendered. The global Aggregate is its one-group case: it starts
+// from the identity slot and folds one batch partial per input batch in
+// stream order. Serially the Aggregate computes each partial inline from
+// its input batch; under Parallelize the PartialAggregate workers of an
+// exchange compute them and emit each as a one-row table whose state
+// columns are the accumulator's slices, which the Aggregate above folds
+// back in morsel order. As long as batch boundaries match morsel
+// boundaries (both are the profile batch size) both fold the same partials
+// in the same order, so the result is bit-identical at any DOP.
 
-// aggPartial is the mergeable accumulator state of a global aggregation
-// over one stream chunk (a batch, a morsel, or the whole input).
-type aggPartial struct {
-	count            float64
-	sums, mins, maxs []float64
+// aggState is the struct-of-arrays accumulator: group g's COUNT is
+// count[g], and aggregate i's SUM, MIN and MAX are sum[i][g], min[i][g]
+// and max[i][g]. Its encoded form — the state columns of a partial batch
+// or a grouped spill slab — is the same slices as float64 columns named by
+// partialColumns, so encoding and decoding copy nothing.
+type aggState struct {
+	count         []float64
+	sum, min, max [][]float64
 }
 
-// newAggPartial returns the empty accumulator: MIN and MAX start at the
-// fold identities ±Inf, so every finite or infinite value replaces them.
-func newAggPartial(n int) *aggPartial {
-	p := &aggPartial{
-		sums: make([]float64, n),
-		mins: make([]float64, n),
-		maxs: make([]float64, n),
+// newAggState returns an accumulator of groups identity slots for nAggs
+// aggregates: MIN and MAX start at the fold identities ±Inf, so every
+// finite or infinite value replaces them.
+func newAggState(nAggs, groups int) aggState {
+	s := aggState{count: make([]float64, groups),
+		sum: make([][]float64, nAggs), min: make([][]float64, nAggs), max: make([][]float64, nAggs)}
+	for i := 0; i < nAggs; i++ {
+		s.sum[i] = make([]float64, groups)
+		s.min[i] = make([]float64, groups)
+		s.max[i] = make([]float64, groups)
+		for g := 0; g < groups; g++ {
+			s.min[i][g] = math.Inf(1)
+			s.max[i][g] = math.Inf(-1)
+		}
 	}
-	for i := 0; i < n; i++ {
-		p.mins[i] = math.Inf(1)
-		p.maxs[i] = math.Inf(-1)
-	}
-	return p
+	return s
 }
 
-// accumulateBatch computes the partial accumulator for one batch.
-func accumulateBatch(b *data.Table, aggs []AggSpec) (*aggPartial, error) {
-	p := newAggPartial(len(aggs))
-	p.count = float64(b.NumRows())
-	for gi, g := range aggs {
-		if g.Fn == AggCount {
+// len returns the number of groups.
+func (s *aggState) len() int { return len(s.count) }
+
+// truncate drops every group, keeping the slices' capacity.
+func (s *aggState) truncate() {
+	s.count = s.count[:0]
+	for i := range s.sum {
+		s.sum[i], s.min[i], s.max[i] = s.sum[i][:0], s.min[i][:0], s.max[i][:0]
+	}
+}
+
+// push appends group r of src as a new group: the first partial of a
+// group becomes its state as is.
+func (s *aggState) push(src *aggState, r int) {
+	s.count = append(s.count, src.count[r])
+	for i := range s.sum {
+		s.sum[i] = append(s.sum[i], src.sum[i][r])
+		s.min[i] = append(s.min[i], src.min[i][r])
+		s.max[i] = append(s.max[i], src.max[i][r])
+	}
+}
+
+// foldRows folds row r of src — the next chunk of its group in stream
+// order — into group gids[r], for every row in row order. A negative id
+// ^g marks the first row of new group g: it becomes the group's state as
+// is. New groups are numbered in row order after every existing group, so
+// they are appended. Folding chunk partials in stream order is the only
+// addition tree any execution mode uses, which is what makes serial,
+// parallel and spilled results identical.
+func (s *aggState) foldRows(gids []int32, src *aggState) {
+	s.count = foldSums(s.count, src.count, gids)
+	for i := range s.sum {
+		s.sum[i] = foldSums(s.sum[i], src.sum[i], gids)
+		s.min[i] = foldBounds(s.min[i], src.min[i], gids, false)
+		s.max[i] = foldBounds(s.max[i], src.max[i], gids, true)
+	}
+}
+
+func foldSums(dst, src []float64, gids []int32) []float64 {
+	for r, g := range gids {
+		if g < 0 {
+			dst = append(dst, src[r])
 			continue
 		}
-		c := b.Col(g.Col)
-		if c == nil {
-			return nil, fmt.Errorf("relational: aggregate column %q missing", g.Col)
-		}
-		for i := 0; i < c.Len(); i++ {
-			v := c.AsFloat(i)
-			p.sums[gi] += v
-			if v < p.mins[gi] {
-				p.mins[gi] = v
-			}
-			if v > p.maxs[gi] {
-				p.maxs[gi] = v
-			}
-		}
+		dst[g] += src[r]
 	}
-	return p, nil
+	return dst
 }
 
-// fold merges q — the next chunk in stream order — into p. Folding chunk
-// partials in stream order is the only addition tree either execution
-// mode uses, which is what makes serial and parallel results identical.
-func (p *aggPartial) fold(q *aggPartial) {
-	p.count += q.count
-	for i := range p.sums {
-		p.sums[i] += q.sums[i]
-		if q.mins[i] < p.mins[i] {
-			p.mins[i] = q.mins[i]
+// foldBounds folds MIN (or MAX, when isMax) slots: a value replaces the
+// slot only when strictly smaller (larger), so NaN never does.
+func foldBounds(dst, src []float64, gids []int32, isMax bool) []float64 {
+	for r, g := range gids {
+		switch v := src[r]; {
+		case g < 0:
+			dst = append(dst, v)
+		case isMax && v > dst[g], !isMax && v < dst[g]:
+			dst[g] = v
 		}
-		if q.maxs[i] > p.maxs[i] {
-			p.maxs[i] = q.maxs[i]
+	}
+	return dst
+}
+
+// addRows folds row i of a batch into group gids[i], for every row in row
+// order: COUNT, then each aggregate's column in turn (nil for COUNT, which
+// reads no column). Each group sees its rows in row order with the same
+// operations whichever grouping path computed gids, so every path is
+// bit-identical.
+func (s *aggState) addRows(gids []int32, aggCols []*data.Column) {
+	for _, g := range gids {
+		s.count[g]++
+	}
+	for i, c := range aggCols {
+		switch {
+		case c == nil:
+		case c.Type == data.Float64:
+			addValues(c.F64, gids, s.sum[i], s.min[i], s.max[i])
+		case c.Type == data.Int64:
+			addValues(c.I64, gids, s.sum[i], s.min[i], s.max[i])
+		default:
+			for r, g := range gids {
+				addValue(c.AsFloat(r), int(g), s.sum[i], s.min[i], s.max[i])
+			}
 		}
 	}
 }
 
-// finalize renders the accumulator as the single-row aggregate result,
-// dividing AVG's SUM by COUNT only here.
-func (p *aggPartial) finalize(aggs []AggSpec) (*data.Table, error) {
-	out, err := data.NewTable("agg")
-	if err != nil {
-		return nil, err
+// addValues folds vals[r] into group gids[r] of one aggregate's slices.
+func addValues[T int64 | float64](vals []T, gids []int32, sum, lo, hi []float64) {
+	for r, g := range gids {
+		addValue(float64(vals[r]), int(g), sum, lo, hi)
 	}
-	for gi, g := range aggs {
-		var v float64
+}
+
+func addValue(v float64, g int, sum, lo, hi []float64) {
+	sum[g] += v
+	if v < lo[g] {
+		lo[g] = v
+	}
+	if v > hi[g] {
+		hi[g] = v
+	}
+}
+
+// results renders one float column per aggregate, dividing AVG's SUM by
+// COUNT only here.
+func (s *aggState) results(aggs []AggSpec) []*data.Column {
+	cols := make([]*data.Column, len(aggs))
+	for i, g := range aggs {
+		var vals []float64
 		switch g.Fn {
 		case AggCount:
-			v = p.count
+			vals = slices.Clone(s.count)
 		case AggSum:
-			v = p.sums[gi]
+			vals = slices.Clone(s.sum[i])
 		case AggAvg:
-			if p.count > 0 {
-				v = p.sums[gi] / p.count
+			vals = make([]float64, len(s.count))
+			for r, n := range s.count {
+				if n > 0 {
+					vals[r] = s.sum[i][r] / n
+				}
 			}
 		case AggMin:
-			v = p.mins[gi]
+			vals = slices.Clone(s.min[i])
 		case AggMax:
-			v = p.maxs[gi]
+			vals = slices.Clone(s.max[i])
 		}
-		if err := out.AddColumn(data.NewFloat(g.As, []float64{v})); err != nil {
-			return nil, err
-		}
+		cols[i] = data.NewFloat(g.As, vals)
 	}
-	return out, nil
+	return cols
 }
 
 // partialColumns names the encoded accumulator columns for n aggregates.
@@ -124,57 +195,41 @@ func partialColumns(n int) []string {
 	return out
 }
 
-// encodePartials renders accumulators as the encoded state columns, one row
-// per accumulator — an exact float64 round trip, so merging loses no
-// precision. Partial batches and grouped spill slabs both carry them.
-func encodePartials(parts []*aggPartial, nAggs int) []*data.Column {
-	state := make([][]float64, 1+3*nAggs)
-	for j := range state {
-		state[j] = make([]float64, len(parts))
-	}
-	for r, p := range parts {
-		state[0][r] = p.count
-		for i := range p.sums {
-			state[1+3*i][r], state[2+3*i][r], state[3+3*i][r] = p.sums[i], p.mins[i], p.maxs[i]
-		}
-	}
-	names := partialColumns(nAggs)
-	cols := make([]*data.Column, len(names))
-	for j, vals := range state {
-		cols[j] = data.NewFloat(names[j], vals)
+// columns is the encoded form: the accumulator's own slices as the state
+// columns, in partialColumns order — an exact float64 round trip, so
+// merging loses no precision. Partial batches and grouped spill slabs both
+// carry them.
+func (s *aggState) columns() []*data.Column {
+	names := partialColumns(len(s.sum))
+	cols := make([]*data.Column, 0, len(names))
+	cols = append(cols, data.NewFloat(names[0], s.count))
+	for i := range s.sum {
+		cols = append(cols,
+			data.NewFloat(names[1+3*i], s.sum[i]),
+			data.NewFloat(names[2+3*i], s.min[i]),
+			data.NewFloat(names[3+3*i], s.max[i]))
 	}
 	return cols
 }
 
-// partialCols are the state columns of one encoded partial batch, in
-// partialColumns order, resolved once per batch so that decoding a row
-// reads slices, not column names.
-type partialCols [][]float64
-
-// resolvePartials looks up the state columns named by names (partialColumns
-// of the aggregate count) in b.
-func resolvePartials(b *data.Table, names []string) (partialCols, error) {
-	pc := make(partialCols, len(names))
-	for i, name := range names {
+// stateOf reads the encoded state columns of a partial batch or spill
+// slab of nAggs aggregates back as an accumulator over the same slices.
+func stateOf(b *data.Table, nAggs int) (aggState, error) {
+	names := partialColumns(nAggs)
+	vals := make([][]float64, len(names))
+	for j, name := range names {
 		c := b.Col(name)
 		if c == nil {
-			return nil, fmt.Errorf("relational: partial aggregate batch lacks column %q", name)
+			return aggState{}, fmt.Errorf("relational: partial aggregate batch lacks column %q", name)
 		}
-		pc[i] = c.F64
+		vals[j] = c.F64
 	}
-	return pc, nil
-}
-
-// row decodes row r into a fresh accumulator.
-func (pc partialCols) row(r int) *aggPartial {
-	p := newAggPartial((len(pc) - 1) / 3)
-	p.count = pc[0][r]
-	for i := range p.sums {
-		p.sums[i] = pc[1+3*i][r]
-		p.mins[i] = pc[2+3*i][r]
-		p.maxs[i] = pc[3+3*i][r]
+	s := aggState{count: vals[0],
+		sum: make([][]float64, nAggs), min: make([][]float64, nAggs), max: make([][]float64, nAggs)}
+	for i := 0; i < nAggs; i++ {
+		s.sum[i], s.min[i], s.max[i] = vals[1+3*i], vals[2+3*i], vals[3+3*i]
 	}
-	return p
+	return s, nil
 }
 
 // PartialAggregate is the partial step of the global aggregation moved
@@ -185,7 +240,8 @@ type PartialAggregate struct {
 	Child Operator
 	Aggs  []AggSpec
 
-	stats OpStats
+	stats   OpStats
+	scratch groupScratch
 }
 
 // Columns returns the encoded accumulator column names.
@@ -204,11 +260,7 @@ func (a *PartialAggregate) Next() (*data.Table, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	p, err := accumulateBatch(b, a.Aggs)
-	if err != nil {
-		return nil, err
-	}
-	out, err := data.NewTable("partial", encodePartials([]*aggPartial{p}, len(a.Aggs))...)
+	out, err := a.scratch.partial(b, nil, a.Aggs, -1)
 	if err != nil {
 		return nil, err
 	}

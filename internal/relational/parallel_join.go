@@ -60,8 +60,12 @@ type joinBuild struct {
 	probeLists sync.Map // *data.Dictionary -> [][]int
 }
 
-// floatKey maps a float64 join key to its index key: the raw bits, with
-// every NaN collapsed onto one canonical pattern.
+// floatKey maps a float64 key to the bits every typed key index and the
+// grouped spill's partition hash use: the raw bits, with every NaN payload
+// collapsed onto one canonical pattern, so all NaNs join and group
+// together. −0 and +0 keep their distinct bits and so stay distinct keys,
+// in the join, the grouping and the spill alike; whether they should
+// collapse is open with the rest of the NULL/NaN story.
 func floatKey(v float64) uint64 {
 	if v != v {
 		return math.Float64bits(math.NaN())

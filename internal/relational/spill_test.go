@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"raven/internal/data"
 	"raven/internal/fault"
 	"raven/internal/testfix"
 )
@@ -47,6 +49,14 @@ func spillShapes(t *testing.T) map[string]func() Operator {
 	// The dimension side must itself exceed the budget so the join build
 	// spills its rows (typed indexes stay resident by design).
 	pf, dim := breakerJoinFixture(t, 6000, 500)
+	fk := floatKeyFixture(6000)
+	groupAggs := []AggSpec{
+		{Fn: AggCount, As: "n"},
+		{Fn: AggSum, Col: "v", As: "sv"},
+		{Fn: AggAvg, Col: "v", As: "av"},
+		{Fn: AggMin, Col: "v", As: "mn"},
+		{Fn: AggMax, Col: "v", As: "mx"},
+	}
 	return map[string]func() Operator{
 		"join": func() Operator {
 			return &HashJoin{
@@ -56,17 +66,17 @@ func spillShapes(t *testing.T) map[string]func() Operator {
 			}
 		},
 		"group": func() Operator {
-			return &GroupAggregate{
-				Child: NewScan(pf, "", nil, 128),
-				Keys:  []string{"grp", "k"},
-				Aggs: []AggSpec{
-					{Fn: AggCount, As: "n"},
-					{Fn: AggSum, Col: "v", As: "sv"},
-					{Fn: AggAvg, Col: "v", As: "av"},
-					{Fn: AggMin, Col: "v", As: "mn"},
-					{Fn: AggMax, Col: "v", As: "mx"},
-				},
-			}
+			return &GroupAggregate{Child: NewScan(pf, "", nil, 128), Keys: []string{"grp", "k"}, Aggs: groupAggs}
+		},
+		// One row per group on a single int64 key, like a per-search
+		// ranking's srch_id.
+		"group-int": func() Operator {
+			return &GroupAggregate{Child: NewScan(pf, "", nil, 128), Keys: []string{"id"}, Aggs: groupAggs}
+		},
+		// A single float key with NaNs of two payloads (one group) and −0
+		// next to +0 (two groups).
+		"group-float-nan": func() Operator {
+			return &GroupAggregate{Child: NewScan(fk, "", nil, 128), Keys: []string{"fk"}, Aggs: groupAggs}
 		},
 		"sort": func() Operator {
 			return &Sort{
@@ -84,6 +94,28 @@ func spillShapes(t *testing.T) map[string]func() Operator {
 			}
 		},
 	}
+}
+
+// floatKeyFixture is n rows of a float group key over 700 values, with
+// every 13th key a NaN, every 17th a NaN of another payload and every
+// 19th −0, next to a float value column v.
+func floatKeyFixture(n int) *data.PartitionedTable {
+	fk := make([]float64, n)
+	vs := make([]float64, n)
+	for i := range fk {
+		switch {
+		case i%13 == 0:
+			fk[i] = math.NaN()
+		case i%17 == 0:
+			fk[i] = math.Float64frombits(0x7ff8_0000_dead_beef)
+		case i%19 == 0:
+			fk[i] = math.Copysign(0, -1)
+		default:
+			fk[i] = float64(i%700) / 4
+		}
+		vs[i] = float64(i % 89)
+	}
+	return data.SinglePartition(data.MustNewTable("f", data.NewFloat("fk", fk), data.NewFloat("v", vs)))
 }
 
 // TestSpillDifferential runs every shape with a tiny budget at DOP 1, 2,
@@ -297,4 +329,44 @@ func TestSpillBudgetDisabled(t *testing.T) {
 		t.Fatalf("budget not drained: reserved=%d active=%d", roomy.Reserved(), roomy.ActiveQueries())
 	}
 	assertNoSpillFiles(t, dir)
+}
+
+// TestGroupSpillDistinctIntKeys pins the out-of-core path of a per-search
+// ranking: 100 000 distinct int64 keys under a 1 MiB query budget must
+// spill — the group state far exceeds the budget — and still equal the
+// unbudgeted result byte for byte, serially and exchanged.
+func TestGroupSpillDistinctIntKeys(t *testing.T) {
+	const n = 100_000
+	ids := make([]int64, n)
+	vs := make([]float64, n)
+	for i := range ids {
+		ids[i] = int64(i*7919%n) - n/2
+		vs[i] = float64(i%997) / 8
+	}
+	src := data.SinglePartition(data.MustNewTable("s", data.NewInt("srch_id", ids), data.NewFloat("score", vs)))
+	mk := func() Operator {
+		return &GroupAggregate{Child: NewScan(src, "", nil, 1024), Keys: []string{"srch_id"},
+			Aggs: []AggSpec{{Fn: AggAvg, Col: "score", As: "s"}}}
+	}
+	want, err := Drain(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.NumRows() != n {
+		t.Fatalf("%d groups, want %d", want.NumRows(), n)
+	}
+	for _, dop := range []int{1, 2} {
+		dir := t.TempDir()
+		mb := queryBudget(1<<20, dir)
+		got, err := DrainEnv(&Env{Budget: mb}, mustParallelize(t, mk(), dop, 1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mb.Spills() == 0 || mb.SpilledBytes() == 0 {
+			t.Fatalf("dop=%d: %d groups under a 1 MiB budget did not spill", dop, n)
+		}
+		assertTablesEqual(t, want, got)
+		mb.Cleanup()
+		assertNoSpillFiles(t, dir)
+	}
 }

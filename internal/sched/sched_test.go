@@ -137,11 +137,12 @@ func TestAdmissionBoundsConcurrentQueries(t *testing.T) {
 	s.SetAdmissionLimit(2)
 	r1 := s.Admit()
 	r2 := s.Admit()
-	third := make(chan struct{})
+	third, released := make(chan struct{}), make(chan struct{})
 	go func() {
 		r := s.Admit()
 		close(third)
 		r()
+		close(released)
 	}()
 	select {
 	case <-third:
@@ -156,6 +157,7 @@ func TestAdmissionBoundsConcurrentQueries(t *testing.T) {
 	}
 	r2()
 	r2() // release is idempotent
+	<-released
 	if got := s.Admitted(); got != 0 {
 		t.Fatalf("admitted = %d after all releases, want 0", got)
 	}
