@@ -54,13 +54,13 @@ stress-spill:
 	go test -race -count=1 -run 'Spill|MemoryBudget' ./...
 
 # bench-run runs the CI bench set into $(BENCH_OUT): headline figure
-# benches + parallel/dict/top-k/serving/adaptive trajectory benches at one
+# benches + parallel/dict/top-k/serving trajectory benches at one
 # iteration, the deterministic relational hot-path micro-benches at 20
 # iterations (their allocs/op are gated), and the external-sort spill
 # bench whose spill_overhead ratio is gated absolutely.
 bench-run:
 	go test -run xxx -benchmem \
-		-bench 'Fig7|ParallelSpeedup|JoinAggParallelSpeedup|StringHeavyJoinEncode|TopKOverPredict|ConcurrentServing|AdaptiveReopt' \
+		-bench 'Fig7|ParallelSpeedup|JoinAggParallelSpeedup|StringHeavyJoinEncode|TopKOverPredict|ConcurrentServing' \
 		-benchtime=1x . | tee $(BENCH_OUT)
 	go test -run xxx -benchmem \
 		-bench 'Filter|ProjectLiteral|ChunkedScan' \

@@ -23,7 +23,6 @@ import (
 	"raven/internal/experiments"
 	"raven/internal/hummingbird"
 	"raven/internal/mlruntime"
-	"raven/internal/model"
 	"raven/internal/opt"
 	"raven/internal/sqlparse"
 	"raven/internal/strategy"
@@ -847,112 +846,4 @@ func BenchmarkConcurrentServing(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAdaptiveReopt measures mid-query re-optimization on the
-// deliberately misestimated workload from adaptive_test.go: the uniform
-// estimator prices the skew-filtered build side at 1500 rows, the truth
-// is 10, and the adaptive session re-chooses the predict runtime at the
-// join-build breaker while the static session executes its plan-time
-// MLtoDNN choice (dnnForEnsembles) on those 10 rows. Emits regret_vs_static (adaptive
-// time / static time; < 1.0 means re-optimization paid for itself —
-// gated absolutely by cmd/benchcmp, independent of host or baseline)
-// and switch_rate (fraction of adaptive executions whose predict segment
-// actually switched). The measured (features, cardinality, choice) ->
-// seconds pairs are then fed into strategy.Calibrate, closing the §5.2
-// feedback loop; the fitted small-input threshold is reported as
-// calibrated_small_rows.
-func BenchmarkAdaptiveReopt(b *testing.B) {
-	dop := 4
-	if n := runtime.NumCPU(); n < dop {
-		dop = n
-	}
-	// Same pipeline shape as the adaptive tests, but with a realistically
-	// sized forest: at 120 depth-4 trees the DNN lowering's fixed cost
-	// (flattening every tree into traversal tensors) dwarfs a 10-row tree
-	// walk, so the switch's payoff is decisive rather than marginal.
-	benchTree := func(seed int) model.Tree {
-		nodes := make([]model.TreeNode, 31)
-		for j := 0; j < 15; j++ {
-			nodes[j] = model.TreeNode{
-				Feature:   (seed + j) % 6,
-				Threshold: 0.1 + float64((seed*7+j*3)%10)*0.08,
-				Left:      2*j + 1,
-				Right:     2*j + 2,
-			}
-		}
-		for j := 15; j < 31; j++ {
-			nodes[j] = model.TreeNode{Feature: -1, Value: float64((seed+j)%8) / 8}
-		}
-		return model.Tree{Nodes: nodes}
-	}
-	newSession := func(options ...Option) *Session {
-		s := NewSession(options...)
-		patients, cohort := adaptiveTables()
-		s.RegisterTable(patients)
-		s.RegisterTable(cohort)
-		pipe := adaptiveForest()
-		ens := pipe.Ops[len(pipe.Ops)-1].(*model.TreeEnsemble)
-		ens.Trees = make([]model.Tree, 120)
-		for i := range ens.Trees {
-			ens.Trees[i] = benchTree(i)
-		}
-		if err := s.RegisterModel(pipe); err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	static := newSession(WithStrategy(dnnForEnsembles{}), WithParallelism(dop))
-	adaptive := newSession(WithStrategy(dnnForEnsembles{}), WithAdaptive(), WithParallelism(dop))
-	// Warm both sessions: plan caches and ML session pools are primed so
-	// the timed section compares steady-state execution strategies, not
-	// cold start.
-	for _, s := range []*Session{static, adaptive} {
-		if _, err := s.Query(adaptiveQuery); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// A few inner repetitions per iteration smooth scheduler noise at the
-	// CI's -benchtime=1x, where b.N stays 1.
-	const reps = 3
-	var staticT, adaptiveT time.Duration
-	switched, runs := 0, 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < reps; r++ {
-			t0 := time.Now()
-			if _, err := static.Query(adaptiveQuery); err != nil {
-				b.Fatal(err)
-			}
-			staticT += time.Since(t0)
-			t1 := time.Now()
-			res, err := adaptive.Query(adaptiveQuery)
-			if err != nil {
-				b.Fatal(err)
-			}
-			adaptiveT += time.Since(t1)
-			runs++
-			for _, sw := range res.Adaptive.Switches() {
-				if sw.Point == "predict" {
-					switched++
-					break
-				}
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(adaptiveT)/float64(staticT), "regret_vs_static")
-	b.ReportMetric(float64(switched)/float64(runs), "switch_rate")
-	// Feedback: the static session measured MLtoDNN on the true
-	// 10-row predict input, the adaptive session measured the ML runtime
-	// it switched to. Calibrate turns those pairs into a fitted
-	// small-input threshold for strategy.CalibratedRule.
-	feats := opt.ExtractFeatures(adaptiveForest())
-	per := func(d time.Duration) float64 { return d.Seconds() / float64(runs) }
-	rule := strategy.Calibrate([]strategy.RuntimeObs{
-		{Features: feats, Rows: 10, Choice: opt.ChoiceDNN, Seconds: per(staticT)},
-		{Features: feats, Rows: 10, Choice: opt.ChoiceNone, Seconds: per(adaptiveT)},
-	})
-	b.ReportMetric(rule.SmallInputRows, "calibrated_small_rows")
 }

@@ -199,34 +199,9 @@ func TestGateMatchesAcrossGOMAXPROCSSuffix(t *testing.T) {
 	}
 }
 
-// TestGateFailsOnAdaptiveRegret: regret_vs_static is a within-run ratio,
-// so it gates absolutely — no baseline entry needed, and a cross-host
-// baseline must not demote it to a warning.
-func TestGateFailsOnAdaptiveRegret(t *testing.T) {
-	regret := func(v float64) Benchmark {
-		return Benchmark{
-			Pkg:        "raven",
-			Name:       "BenchmarkAdaptiveReopt-8",
-			Iterations: 1,
-			Metrics:    map[string]float64{"ns/op": 5e6, "regret_vs_static": v, "switch_rate": 1},
-		}
-	}
-	base := mkReport("xeon")
-	cur := mkReport("epyc", regret(1.31))
-	failures, _ := compare(base, cur, 0.25, allocsRe)
-	if len(failures) != 1 || !strings.Contains(failures[0], "regret_vs_static = 1.310") {
-		t.Fatalf("failures = %v", failures)
-	}
-	// At or under 1.0 the adaptive path won (or tied): no failure.
-	cur = mkReport("epyc", regret(0.62))
-	if failures, _ := compare(base, cur, 0.25, allocsRe); len(failures) != 0 {
-		t.Fatalf("winning regret failed the gate: %v", failures)
-	}
-}
-
-// TestGateFailsOnSpillOverhead: spill_overhead gates like regret — an
-// absolute in-run ratio, valid without a baseline entry and across
-// hosts, failing past 20x.
+// TestGateFailsOnSpillOverhead: spill_overhead is an absolute in-run
+// ratio, valid without a baseline entry and across hosts, failing past
+// 20x.
 func TestGateFailsOnSpillOverhead(t *testing.T) {
 	spill := func(v float64) Benchmark {
 		return Benchmark{

@@ -6,7 +6,6 @@ import (
 
 	"raven/internal/data"
 	"raven/internal/ir"
-	"raven/internal/opt"
 	"raven/internal/relational"
 )
 
@@ -37,10 +36,6 @@ type Result struct {
 	// tables, the chunk decodes performed and the chunks zone maps left
 	// encoded.
 	ChunksDecoded, ChunksSkipped int64
-	// Adaptive holds the mid-query re-optimization trace (breaker
-	// observations and strategy switches) when Profile.Adaptive is set;
-	// nil otherwise.
-	Adaptive *opt.RuntimeStats
 	// SpilledBytes is the total bytes the pipeline breakers spilled to
 	// temp files under the query's share of Profile.GlobalBudget (0
 	// without a budget).
@@ -69,8 +64,8 @@ func Execute(root Operator, prof Profile) (*Result, error) {
 
 // ExecuteContext drains a physical plan under a context and assembles the
 // Result. It builds the query's one relational.Env — ctx, the profile's
-// scheduler, a fresh opt.RuntimeStats under Profile.Adaptive, and the
-// query's share of Profile.GlobalBudget — and opens the plan with it.
+// scheduler and the query's share of Profile.GlobalBudget — and opens the
+// plan with it.
 //
 // Parallel plans and budgeted plans pass admission control first: the
 // scheduler bounds how many such queries are in flight at once, which
@@ -102,11 +97,6 @@ func ExecuteContext(ctx context.Context, root Operator, prof Profile) (res *Resu
 		env.Budget = prof.GlobalBudget.QueryBudgetFor(s.AdmitCap())
 		defer env.Budget.Cleanup()
 	}
-	var rs *opt.RuntimeStats
-	if prof.Adaptive {
-		rs = opt.NewRuntimeStats()
-		env.Observe = rs
-	}
 	defer relational.RecoverPanic("query execution", &err)
 	t0 := time.Now()
 	table, err := relational.DrainEnv(env, root)
@@ -114,7 +104,7 @@ func ExecuteContext(ctx context.Context, root Operator, prof Profile) (res *Resu
 		return nil, err
 	}
 	res = &Result{Table: table, Wall: time.Since(t0), Root: root,
-		Adaptive: rs, SpilledBytes: env.Budget.SpilledBytes()}
+		SpilledBytes: env.Budget.SpilledBytes()}
 	res.countBoundary(root)
 	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"raven/internal/ir"
-	"raven/internal/opt"
 	"raven/internal/relational"
 )
 
@@ -30,11 +29,6 @@ import (
 // dictionary codes) see the same representation, and optimized and
 // unoptimized plans stay byte-identical across representations (asserted
 // by the differential harnesses).
-//
-// Under Profile.Adaptive the pipeline breakers carry plan-time cardinality
-// estimates (reported next to the observed ones into the RuntimeStats
-// ExecuteContext creates) and predict nodes lower to AdaptivePredict,
-// which re-decides the runtime at Open from the corrected cardinality.
 func Lower(g *ir.Graph, cat *Catalog, prof Profile) (Operator, error) {
 	l := &lowerer{cat: cat, prof: prof}
 	root, err := l.lower(g.Root)
@@ -47,15 +41,6 @@ func Lower(g *ir.Graph, cat *Catalog, prof Profile) (Operator, error) {
 type lowerer struct {
 	cat  *Catalog
 	prof Profile
-}
-
-// est returns the plan-time cardinality estimate for a node, 0 when the
-// query is not running adaptively (unused then).
-func (l *lowerer) est(n *ir.Node) float64 {
-	if !l.prof.Adaptive {
-		return 0
-	}
-	return opt.EstimateRows(n, l.cat)
 }
 
 func (l *lowerer) lower(n *ir.Node) (Operator, error) {
@@ -93,7 +78,7 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 			return nil, err
 		}
 		return &relational.HashJoin{Left: left, Right: right,
-			LeftKey: n.LeftKey, RightKey: n.RightKey, EstBuildRows: l.est(n.Children[1])}, nil
+			LeftKey: n.LeftKey, RightKey: n.RightKey}, nil
 	case ir.KindAggregate:
 		child, err := l.lower(n.Children[0])
 		if err != nil {
@@ -105,8 +90,7 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 			// ExecDOP > 1 the Parallelize rewrite moves the per-batch
 			// grouping into PartialGroupAggregate workers below it.
 			return &relational.GroupAggregate{Child: child, Keys: n.GroupBy,
-				Aggs: n.Aggs, DenseLimit: l.prof.DenseGroupLimit,
-				EstRows: l.est(n.Children[0]), EstGroups: l.est(n)}, nil
+				Aggs: n.Aggs, DenseLimit: l.prof.DenseGroupLimit}, nil
 		}
 		return &relational.Aggregate{Child: child, Aggs: n.Aggs}, nil
 	case ir.KindHaving:
@@ -132,8 +116,7 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 		// offset widens the heap to offset+limit rows). Under ExecDOP > 1
 		// the Parallelize rewrite moves the per-batch run sorting into
 		// PartialSort workers below it.
-		return &relational.Sort{Child: child, Keys: n.OrderBy, Limit: n.Limit, Offset: n.Offset,
-			EstRows: l.est(n.Children[0])}, nil
+		return &relational.Sort{Child: child, Keys: n.OrderBy, Limit: n.Limit, Offset: n.Offset}, nil
 	case ir.KindUnion:
 		inputs := make([]Operator, len(n.Children))
 		for i, c := range n.Children {
@@ -172,14 +155,8 @@ func (l *lowerer) lowerPredict(n *ir.Node) (Operator, error) {
 		exprs = append(exprs, n.SQLExprs...)
 		return &relational.Project{Child: child, Exprs: exprs}, nil
 	case ir.TargetDNN:
-		if l.adaptivePredict() {
-			return l.lowerAdaptivePredict(n, child, opt.ChoiceDNN), nil
-		}
 		return l.lowerDNN(n, child)
 	default:
-		if l.adaptivePredict() {
-			return l.lowerAdaptivePredict(n, child, opt.ChoiceNone), nil
-		}
 		return &PredictOp{
 			Child:               child,
 			Pipeline:            n.Pipeline,

@@ -444,3 +444,8 @@ func approxValueBytes(in map[string]mlruntime.Value) int64 {
 func timeOp(s *relational.OpStats) func() {
 	return relational.Timer(s)
 }
+
+// AdaptivePredict exists only so that callers written against the former
+// mid-query re-optimizing predict operator — the type switch of the frozen
+// bench/e2e/trace.go — still compile; nothing builds this type.
+type AdaptivePredict struct{ PredictOp }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"raven/internal/opt"
 	"raven/internal/relational"
 	"raven/internal/sched"
 )
@@ -39,21 +38,6 @@ type Profile struct {
 	// query multiplexes over one bounded set of workers; tests inject
 	// private schedulers for isolation.
 	Sched *sched.Scheduler
-	// Adaptive enables mid-query re-optimization: the pipeline breakers
-	// (join build, grouped-aggregation merge, sort merge) record observed
-	// cardinalities into a per-query opt.RuntimeStats, and at each breaker
-	// boundary the remaining plan segment is re-costed with the observed
-	// numbers — switching the ML runtime choice for downstream predict
-	// segments, the dense-vs-hash grouping path, and the worker count of
-	// the next exchange segment when the plan-time estimate was off by
-	// opt.DefaultReoptFactor. Every switch preserves byte-identity to the
-	// serial plan, except a predict switch into or out of MLtoDNN, whose
-	// float32 scores agree only within rounding.
-	Adaptive bool
-	// AdaptiveChooser re-picks the ML runtime for a predict segment given
-	// the corrected input cardinality; nil disables runtime switching
-	// (breaker observations and DOP/grouping adaptation still apply).
-	AdaptiveChooser opt.CardinalityAwareStrategy
 	// GlobalBudget, when non-nil, enables out-of-core execution: every
 	// concurrent query's resident breaker bytes (join build,
 	// grouped-aggregation merge, sort) draw from this one accountant, and

@@ -206,8 +206,8 @@ var (
 // dataParallel reports whether an operator's work scales out with the
 // cluster's degree of parallelism (scans, filters, projects, join probes,
 // predictions) rather than being single-threaded coordinator work
-// (aggregation, sorting, unions). It names every operator the serial,
-// non-adaptive lowering the clusters run can produce; ok is false for
+// (aggregation, sorting, unions). It names every operator the serial
+// lowering the clusters run can produce; ok is false for
 // anything else, so a new operator cannot be charged by accident.
 func dataParallel(op engine.Operator) (parallel, ok bool) {
 	switch op.(type) {

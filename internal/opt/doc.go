@@ -5,13 +5,6 @@
 // by pluggable data-driven strategies (§5.2). All rules operate on the
 // unified IR.
 //
-// The optimizer also owns the adaptive re-optimization machinery:
-// pipeline breakers record true cardinalities into per-query
-// RuntimeStats at the points where truth is free (join build, group
-// merge, sort merge, exchange DOP), and downstream segments re-cost at
-// breaker boundaries by multiplying estimates with the observed/
-// estimated ratio product, switching strategy mid-query when any ratio
-// exceeds the trigger factor. Accounting-only observations (spill
-// bytes, DOP clamps, limit-truncated sort merges) are recorded but
-// excluded from the ratio product.
+// Each predict node's runtime is fixed once, at optimization time, by
+// the session's strategy; execution never re-decides it.
 package opt

@@ -8,8 +8,7 @@
 // # The byte-identity contract
 //
 // Every alternative execution of a plan — parallel at any DOP, chunk-
-// backed scans, spilled breakers, adaptive strategy switches — must
-// produce results byte-identical to the in-memory serial execution,
+// backed scans, spilled breakers — must produce results byte-identical to the in-memory serial execution,
 // including row order and float bit patterns. The building blocks:
 // scans emit fixed BatchSize batches in partition order; Exchange splits
 // scans into row-range morsels aligned to those batch boundaries and
@@ -41,11 +40,11 @@
 // # The execution environment
 //
 // Operators carry plan data only. What one execution shares — the
-// query's context, memory budget, adaptive observer and scheduler — is
+// query's context, memory budget and scheduler — is
 // one Env handed to Open, which every operator forwards to its children
 // and the Exchange to each worker chain; an operator that needs it later
 // keeps the pointer it was opened with. A nil or zero Env runs the plan
-// unbudgeted, unobserved and uncancellable on the process-wide scheduler.
+// unbudgeted and uncancellable on the process-wide scheduler.
 //
 // # Pipeline breakers: one operator, an inline or exchanged partial step
 //
@@ -134,7 +133,6 @@
 // the external merge keeps the earlier-run tie-break. The grouped spill's
 // partition buffers together stay within the query's floor. The partial
 // steps retain nothing across batches, so they never spill. Spilled bytes
-// surface as OpStats.SpillBytes and *_spill_* observations (estimate 0:
-// accounting, not cardinality). Cleanup removes every spill file on
-// success, error, cancel and panic paths alike.
+// surface as the spilling breaker's OpStats.SpillBytes. Cleanup removes
+// every spill file on success, error, cancel and panic paths alike.
 package relational

@@ -495,22 +495,14 @@ type GroupAggregate struct {
 	// path: 0 means DefaultDenseGroupLimit, negative disables the dense
 	// path entirely (always hash). The engine sets it from the Profile.
 	DenseLimit int
-	// EstRows/EstGroups are the plan-time estimates for the input rows and
-	// the group count: when the environment observes, the first drives the
-	// adaptive dense-vs-hash decision at Open (the PartialGroupAggregate
-	// template's Open, once exchanged) and the second is reported next to
-	// the true group count at the breaker ("group_merge").
-	EstRows   float64
-	EstGroups float64
 
 	// exchanged marks a Child that is an Exchange of PartialGroupAggregates
 	// (set by Parallelize).
-	exchanged  bool
-	stats      OpStats
-	done       bool
-	denseLimit int // DenseLimit after the adaptive Open decision
-	scratch    groupScratch
-	env        *Env
+	exchanged bool
+	stats     OpStats
+	done      bool
+	scratch   groupScratch
+	env       *Env
 }
 
 // Columns returns the group keys followed by the aggregate outputs.
@@ -526,22 +518,13 @@ func (a *GroupAggregate) Open(env *Env) error {
 		a.stats.Name = "GroupAggregate(merge)"
 	}
 	a.done, a.env = false, env.orZero()
-	if err := a.Child.Open(env); err != nil {
-		return err
-	}
-	// The child's Open drained any join build below, so the adaptive
-	// context already holds its observed cardinality here.
-	if !a.exchanged {
-		a.denseLimit = resolveDenseLimit(a.env.Observe, a.DenseLimit, a.EstRows, "group_agg")
-	}
-	return nil
+	return a.Child.Open(env)
 }
 
-// Next drains the child and emits the grouped result as one batch. It
-// reports the true group count next to EstGroups when the environment
-// observes, plus the spill accounting; zero groups yield a typed empty
-// batch, so downstream operators (and the terminal Drain) see the real key
-// column types.
+// Next drains the child and emits the grouped result as one batch,
+// counting the bytes it spilled; zero groups yield a typed empty batch, so
+// downstream operators (and the terminal Drain) see the real key column
+// types.
 func (a *GroupAggregate) Next() (*data.Table, error) {
 	defer startTimer(&a.stats)()
 	if a.done {
@@ -559,7 +542,7 @@ func (a *GroupAggregate) Next() (*data.Table, error) {
 			break
 		}
 		if !a.exchanged {
-			b, err = a.scratch.partial(b, a.Keys, a.Aggs, a.denseLimit)
+			b, err = a.scratch.partial(b, a.Keys, a.Aggs, a.DenseLimit)
 		}
 		if err == nil {
 			err = acc.foldPartials(b, nil)
@@ -575,19 +558,7 @@ func (a *GroupAggregate) Next() (*data.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	groups := 0
-	if out != nil {
-		groups = out.NumRows()
-	}
-	sb := acc.spilledBytes()
-	a.stats.SpillBytes += sb
-	if obs := a.env.Observe; obs != nil {
-		obs.ObserveCardinality("group_merge", a.EstGroups, float64(groups))
-		if sb > 0 {
-			obs.ObserveCardinality("group_spill_bytes", 0, float64(sb))
-			obs.ObserveCardinality("group_spill_partitions", 0, float64(groupSpillPartitions))
-		}
-	}
+	a.stats.SpillBytes += acc.spilledBytes()
 	if out == nil {
 		s, ok := SchemaOf(a)
 		if !ok {
@@ -628,16 +599,9 @@ type PartialGroupAggregate struct {
 	// DenseLimit is the dense-path bound, as on GroupAggregate. Every
 	// worker clone owns a private dense array ("per-worker dense arrays").
 	DenseLimit int
-	// EstRows drives the adaptive dense-vs-hash decision at the exchange
-	// template's Open (when the environment observes); worker clones
-	// inherit the resolved limit so the decision is made (and recorded)
-	// exactly once.
-	EstRows float64
 
-	stats      OpStats
-	resolved   bool
-	denseLimit int
-	scratch    groupScratch
+	stats   OpStats
+	scratch groupScratch
 }
 
 // Columns returns the partial schema: key columns then encoded state.
@@ -645,18 +609,10 @@ func (a *PartialGroupAggregate) Columns() []string {
 	return append(append([]string{}, a.Keys...), partialColumns(len(a.Aggs))...)
 }
 
-// Open opens the child and resolves the adaptive dense-vs-hash decision
-// (once, on the exchange template; worker clones inherit the result).
+// Open opens the child.
 func (a *PartialGroupAggregate) Open(env *Env) error {
 	a.stats = OpStats{Name: "PartialGroupAggregate"}
-	if err := a.Child.Open(env); err != nil {
-		return err
-	}
-	if !a.resolved {
-		a.denseLimit = resolveDenseLimit(env.orZero().Observe, a.DenseLimit, a.EstRows, "group_agg")
-		a.resolved = true
-	}
-	return nil
+	return a.Child.Open(env)
 }
 
 // Next folds the next child batch into a partial table (one row per
@@ -667,7 +623,7 @@ func (a *PartialGroupAggregate) Next() (*data.Table, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	out, err := a.scratch.partial(b, a.Keys, a.Aggs, a.denseLimit)
+	out, err := a.scratch.partial(b, a.Keys, a.Aggs, a.DenseLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -686,12 +642,9 @@ func (a *PartialGroupAggregate) Stats() *OpStats { return &a.stats }
 func (a *PartialGroupAggregate) Children() []Operator { return []Operator{a.Child} }
 
 // CloneWorker implements ParallelOp: clones share the immutable specs and
-// own a private scratch (dense array, buffers). Worker clones are created
-// after the template's Open, so they inherit its resolved adaptive dense
-// limit.
+// own a private scratch (dense array, buffers).
 func (a *PartialGroupAggregate) CloneWorker(child Operator) (Operator, error) {
-	return &PartialGroupAggregate{Child: child, Keys: a.Keys, Aggs: a.Aggs, DenseLimit: a.DenseLimit,
-		EstRows: a.EstRows, resolved: a.resolved, denseLimit: a.denseLimit}, nil
+	return &PartialGroupAggregate{Child: child, Keys: a.Keys, Aggs: a.Aggs, DenseLimit: a.DenseLimit}, nil
 }
 
 // AbsorbWorker merges a worker clone's statistics.

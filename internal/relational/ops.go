@@ -38,7 +38,7 @@ type OpStats struct {
 // the host gives every operator instead of per-operator fields. Open hands
 // it down the whole tree (the Exchange to each worker chain too), and an
 // operator that needs it after Open keeps the pointer it was opened with.
-// A nil or zero Env runs unbudgeted, unobserved and uncancellable on the
+// A nil or zero Env runs unbudgeted and uncancellable on the
 // process-wide scheduler. Fields are read-only once execution starts.
 type Env struct {
 	// Ctx is polled by the Exchange at every morsel and by every pipeline
@@ -48,10 +48,6 @@ type Env struct {
 	// Budget is the query's memory budget; nil keeps every breaker in
 	// memory.
 	Budget *MemBudget
-	// Observe receives the breakers' true cardinalities and drives the
-	// adaptive decisions (exchange DOP, dense-vs-hash grouping, predict
-	// runtime); nil runs the plan as lowered.
-	Observe AdaptiveContext
 	// Sched runs the exchanges' tasks; nil means sched.Default().
 	Sched *sched.Scheduler
 }
@@ -570,11 +566,6 @@ func (p *Project) Children() []Operator { return []Operator{p.Child} }
 type HashJoin struct {
 	Left, Right       Operator
 	LeftKey, RightKey string
-	// EstBuildRows is the plan-time estimate of the build side's rows,
-	// reported next to the true count ("join_build") when the environment
-	// observes — before any probe row flows, so every downstream operator
-	// can re-cost itself against it.
-	EstBuildRows float64
 
 	// dop bounds the workers that index the build side; Parallelize sets
 	// it on the joins it moves into an exchange segment.
@@ -621,7 +612,7 @@ func (j *HashJoin) Open(env *Env) (err error) {
 		j.Left.Close()
 		return err
 	}
-	if j.build, err = openBuild(env.orZero(), j.Right, j.RightKey, j.dop, j.EstBuildRows, &j.stats); err != nil {
+	if j.build, err = openBuild(env.orZero(), j.Right, j.RightKey, j.dop, &j.stats); err != nil {
 		j.Left.Close()
 		j.Right.Close()
 	}

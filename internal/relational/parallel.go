@@ -154,23 +154,11 @@ func (s *Scan) MorselBatch(m Morsel, cache *data.ChunkCache, st *OpStats) (*data
 
 // BatchSource is a single-batch leaf: it yields the batch last handed to
 // Load, then reports end-of-stream until reloaded. Each exchange worker
-// chain reads its morsels through one, and the engine's adaptive predict
-// operator its child's batches.
+// chain reads its morsels through one.
 type BatchSource struct {
-	cols   []string
-	schema data.Schema
-	typed  bool
-	batch  *data.Table
-	stats  OpStats
-}
-
-// NewBatchSource returns an empty leaf standing in for op: it reports op's
-// columns and, when derivable, op's schema, so typed empty results
-// survive the indirection.
-func NewBatchSource(op Operator) *BatchSource {
-	b := &BatchSource{cols: op.Columns()}
-	b.schema, b.typed = SchemaOf(op)
-	return b
+	cols  []string
+	batch *data.Table
+	stats OpStats
 }
 
 func (b *BatchSource) Columns() []string    { return b.cols }
@@ -188,9 +176,6 @@ func (b *BatchSource) Next() (*data.Table, error) {
 	b.batch = nil
 	return t, nil
 }
-
-// OutputSchema implements SchemaProvider.
-func (b *BatchSource) OutputSchema() (data.Schema, bool) { return b.schema, b.typed }
 
 // seqBatch is a worker result tagged with its morsel sequence number; nil
 // tables mark morsels the chain filtered out entirely.
@@ -252,11 +237,7 @@ type worker struct {
 // context is polled at every morsel boundary: once per Next call on the
 // consumer side, and before every morsel of every scheduled task — so a
 // canceled query both stops emitting batches and releases its shared-pool
-// worker slots within one morsel of work. An observing environment turns
-// on adaptive DOP: the worker count is clamped at Open to the tasks
-// actually available (and the scheduler's worker pool), recorded as an
-// "exchange_dop" observation. Morsel-order merging makes any worker count
-// byte-identical, so the clamp is always safe.
+// worker slots within one morsel of work.
 type Exchange struct {
 	Template   Operator
 	DOP        int
@@ -357,29 +338,10 @@ func (e *Exchange) Open(env *Env) error {
 	e.failed = nil
 	e.job = nil
 	e.absorbO = sync.Once{}
-	// Adaptive DOP: the task queue is the true amount of splittable
-	// work, known exactly here — cloning more worker chains than tasks
-	// (or than the scheduler has workers to drive) only costs setup and
-	// session checkouts. Results are merged by morsel sequence, so the
-	// effective worker count never affects output bytes.
-	dop := e.DOP
-	if obs := e.env.Observe; obs != nil {
-		if n := len(e.tasks); n < dop {
-			dop = n
-		}
-		dop = e.env.Scheduler().ClampDOP(dop)
-		if dop < 1 {
-			dop = 1
-		}
-		obs.ObserveCardinality("exchange_dop", float64(e.DOP), float64(dop))
-		if dop != e.DOP {
-			obs.RecordSwitch("exchange_dop", fmt.Sprintf("dop=%d", e.DOP), fmt.Sprintf("dop=%d", dop))
-		}
-	}
 	// The reorder window bounds buffered results under skew: at most
 	// window tasks are outstanding, and the channel holds every slot of
 	// the whole window so task sends never block.
-	e.window = dop * 4
+	e.window = e.DOP * 4
 	slots := 1
 	for _, t := range e.tasks {
 		slots = max(slots, t.n)
@@ -395,7 +357,7 @@ func (e *Exchange) Open(env *Env) error {
 		e.workers = e.workers[:0]
 		return err
 	}
-	for i := 0; i < dop; i++ {
+	for i := 0; i < e.DOP; i++ {
 		w := &worker{src: &BatchSource{cols: e.scan.Columns()}}
 		w.scanStats = OpStats{Name: e.scan.stats.Name}
 		var op Operator = w.src
@@ -667,11 +629,8 @@ func chainify(op Operator, c rwConf) error {
 // below an exchange (PartialAggregate, PartialGroupAggregate, PartialSort)
 // while the breaker itself stays above it, folding the partials in morsel
 // order. Materializations and unions stay serial but pull from parallel
-// children. The breakers keep their plan-time estimates (the adaptive
-// dense-vs-hash estimate moves to the PartialGroupAggregate), so an
-// observing environment sees the same observation points at any DOP; the
-// scheduler, context and budget come from the environment the plan is
-// opened with. dop <= 1 returns the plan unchanged.
+// children. The scheduler, context and budget come from the environment
+// the plan is opened with. dop <= 1 returns the plan unchanged.
 func Parallelize(root Operator, dop, morselSize int) (Operator, error) {
 	if dop <= 1 {
 		return root, nil
@@ -740,11 +699,9 @@ func rewrite(op Operator, c rwConf) (Operator, error) {
 	case *Aggregate:
 		o.exchanged, err = splitBreaker(&o.Child, &PartialAggregate{Child: o.Child, Aggs: o.Aggs}, c)
 	case *GroupAggregate:
-		// Per-worker grouped accumulators (dense arrays or hash tables);
-		// the partial side makes the adaptive dense-vs-hash decision.
+		// Per-worker grouped accumulators (dense arrays or hash tables).
 		o.exchanged, err = splitBreaker(&o.Child, &PartialGroupAggregate{
 			Child: o.Child, Keys: o.Keys, Aggs: o.Aggs, DenseLimit: o.DenseLimit,
-			EstRows: o.EstRows,
 		}, c)
 	case *Sort:
 		// Per-worker sorted runs, one per morsel, cut to the Offset+Limit

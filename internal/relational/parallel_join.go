@@ -74,12 +74,10 @@ func floatKey(v float64) uint64 {
 }
 
 // openBuild drains an opened build side in stream order and indexes it by
-// key under env: it polls env.Ctx per batch, reports the true build
-// cardinality ("join_build", next to the estimate) when env observes, and
-// moves the rows to disk when env's budget denies them, counting the
-// spilled bytes into st. A zero-batch build becomes emptyOf(right), so an
+// key under env: it polls env.Ctx per batch and moves the rows to disk
+// when env's budget denies them, counting the spilled bytes into st. A zero-batch build becomes emptyOf(right), so an
 // empty build side keeps its real key column type.
-func openBuild(env *Env, right Operator, key string, dop int, estRows float64, st *OpStats) (*joinBuild, error) {
+func openBuild(env *Env, right Operator, key string, dop int, st *OpStats) (*joinBuild, error) {
 	rows, err := drainConcat(env.Ctx, right, false)
 	if err == nil && rows == nil {
 		rows, err = emptyOf(right)
@@ -90,20 +88,12 @@ func openBuild(env *Env, right Operator, key string, dop int, estRows float64, s
 	if err != nil {
 		return nil, err
 	}
-	if env.Observe != nil {
-		env.Observe.ObserveCardinality("join_build", estRows, float64(rows.NumRows()))
-	}
 	bu, err := newJoinBuild(rows, key, dop)
 	if err != nil || env.Budget == nil {
 		return bu, err
 	}
 	spilled, err := bu.spillRows(env.Budget, rows)
-	if spilled > 0 {
-		st.SpillBytes += spilled
-		if env.Observe != nil {
-			env.Observe.ObserveCardinality("join_spill_bytes", 0, float64(spilled))
-		}
-	}
+	st.SpillBytes += spilled
 	return bu, err
 }
 

@@ -469,13 +469,6 @@ type Sort struct {
 	Limit int
 	// Offset skips the first Offset ordered rows (the OFFSET clause).
 	Offset int
-	// EstRows is the plan-time estimate of the input rows, reported next to
-	// the true count at the merge ("sort_merge") when the environment
-	// observes. Runs from an exchange under a Limit arrive truncated, so
-	// their merged count is not the input cardinality: that observation is
-	// reported as "sort_merge_truncated", which the re-optimizer excludes
-	// from selectivity evidence.
-	EstRows float64
 
 	// exchanged marks a Child that is an Exchange of PartialSorts (set by
 	// Parallelize): its batches arrive as sorted runs.
@@ -517,7 +510,7 @@ func (s *Sort) Next() (*data.Table, error) {
 	var runs []sortRun
 	var es *externalSort
 	var retained int64
-	held, total := 0, 0
+	held := 0
 	res := s.env.Budget.Reserve()
 	for {
 		b, err := pull(s.env.Ctx, s.Child)
@@ -531,7 +524,6 @@ func (s *Sort) Next() (*data.Table, error) {
 		if n == 0 {
 			continue
 		}
-		total += n
 		run := sortRun{hi: n}
 		if !s.exchanged {
 			if run.idx, err = s.sortBatch(b, fetch); err != nil {
@@ -586,15 +578,8 @@ func (s *Sort) Next() (*data.Table, error) {
 	if err := fault.Inject(fault.SiteSortMerge); err != nil {
 		return nil, err
 	}
-	if s.env.Observe != nil {
-		point := "sort_merge"
-		if s.exchanged && s.Limit >= 0 {
-			point = "sort_merge_truncated"
-		}
-		s.env.Observe.ObserveCardinality(point, s.EstRows, float64(total))
-	}
 	if es != nil {
-		return es.finish(s.env, s.Keys, s.Limit, s.Offset, &s.scratch, &s.stats)
+		return es.finish(s.Keys, s.Limit, s.Offset, &s.scratch, &s.stats)
 	}
 	if buf == nil {
 		buf = first

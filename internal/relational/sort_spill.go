@@ -41,16 +41,11 @@ func (e *externalSort) addRun(t *data.Table) error {
 
 func (e *externalSort) bytes() int64 { return e.sf.bytesWritten() }
 
-// finish is the end of a spilled Sort: it counts the spill volume into st
-// — reporting it with the run count when env observes — merges the runs
-// into the ordered result and releases the spill file (on error the
-// query's Cleanup removes it).
-func (e *externalSort) finish(env *Env, keys []SortKey, limit, offset int, scratch *sortScratch, st *OpStats) (*data.Table, error) {
+// finish is the end of a spilled Sort: it counts the spill volume into st,
+// merges the runs into the ordered result and releases the spill file (on
+// error the query's Cleanup removes it).
+func (e *externalSort) finish(keys []SortKey, limit, offset int, scratch *sortScratch, st *OpStats) (*data.Table, error) {
 	st.SpillBytes += e.bytes()
-	if env.Observe != nil {
-		env.Observe.ObserveCardinality("sort_spill_bytes", 0, float64(e.bytes()))
-		env.Observe.ObserveCardinality("sort_spill_runs", 0, float64(len(e.runs)))
-	}
 	out, err := e.merge(keys, limit, offset, scratch)
 	if err != nil {
 		return nil, err

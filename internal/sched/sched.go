@@ -75,16 +75,6 @@ func Default() *Scheduler {
 // Workers returns the fixed pool size.
 func (s *Scheduler) Workers() int { return s.workers }
 
-// ClampDOP caps a requested degree of parallelism at the pool size:
-// cloning more exchange workers than scheduler workers only adds
-// queueing, never concurrency.
-func (s *Scheduler) ClampDOP(dop int) int {
-	if dop > s.workers {
-		return s.workers
-	}
-	return dop
-}
-
 // AdmitCap returns the current admission cap — the most queries that can
 // be in flight at once. The engine's global memory budget divides by it
 // to derive each query's guaranteed resident floor.

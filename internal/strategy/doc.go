@@ -7,10 +7,8 @@
 // trained on measured runtimes of a pipeline corpus and plug into the
 // optimizer as opt.RuntimeStrategy implementations.
 //
-// CalibratedRule closes the adaptive feedback loop: the bench harness
-// feeds measured (features, cardinality, choice) → seconds pairs into
-// Calibrate, which fits the small-input crossover below which skipping
-// the model-to-tensor transformation wins; the adaptive executor then
-// re-chooses through ChooseWithCardinality when a breaker observes that
-// an estimate was off.
+// CalibratedRule is the rule the engine ships: the §5.2 rule re-derived
+// for this system's cost structure. It fixes each predict's runtime once,
+// at optimization time, from the pipeline's features and the execution
+// DOP.
 package strategy

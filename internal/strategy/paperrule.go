@@ -40,22 +40,7 @@ var _ opt.RuntimeStrategy = PaperRule{}
 // (no ML-session or UDF-boundary cost), deep/huge ensembles blow up as
 // nested CASE expressions and are better compiled to tensors or left on
 // the ML runtime.
-type CalibratedRule struct {
-	// SmallInputRows is the input cardinality below which an ensemble
-	// pipeline stays on the ML runtime regardless of size: session
-	// checkout and (for MLtoDNN) tensor compilation are fixed costs that
-	// never amortize over a handful of rows. It only takes effect through
-	// ChooseWithCardinality — plan-time choices don't know the true
-	// cardinality, which is exactly what mid-query re-optimization
-	// corrects. 0 applies DefaultSmallInputRows, so the zero value
-	// behaves exactly like the pre-calibration rule.
-	SmallInputRows float64
-}
-
-// DefaultSmallInputRows is the uncalibrated small-input threshold: one
-// default morsel of rows, below which per-query fixed costs (session init,
-// tensor compilation) dominate any per-row win.
-const DefaultSmallInputRows = 4096
+type CalibratedRule struct{}
 
 // Name implements opt.RuntimeStrategy.
 func (CalibratedRule) Name() string { return "calibrated-rule" }
@@ -94,28 +79,5 @@ func (r CalibratedRule) ChooseParallel(f *opt.Features, execDOP int) opt.Choice 
 	return opt.ChoiceNone
 }
 
-// ChooseWithCardinality implements opt.CardinalityAwareStrategy: the
-// re-optimization entry point, invoked at a pipeline breaker boundary with
-// the observed (not estimated) input cardinality of the predict segment.
-// Linear models and decision trees always stay SQL (the translation is
-// pure relational expressions with zero fixed cost). Ensembles on inputs
-// smaller than SmallInputRows stay on the ML runtime: a warm session
-// predicts a few thousand rows faster than MLtoDNN can even compile.
-// Above the threshold the parallel-aware rule applies unchanged.
-func (r CalibratedRule) ChooseWithCardinality(f *opt.Features, execDOP int, rows float64) opt.Choice {
-	if f.Get("is_linear") == 1 || f.Get("is_dt") == 1 {
-		return opt.ChoiceSQL
-	}
-	small := r.SmallInputRows
-	if small <= 0 {
-		small = DefaultSmallInputRows
-	}
-	if rows < small {
-		return opt.ChoiceNone
-	}
-	return r.ChooseParallel(f, execDOP)
-}
-
 var _ opt.RuntimeStrategy = CalibratedRule{}
 var _ opt.ParallelAwareStrategy = CalibratedRule{}
-var _ opt.CardinalityAwareStrategy = CalibratedRule{}

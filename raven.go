@@ -100,7 +100,7 @@ type (
 	// Pipeline is a trained pipeline (featurizers + model).
 	Pipeline = model.Pipeline
 	// Profile describes how the engine executes plans (parallelism, batch
-	// size, memory budget, adaptivity).
+	// size, memory budget).
 	Profile = engine.Profile
 	// OptimizerOptions selects the optimizer rules.
 	OptimizerOptions = opt.Options
@@ -108,10 +108,6 @@ type (
 	OptimizerReport = opt.Report
 	// RuntimeStrategy picks MLtoSQL / MLtoDNN / none per query.
 	RuntimeStrategy = opt.RuntimeStrategy
-	// AdaptiveStats is the mid-query re-optimization trace of one query:
-	// the cardinalities observed at the pipeline breakers and the strategy
-	// switches they triggered.
-	AdaptiveStats = opt.RuntimeStats
 	// TrainSpec describes a pipeline to train.
 	TrainSpec = train.Spec
 	// ModelKind selects the model family of a TrainSpec.
@@ -181,9 +177,6 @@ type Session struct {
 	plans *planCache
 	// planCacheSize is the WithPlanCacheSize request (0 = default).
 	planCacheSize int
-	// adaptive is the WithAdaptive request, applied after all options so
-	// it sees the final strategy.
-	adaptive bool
 	// globalBudget, when non-nil, is the engine-global memory accountant
 	// shared by every query this session runs (WithGlobalMemoryBudget).
 	globalBudget *relational.GlobalBudget
@@ -229,21 +222,6 @@ func WithParallelism(n int) Option {
 // §5.2 rule). Pass nil to disable logical-to-physical transformations.
 func WithStrategy(st RuntimeStrategy) Option {
 	return func(s *Session) { s.opts.Strategy = st }
-}
-
-// WithAdaptive enables mid-query re-optimization: each query's pipeline
-// breakers (join builds, grouped-aggregation merges, sort merges) record
-// their true cardinalities, and at the breaker boundaries the engine
-// re-costs the remaining plan with the observed numbers — re-picking the ML
-// runtime for downstream predict segments, the dense-vs-hash grouping path,
-// and the worker count of the next exchange — whenever the plan-time
-// estimate was off by the re-optimization factor. Results stay
-// byte-identical to static plans at every decision (only cost changes; the
-// trace is exposed as Result.Adaptive). Runtime re-selection requires the
-// session strategy to be cardinality-aware (the default CalibratedRule is);
-// other strategies still get the breaker-level adaptations.
-func WithAdaptive() Option {
-	return func(s *Session) { s.adaptive = true }
 }
 
 // WithGlobalMemoryBudget enables out-of-core execution: the resident
@@ -306,12 +284,6 @@ func NewSession(options ...Option) *Session {
 	if s.parallelism > 0 {
 		s.profile.ExecDOP = s.parallelism
 		s.opts.ExecDOP = s.parallelism
-	}
-	if s.adaptive {
-		s.profile.Adaptive = true
-		if c, ok := s.opts.Strategy.(opt.CardinalityAwareStrategy); ok {
-			s.profile.AdaptiveChooser = c
-		}
 	}
 	if s.globalBudget != nil {
 		s.profile.GlobalBudget = s.globalBudget
@@ -403,6 +375,15 @@ func (s *Session) RegisterTableChunked(t *Table, chunkRows int) error {
 // RegisterPartitionedTable partitions t by the given column (computing
 // per-partition statistics) and registers it; the data-induced rule can
 // then compile one model per partition.
+//
+// Partitioning groups t's rows by partition key, and scans read the
+// partitions one after another, so the registered table's scan order is
+// partition order, not t's row order. Whatever follows scan order differs
+// from the same query over RegisterTable(t): the rows a LIMIT or OFFSET
+// without ORDER BY keeps, the row order of an unordered result, the
+// first-occurrence order of groups, and the last bits of float SUM/AVG
+// folds. A result fixed by its ORDER BY over distinct keys, ORDER BY …
+// LIMIT included, is the same under either registration.
 func (s *Session) RegisterPartitionedTable(t *Table, column string) error {
 	pt, err := data.PartitionBy(t, column)
 	if err != nil {
@@ -438,9 +419,6 @@ type Result struct {
 	Report *OptimizerReport
 	// Plan is the optimized plan rendered as text.
 	Plan string
-	// Adaptive is the mid-query re-optimization trace (nil unless the
-	// session runs WithAdaptive).
-	Adaptive *AdaptiveStats
 	// Sessions is the number of ML runtime sessions the query checked out
 	// of the catalog pool; ColdSessions the subset built from scratch
 	// rather than found warm. Together they make pool hygiene observable:
@@ -494,7 +472,6 @@ func newResult(res *engine.Result, rep *OptimizerReport, plan string) *Result {
 		Wall:          res.Wall,
 		Report:        rep,
 		Plan:          plan,
-		Adaptive:      res.Adaptive,
 		Sessions:      res.Sessions,
 		ColdSessions:  res.ColdSessions,
 		SpilledBytes:  res.SpilledBytes,

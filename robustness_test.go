@@ -184,9 +184,10 @@ func TestBreakerFaultsSurfaceAsQueryErrors(t *testing.T) {
 	}
 }
 
-// ML sessions return to the pool on failed queries: pinned through the
-// Result counters — after a failure, a fresh query still reports warm
-// sessions (it found the pooled ones, not leaked ones rebuilt cold).
+// ML sessions return to the pool on failed queries: every checked-out
+// session is released (Outstanding returns to zero) and the pool's warm
+// list is no shorter after the failures than after the clean warm-up run,
+// so a failed query neither leaks nor discards the sessions it held.
 func TestSessionsReturnToPoolOnFailedQueries(t *testing.T) {
 	testfix.LeakCheck(t)
 	// Without optimizations the model stays on the ML runtime (the
@@ -201,6 +202,7 @@ func TestSessionsReturnToPoolOnFailedQueries(t *testing.T) {
 	if warm.Sessions == 0 {
 		t.Fatal("warm run reports no sessions; counter wiring broken")
 	}
+	warmPool := s.cat.Sessions().Warm()
 	f := testfix.InjectFaults(t)
 	boom := errors.New("boom")
 	// Arm each fault relative to the site's current hit count: one query
@@ -216,12 +218,14 @@ func TestSessionsReturnToPoolOnFailedQueries(t *testing.T) {
 		}
 	}
 	fault.Clear()
+	// A query may run more worker chains than the warm-up did and so build
+	// a session cold; what the failures must not do is shrink the pool.
+	if got := s.cat.Sessions().Warm(); got < warmPool {
+		t.Fatalf("warm sessions = %d after failures, want >= %d (pool should still be warm)", got, warmPool)
+	}
 	res, err := s.Query(testfix.CovidQuery)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.ColdSessions != 0 {
-		t.Fatalf("ColdSessions = %d after failures, want 0 (pool should still be warm)", res.ColdSessions)
 	}
 	assertResultIdentical(t, warm, res)
 }
