@@ -432,8 +432,9 @@ func BenchmarkJoinAggParallelSpeedup(b *testing.B) {
 // Expedia fact table (grouping dominates, so the dense-vs-hash gap is
 // visible), and "predict" is the Expedia-style grouped AVG-over-predict —
 // average predicted score per market — where grouping shares the exchange
-// with the model. Each shape runs with hash-forced grouping and with the
-// dense code-indexed path, at DOP 1, 4 and NumCPU; sub-benchmarks emit
+// with the model. Each shape runs with hash grouping — its key column
+// registered as raw strings — and with the dense code-indexed path over
+// the dictionary-encoded key, at DOP 1, 4 and NumCPU; sub-benchmarks emit
 // ns/op, allocs/op and rows/s, the parallel ones a "speedup" metric vs
 // the measured DOP=1 baseline of the same shape+grouping, and the dense
 // ones a "dense_speedup" metric vs hash grouping at the same shape+DOP.
@@ -451,33 +452,39 @@ func BenchmarkGroupByParallelSpeedup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries := []struct{ shape, sql string }{
-		{"kernel", "SELECT visitor_location, COUNT(*) AS n, AVG(price_usd) AS avg_price, " +
+	queries := []struct{ shape, key, sql string }{
+		{"kernel", "visitor_location", "SELECT visitor_location, COUNT(*) AS n, AVG(price_usd) AS avg_price, " +
 			"MIN(price_usd) AS lo, MAX(price_usd) AS hi FROM searches GROUP BY visitor_location"},
-		{"predict", ds.GroupedAggregateQuery(pipe.Name)},
+		{"predict", strings.TrimPrefix(ds.GroupColumn(), "d."), ds.GroupedAggregateQuery(pipe.Name)},
 	}
 	dops := []int{1, 4}
 	if n := runtime.NumCPU(); n > 4 {
 		dops = append(dops, n)
 	}
-	groupings := []struct {
-		name  string
-		limit int // Profile.DenseGroupLimit
-	}{
-		{"hash", -1},
-		{"dense", 0},
+	// rawKey returns the fact table with the key column decoded: grouping
+	// on raw strings takes the hash path.
+	rawKey := func(t *data.Table, key string) *data.Table {
+		cols := make([]*data.Column, len(t.Cols))
+		for i, c := range t.Cols {
+			if cols[i] = c; c.Name == key {
+				cols[i] = data.Decode(c)
+			}
+		}
+		return data.MustNewTable(t.Name, cols...)
 	}
+	groupings := []string{"hash", "dense"}
 	baseNs := make(map[string]float64) // shape/grouping → dop=1 ns/op
 	hashNs := make(map[string]float64) // shape/dop → hash ns/op
 	for _, q := range queries {
 		for _, grouping := range groupings {
 			for _, dop := range dops {
-				name := fmt.Sprintf("shape=%s/grouping=%s/dop=%d", q.shape, grouping.name, dop)
+				name := fmt.Sprintf("shape=%s/grouping=%s/dop=%d", q.shape, grouping, dop)
 				b.Run(name, func(b *testing.B) {
-					prof := engine.Local
-					prof.DenseGroupLimit = grouping.limit
-					s := NewSession(WithProfile(prof), WithParallelism(dop))
-					for _, t := range ds.Tables {
+					s := NewSession(WithProfile(engine.Local), WithParallelism(dop))
+					for i, t := range ds.Tables {
+						if i == 0 && grouping == "hash" {
+							t = rawKey(t, q.key)
+						}
 						s.RegisterTable(t)
 					}
 					if err := s.RegisterModel(pipe); err != nil {
@@ -497,12 +504,12 @@ func BenchmarkGroupByParallelSpeedup(b *testing.B) {
 					perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 					b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
 					if dop == 1 {
-						baseNs[q.shape+"/"+grouping.name] = perOp
-					} else if base := baseNs[q.shape+"/"+grouping.name]; base > 0 {
+						baseNs[q.shape+"/"+grouping] = perOp
+					} else if base := baseNs[q.shape+"/"+grouping]; base > 0 {
 						b.ReportMetric(base/perOp, "speedup")
 					}
 					key := fmt.Sprintf("%s/%d", q.shape, dop)
-					if grouping.name == "hash" {
+					if grouping == "hash" {
 						hashNs[key] = perOp
 					} else if base := hashNs[key]; base > 0 {
 						b.ReportMetric(base/perOp, "dense_speedup")

@@ -25,54 +25,56 @@ func groupCatalog(t *testing.T, rows int) *Catalog {
 	return cat
 }
 
-// TestLowerGroupByPicksGroupAggregate pins the lowering: a grouped
-// aggregate node lowers to relational.GroupAggregate carrying the
-// profile's dense-vs-hash grouping choice, and a global one still lowers
-// to the scalar Aggregate.
+// TestLowerGroupByPicksGroupAggregate pins the lowering: an aggregate
+// node lowers to relational.GroupAggregate — with its GROUP BY keys, or
+// with none for a global aggregate — and HAVING to a relational.Filter
+// above it.
 func TestLowerGroupByPicksGroupAggregate(t *testing.T) {
 	cat := groupCatalog(t, 100)
-	grouped, err := sqlparse.ParseAndPlan(
-		"SELECT market, SUM(amount) AS s FROM sales GROUP BY market", cat)
-	if err != nil {
-		t.Fatal(err)
+	lower := func(sql string) Operator {
+		t.Helper()
+		g, err := sqlparse.ParseAndPlan(sql, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := Lower(g, cat, Local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return root
 	}
-	prof := Local
-	prof.DenseGroupLimit = -1
-	root, err := Lower(grouped, cat, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ga, ok := root.(*relational.GroupAggregate)
+	ga, ok := lower("SELECT market, SUM(amount) AS s FROM sales GROUP BY market").(*relational.GroupAggregate)
 	if !ok {
-		t.Fatalf("lowered root = %T, want *relational.GroupAggregate", root)
-	}
-	if ga.DenseLimit != -1 {
-		t.Fatalf("DenseLimit = %d, want profile's -1", ga.DenseLimit)
+		t.Fatal("grouped root is not a *relational.GroupAggregate")
 	}
 	if len(ga.Keys) != 1 || ga.Keys[0] != "sales.market" {
 		t.Fatalf("Keys = %v", ga.Keys)
 	}
-	global, err := sqlparse.ParseAndPlan("SELECT SUM(amount) AS s FROM sales", cat)
-	if err != nil {
-		t.Fatal(err)
+	root := lower("SELECT SUM(amount) AS s FROM sales")
+	if ga, ok := root.(*relational.GroupAggregate); !ok || len(ga.Keys) != 0 {
+		t.Fatalf("lowered global root = %T, want a zero-key *relational.GroupAggregate", root)
 	}
-	root, err = Lower(global, cat, Local)
-	if err != nil {
-		t.Fatal(err)
+	root = lower("SELECT market, SUM(amount) AS s FROM sales GROUP BY market HAVING s > 10")
+	f, ok := root.(*relational.Filter)
+	if !ok {
+		t.Fatalf("lowered HAVING root = %T, want *relational.Filter", root)
 	}
-	if _, ok := root.(*relational.Aggregate); !ok {
-		t.Fatalf("lowered global root = %T, want *relational.Aggregate", root)
+	if _, ok := f.Child.(*relational.GroupAggregate); !ok {
+		t.Fatalf("HAVING filters %T, want *relational.GroupAggregate", f.Child)
 	}
 }
 
-// TestGroupByDenseVsHashProfiles runs the same grouped query under the
-// dense-grouping and hash-grouping profiles at several DOPs: results must
-// be byte-identical, with groups in first-occurrence order.
+// TestGroupByDenseVsHashProfiles runs the same grouped query with the key
+// registered dictionary-encoded (dense grouping) and as raw strings (hash
+// grouping) at several DOPs: results must be byte-identical, with groups
+// in first-occurrence order.
 func TestGroupByDenseVsHashProfiles(t *testing.T) {
 	cat := groupCatalog(t, 20000)
-	g, err := sqlparse.ParseAndPlan(
-		"SELECT market, COUNT(*) AS n, AVG(amount) AS m FROM sales GROUP BY market",
-		cat)
+	sales, _ := cat.Table("sales")
+	raw := NewCatalog()
+	raw.RegisterTable(data.DecodeTable(sales.Parts[0].Table))
+	const sql = "SELECT market, COUNT(*) AS n, AVG(amount) AS m FROM sales GROUP BY market"
+	g, err := sqlparse.ParseAndPlan(sql, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,17 +93,16 @@ func TestGroupByDenseVsHashProfiles(t *testing.T) {
 			t.Fatalf("count[%d] = %v", i, got)
 		}
 	}
-	for _, dense := range []int{0, -1, 3} { // default, hash-forced, limit below cardinality
+	for name, c := range map[string]*Catalog{"dense": cat, "hash": raw} {
 		for _, dop := range []int{1, 2, 4} {
 			prof := Local
-			prof.DenseGroupLimit = dense
 			prof.ExecDOP = dop
-			res, err := Run(g, cat, prof)
+			res, err := Run(g, c, prof)
 			if err != nil {
-				t.Fatalf("dense=%d dop=%d: %v", dense, dop, err)
+				t.Fatalf("%s dop=%d: %v", name, dop, err)
 			}
 			diffAssertIdenticalTables(t, base.Table, res.Table,
-				fmt.Sprintf("dense=%d dop=%d", dense, dop))
+				fmt.Sprintf("%s dop=%d", name, dop))
 		}
 	}
 }

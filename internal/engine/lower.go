@@ -11,16 +11,14 @@ import (
 // given profile. When the profile requests real parallelism (ExecDOP > 1)
 // partition-parallel segments are rewritten into morsel-driven Exchange
 // operators; hash joins inside such segments probe in parallel against a
-// shared build table, and the global aggregate, the grouped aggregate and
-// the sort fold partials their exchange workers computed (per-worker
-// accumulators — grouped ones dense code-indexed or hashed per
-// Profile.DenseGroupLimit — and sorted runs) instead of computing them
-// inline, so join-, aggregate- and sort-heavy prediction queries scale
-// past one core too. Each breaker is one operator either way. The profile batch size
-// doubles as the morsel size,
-// which keeps parallel batch boundaries aligned with serial ones — the
-// property the partial-aggregation fold relies on for bit-identical
-// results.
+// shared build table, and the aggregation (global or grouped) and the sort
+// fold partials their exchange workers computed (per-worker accumulators
+// and sorted runs) instead of computing them inline, so join-, aggregate-
+// and sort-heavy prediction queries scale past one core too. Each breaker
+// is one operator either way. The profile batch size doubles as the
+// morsel size, which keeps parallel batch boundaries aligned with serial
+// ones — the property the partial-aggregation fold relies on for
+// bit-identical results.
 //
 // Column representations flow through lowering untouched: scans emit the
 // catalog tables' dictionary-encoded string columns as-is, so both the
@@ -84,23 +82,19 @@ func (l *lowerer) lower(n *ir.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(n.GroupBy) > 0 {
-			// Grouped aggregation: the profile picks dense code-indexed
-			// grouping vs hashed typed keys (DenseGroupLimit); under
-			// ExecDOP > 1 the Parallelize rewrite moves the per-batch
-			// grouping into PartialGroupAggregate workers below it.
-			return &relational.GroupAggregate{Child: child, Keys: n.GroupBy,
-				Aggs: n.Aggs, DenseLimit: l.prof.DenseGroupLimit}, nil
-		}
-		return &relational.Aggregate{Child: child, Aggs: n.Aggs}, nil
+		// One breaker for global (no GroupBy keys) and grouped
+		// aggregation; under ExecDOP > 1 the Parallelize rewrite moves
+		// the per-batch grouping into PartialGroupAggregate workers below
+		// it.
+		return &relational.GroupAggregate{Child: child, Keys: n.GroupBy, Aggs: n.Aggs}, nil
 	case ir.KindHaving:
 		child, err := l.lower(n.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		// HAVING evaluates above the grouped aggregation breaker, where
-		// group keys and aggregate outputs exist as columns.
-		return &relational.HavingFilter{Child: child, Pred: n.Pred}, nil
+		// HAVING is a Filter above the aggregation breaker, where group
+		// keys and aggregate outputs exist as columns.
+		return &relational.Filter{Child: child, Pred: n.Pred}, nil
 	case ir.KindSort:
 		child, err := l.lower(n.Children[0])
 		if err != nil {

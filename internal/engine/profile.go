@@ -23,16 +23,6 @@ type Profile struct {
 	// (MADlib's execution style). Widths beyond MaxMaterializedColumns
 	// fail, mirroring PostgreSQL's 1600-column table limit.
 	MaterializeFeaturization bool
-	// DenseGroupLimit selects the grouping path for GROUP BY over a
-	// single dictionary-encoded key: dictionaries up to this cardinality
-	// group through a dense code→group array (no hashing; one array per
-	// worker under parallel execution), larger ones and all other key
-	// shapes hash canonically-encoded typed keys. 0 applies the
-	// relational default (relational.DefaultDenseGroupLimit); a negative
-	// value forces hash grouping everywhere. Both paths produce
-	// byte-identical results — this knob trades the dense array's memory
-	// (4 bytes × cardinality × workers) for the hash probe cost.
-	DenseGroupLimit int
 	// Sched is the morsel scheduler the plan's exchanges run on. Nil uses
 	// the process-wide shared pool (sched.Default()), so every concurrent
 	// query multiplexes over one bounded set of workers; tests inject

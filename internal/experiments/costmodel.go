@@ -214,8 +214,7 @@ func dataParallel(op engine.Operator) (parallel, ok bool) {
 	case *relational.Scan, *relational.Filter, *relational.Project, *relational.HashJoin,
 		*engine.PredictOp, *engine.DNNOp:
 		return true, true
-	case *relational.Aggregate, *relational.GroupAggregate, *relational.HavingFilter,
-		*relational.Sort, *relational.Limit, *relational.Union:
+	case *relational.GroupAggregate, *relational.Sort, *relational.Limit, *relational.Union:
 		return false, true
 	}
 	return false, false

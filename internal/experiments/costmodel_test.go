@@ -169,7 +169,7 @@ func TestCostModelNamesEveryFigureOperator(t *testing.T) {
 
 	// The sweep must have reached both classes and every predict form, or
 	// it is not exercising what the figures run.
-	for _, want := range []string{"Scan", "Project", "HashJoin", "Aggregate", "Union", "PredictOp", "DNNOp"} {
+	for _, want := range []string{"Scan", "Project", "HashJoin", "GroupAggregate", "Union", "PredictOp", "DNNOp"} {
 		if !seen[want] {
 			t.Errorf("figure sweep never lowered a %s", want)
 		}

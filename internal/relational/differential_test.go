@@ -193,25 +193,21 @@ func diffShapes(f *diffFixture, batch int) map[string]func() Operator {
 			return &Filter{Child: scanChain(), Pred: In(Col("grp"), "missing")}
 		},
 		"agg-over-scan": func() Operator {
-			return &Aggregate{Child: scanChain(), Aggs: aggs}
+			return &GroupAggregate{Child: scanChain(), Aggs: aggs}
 		},
 		"agg-over-join": func() Operator {
-			return &Aggregate{Child: joinJoin(), Aggs: aggs}
+			return &GroupAggregate{Child: joinJoin(), Aggs: aggs}
 		},
 		"agg-over-str-join": func() Operator {
-			return &Aggregate{Child: joinStr(), Aggs: aggs}
+			return &GroupAggregate{Child: joinStr(), Aggs: aggs}
 		},
-		// Grouped aggregation: string key (dense dict path when encoded),
-		// integer key, multi-key, hash-forced grouping, and groups over
+		// Grouped aggregation: string key (dense dict path when encoded,
+		// hash over raw strings), integer key, multi-key, and groups over
 		// joins — all must be byte-identical across representation × DOP,
 		// including output row order (first occurrence in serial batch
 		// order).
 		"group-str-key": func() Operator {
 			return &GroupAggregate{Child: scanChain(), Keys: []string{"grp"}, Aggs: aggs}
-		},
-		"group-str-key-hash": func() Operator {
-			return &GroupAggregate{Child: scanChain(), Keys: []string{"grp"},
-				Aggs: aggs, DenseLimit: -1}
 		},
 		"group-int-key": func() Operator {
 			return &GroupAggregate{Child: scanChain(), Keys: []string{"k2"}, Aggs: aggs}
@@ -249,7 +245,7 @@ func diffShapes(f *diffFixture, batch int) map[string]func() Operator {
 			return &Limit{Child: scanChain(), N: 777}
 		},
 		"having-avg-group": func() Operator {
-			return &HavingFilter{
+			return &Filter{
 				Child: &GroupAggregate{Child: scanChain(), Keys: []string{"grp"}, Aggs: aggs},
 				Pred:  NewBinOp(OpGt, Col("avg_edge"), Num(-1e14)),
 			}
@@ -282,7 +278,7 @@ func diffShapes(f *diffFixture, batch int) map[string]func() Operator {
 // ML-query shape.
 func rankShape(child Operator, aggs []AggSpec, limit int) Operator {
 	return &Sort{
-		Child: &HavingFilter{
+		Child: &Filter{
 			Child: &GroupAggregate{Child: child, Keys: []string{"grp"}, Aggs: aggs},
 			Pred:  NewBinOp(OpGt, Col("n"), Num(0)),
 		},
@@ -401,10 +397,10 @@ func TestBreakersMatchNaiveReferences(t *testing.T) {
 					}
 					assertTablesEqual(t, want, run(shapes[name]()))
 				}
-				global := run(&Aggregate{Child: shapes["join-join"](), Aggs: aggs})
+				global := run(&GroupAggregate{Child: shapes["join-join"](), Aggs: aggs})
 				assertMatchesReference(t, label+" global", global, nil, aggs,
 					[]*refGroup{refAggregate(joinedTwice, aggs)}, false)
-				none := run(&Aggregate{Child: shapes["filter-all-false"](), Aggs: aggs})
+				none := run(&GroupAggregate{Child: shapes["filter-all-false"](), Aggs: aggs})
 				assertMatchesReference(t, label+" global-empty", none, nil, aggs,
 					[]*refGroup{refAggregate(probe.Slice(0, 0), aggs)}, true)
 				grouped := run(&GroupAggregate{Child: shapes["join-join"](), Keys: groupKeys, Aggs: aggs})

@@ -49,15 +49,15 @@
 // # Pipeline breakers: one operator, an inline or exchanged partial step
 //
 // Each pipeline breaker is one operator with one Open/Next body —
-// HashJoin, Aggregate, GroupAggregate, Sort — that drains its input
-// (polling the Env's context once per batch) and folds one partial per
-// input batch in stream order. Lowered serially, the breaker computes each
-// partial inline from its input batch. When Parallelize finds a
-// big-enough segment below it, it moves only the partial step into the
-// exchange workers (PartialAggregate, PartialGroupAggregate, PartialSort)
-// and the breaker folds the partials the Exchange re-emits in morsel order
-// — the serial batch order. Serial execution is therefore the DOP-1 case
-// of the same operator, and both fold the same partials in the same order:
+// HashJoin, GroupAggregate, Sort — that drains its input (polling the
+// Env's context once per batch) and folds one partial per input batch in
+// stream order. Lowered serially, the breaker computes each partial
+// inline from its input batch. When Parallelize finds a big-enough segment
+// below it, it moves only the partial step into the exchange workers
+// (PartialGroupAggregate, PartialSort) and the breaker folds the partials
+// the Exchange re-emits in morsel order — the serial batch order. Serial
+// execution is therefore the DOP-1 case of the same operator, and both
+// fold the same partials in the same order:
 //
 //   - HashJoin drains and indexes its build side at Open (typed indexes:
 //     int64, float bits with NaNs canonical, dictionary codes indexing an
@@ -67,31 +67,36 @@
 //     query thread, indexing with up to DOP workers, and the worker clones
 //     (Right == nil) probe their chains against that shared, immutable
 //     build.
-//   - Both aggregations keep their state in one struct-of-arrays
-//     accumulator, aggState: COUNT plus per-aggregate SUM/MIN/MAX float64
-//     slices indexed by group id (AVG as SUM and COUNT, divided only at the
-//     end; MIN and MAX start from ±Inf). A partial's state columns — in an
-//     exchange batch or a spill slab — are those slices, so no per-group or
-//     per-row object exists anywhere.
-//   - Aggregate is the one-group case: it folds one batch partial per batch
-//     into its identity slot — one addition tree at any DOP.
-//   - GroupAggregate groups each batch into a partial and merges it by key
-//     VALUE, never by dictionary code, so partials with mismatched
-//     dictionaries or raw strings agree; groups come out in first-
-//     occurrence order. A batch is grouped in two passes, a group id per
-//     row then a column-at-a-time fold, and the merge likewise assigns ids
-//     then folds state columns. Group ids come from a dense code→group
-//     array, when the single key is dictionary-encoded with a cardinality
-//     within DenseLimit (Profile.DenseGroupLimit: 0 means
-//     DefaultDenseGroupLimit = 4096, negative disables; one array per
-//     worker, reset through the touched-code list), or from a typed key
-//     index: a single int64, float64 (NaNs collapsed by floatKey) or bool
-//     key probes a map[uint64]int32 on its value, a single string key a
+//   - GroupAggregate is every aggregation, global and grouped. Its state
+//     is one struct-of-arrays accumulator, aggState: COUNT plus
+//     per-aggregate SUM/MIN/MAX float64 slices indexed by group id (AVG as
+//     SUM and COUNT, divided only at the end; MIN and MAX start from
+//     ±Inf). A partial's state columns — in an exchange batch or a spill
+//     slab — are those slices, so no per-group or per-row object exists
+//     anywhere.
+//   - The global aggregate is GroupAggregate with no keys: each batch is
+//     one group, and the merge holds one identity group from the start and
+//     folds every partial into it — one addition tree at any DOP, the
+//     identity row over empty input, no budget reserved.
+//   - With keys, GroupAggregate groups each batch into a partial and
+//     merges it by key VALUE, never by dictionary code, so partials with
+//     mismatched dictionaries or raw strings agree; groups come out in
+//     first-occurrence order. A batch is grouped in two passes, a group id
+//     per row then a column-at-a-time fold, and the merge likewise assigns
+//     ids then folds state columns. Group ids come from a dense code→group
+//     array when the single key is dictionary-encoded with at most
+//     DefaultDenseGroupLimit = 4096 entries (one array per worker, reset
+//     through the touched-code list), or from a typed key index: a single
+//     int64, float64 (NaNs collapsed by floatKey) or bool key probes a
+//     map[uint64]int32 on its value, a single string key a
 //     map[string]int32 on its value, and only key tuples are encoded to
 //     canonical bytes (8-byte words, one-byte bools, length-prefixed
 //     strings). Every path visits rows in batch order with the same
-//     updates, so they are bit-identical; dense measured ≈1.4–1.9× faster
-//     on the kernel-shape benchmark.
+//     updates, so they are bit-identical. The dense path is chosen from
+//     the key column alone and has no setting; it stays because it pays:
+//     dense grouping of the kernel-shape benchmark's 30k rows took
+//     1.08–1.17 ms against 1.54–1.78 ms hashed at DOP 1, and 0.78–0.79
+//     against 1.00–1.02 ms at DOP 4 (2-core host; docs/ARCHITECTURE.md).
 //   - Sort turns each batch into one stable sorted run cut to its top
 //     Offset+Limit rows (a row outside its run's window can never enter
 //     the global one; a bounded heap finds the window in O(n log k)), and
@@ -108,10 +113,11 @@
 //     passes zero- and single-row batches through without building
 //     comparators.
 //
-// Ordered output around the breakers: HAVING is a HavingFilter above the
-// grouped-aggregation breaker, where group keys and aggregate aliases
-// exist as columns; LIMIT/OFFSET without ORDER BY is a Limit cutting the
-// deterministic batch stream by position.
+// Ordered output around the breakers: HAVING is a plain Filter above the
+// aggregation breaker, where group keys and aggregate aliases exist as
+// columns (a Filter skips zero-row batches, such as an empty grouped
+// result, without evaluating its predicate); LIMIT/OFFSET without ORDER BY
+// is a Limit cutting the deterministic batch stream by position.
 //
 // # Spilling
 //

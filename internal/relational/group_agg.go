@@ -9,38 +9,42 @@ import (
 	"raven/internal/fault"
 )
 
-// Grouped aggregation (GROUP BY) — the grouped twin of the global
-// aggregation in ops.go / parallel_agg.go, built on the same per-batch
-// partial + in-order fold discipline and the same struct-of-arrays
-// accumulator (aggState) indexed by group id:
+// Aggregation — global and grouped (GROUP BY) — is one breaker,
+// GroupAggregate; the global aggregate is its zero-key case. Both run the
+// same per-batch partial + in-order fold discipline over the same
+// struct-of-arrays accumulator (aggState) indexed by group id:
 //
 //   - every input batch is grouped into a batch partial: its key columns
 //     gathered at each group's first row, in first-occurrence row order,
 //     plus an aggState holding each group's COUNT/SUM/MIN/MAX (AVG
 //     decomposed into SUM+COUNT) — inline in the GroupAggregate breaker,
 //     or in the PartialGroupAggregate workers of an exchange, which emit it
-//     as a table whose state columns are the accumulator's slices;
+//     as a table whose state columns are the accumulator's slices. Without
+//     keys a batch is one group, present even when the batch is empty;
 //   - the breaker's groupedMerge folds batch partials by group key VALUE
 //     into one global aggState in stream order (serial: batch order;
 //     exchanged: morsel order, which the Exchange guarantees equals serial
 //     batch order). A group's first partial becomes its state as is; later
-//     ones fold into it.
+//     ones fold into it. Without keys the merge holds one identity group
+//     from the start and folds every partial into it, so empty input still
+//     yields the one identity row.
 //
 // Because both placements of the partial step run the identical per-batch
 // accumulation and the breaker the identical value-keyed fold — and the
-// encoded partials round-trip exactly through float64 columns — grouped
-// results are byte-identical at any DOP and under either string
-// representation. Output row order is deterministic: first occurrence of
-// the group key in serial batch order.
+// encoded partials round-trip exactly through float64 columns — results
+// are byte-identical at any DOP and under either string representation.
+// Output row order is deterministic: first occurrence of the group key in
+// serial batch order.
 //
 // A batch is grouped in two passes: a group id per row, then a
 // column-at-a-time fold of each aggregate's values into its group's slots
-// (aggState.addRows). The group ids come from one of two paths:
+// (aggState.addRows). The group ids come from one of two paths, chosen
+// per batch from the key column alone:
 //
-//   - dense: a single dictionary-encoded key column with cardinality at
-//     most the dense limit indexes a per-operator (per-worker, under an
-//     Exchange) dense code→group array — no hashing at all. The array is
-//     reused across batches and reset via the touched-code list.
+//   - dense: a single dictionary-encoded key column of at most
+//     DefaultDenseGroupLimit entries indexes a per-operator (per-worker,
+//     under an Exchange) dense code→group array — no hashing at all. The
+//     array is reused across batches and reset via the touched-code list.
 //   - hash: a keyIndex on the key value. A single int64, float64 or bool
 //     key probes a map[uint64]int32 on its value (floats through floatKey,
 //     which collapses NaNs); a single string key probes a map[string]int32
@@ -52,12 +56,11 @@ import (
 // The merge probes the same keyIndex, then folds the partial's state
 // columns one at a time (aggState.foldRows). Both paths visit rows in
 // batch order and update per-group state with the same operations, so
-// dense and hash grouping are bit-identical; the engine picks between them
-// per Profile (DenseGroupLimit).
+// dense and hash grouping are bit-identical.
 
 // DefaultDenseGroupLimit is the largest dictionary cardinality the dense
-// code→group grouping path is used for when the operator's DenseLimit is
-// 0 (the per-worker dense array costs 4 bytes per dictionary entry).
+// code→group grouping path is used for (the per-worker dense array costs
+// 4 bytes per dictionary entry).
 const DefaultDenseGroupLimit = 4096
 
 // keyColumns resolves the named key columns of b.
@@ -189,17 +192,14 @@ func (s *groupScratch) resolveAggCols(b *data.Table, aggs []AggSpec) error {
 }
 
 // denseKey reports whether the batch's key columns qualify for the dense
-// grouping path: exactly one dictionary-encoded key whose cardinality is
-// within limit.
-func denseKey(keyCols []*data.Column, limit int) (*data.Column, bool) {
-	if limit < 0 || len(keyCols) != 1 {
+// grouping path: exactly one dictionary-encoded key of at most
+// DefaultDenseGroupLimit entries.
+func denseKey(keyCols []*data.Column) (*data.Column, bool) {
+	if len(keyCols) != 1 {
 		return nil, false
 	}
-	if limit == 0 {
-		limit = DefaultDenseGroupLimit
-	}
 	c := keyCols[0]
-	if c.IsDict() && c.Dict.Len() <= limit {
+	if c.IsDict() && c.Dict.Len() <= DefaultDenseGroupLimit {
 		return c, true
 	}
 	return nil, false
@@ -208,9 +208,9 @@ func denseKey(keyCols []*data.Column, limit int) (*data.Column, bool) {
 // partial computes one batch's partial table: the key columns gathered at
 // each group's first row (keeping their representation), then the groups'
 // accumulator as its state columns, in first-occurrence row order. Without
-// keys it is a global aggregation's one-row partial. The serial breakers
-// fold exactly the partial an exchange worker emits.
-func (s *groupScratch) partial(b *data.Table, keys []string, aggs []AggSpec, denseLimit int) (*data.Table, error) {
+// keys it is a global aggregation's one-row partial. The serial breaker
+// folds exactly the partial an exchange worker emits.
+func (s *groupScratch) partial(b *data.Table, keys []string, aggs []AggSpec) (*data.Table, error) {
 	keyCols, err := keyColumns(b, keys)
 	if err != nil {
 		return nil, err
@@ -221,7 +221,7 @@ func (s *groupScratch) partial(b *data.Table, keys []string, aggs []AggSpec, den
 	n := b.NumRows()
 	s.gids = slices.Grow(s.gids[:0], n)[:n]
 	s.first = s.first[:0]
-	if kc, ok := denseKey(keyCols, denseLimit); len(keys) == 0 {
+	if kc, ok := denseKey(keyCols); len(keys) == 0 {
 		// A global aggregation: one group of every row, present even
 		// when the batch is empty.
 		clear(s.gids)
@@ -296,8 +296,14 @@ type groupedMerge struct {
 	spill    *groupSpill
 }
 
+// newGroupedMerge returns an empty accumulator — with no keys, one holding
+// the global aggregation's identity group.
 func newGroupedMerge(keyNames []string, aggs []AggSpec) *groupedMerge {
-	return &groupedMerge{keyNames: keyNames, aggs: aggs, state: newAggState(len(aggs), 0)}
+	groups := 0
+	if len(keyNames) == 0 {
+		groups = 1
+	}
+	return &groupedMerge{keyNames: keyNames, aggs: aggs, state: newAggState(len(aggs), groups)}
 }
 
 // groupStateBytes approximates the resident cost of one group beyond its
@@ -317,10 +323,17 @@ func groupStateBytes(nAggs int) int64 { return 48 + 24*int64(nAggs) }
 // fold merges an encoded grouped partial in row order: group r's key at
 // row r of keyCols, its state at row r of src. seqs, when non-nil, are the
 // rows' fold sequence numbers (a spill slab's __seq column); otherwise the
-// rows continue the merge's own numbering.
+// rows continue the merge's own numbering. Without keys every row folds
+// into the one group, whose state reserves no budget.
 func (m *groupedMerge) fold(keyCols []*data.Column, src *aggState, seqs []float64) error {
 	n := src.len()
 	if n == 0 {
+		return nil
+	}
+	if len(m.keyNames) == 0 {
+		m.gids = slices.Grow(m.gids[:0], n)[:n]
+		clear(m.gids)
+		m.state.foldRows(m.gids, src)
 		return nil
 	}
 	if m.keys == nil {
@@ -480,21 +493,18 @@ func groupedColumns(keys []string, aggs []AggSpec) []string {
 	return out
 }
 
-// GroupAggregate is the grouped-aggregation breaker: it merges one
-// batch-local grouped accumulator per input batch by key value, in stream
-// order (see the file comment) — computed inline from each batch (dense or
-// hash grouping) when lowered serially, or read from the encoded partials an
+// GroupAggregate is the aggregation breaker: it merges one batch-local
+// grouped accumulator per input batch by key value, in stream order (see
+// the file comment) — computed inline from each batch (dense or hash
+// grouping) when lowered serially, or read from the encoded partials an
 // exchange of PartialGroupAggregate workers emits in morsel order when
 // Parallelize moved the partial step below it. Output rows appear in
-// first-occurrence order of the group key, at any DOP.
+// first-occurrence order of the group key, at any DOP. With no Keys it is
+// the global aggregate: exactly one row, the identity row over empty input.
 type GroupAggregate struct {
 	Child Operator
 	Keys  []string
 	Aggs  []AggSpec
-	// DenseLimit bounds the dictionary cardinality of the dense grouping
-	// path: 0 means DefaultDenseGroupLimit, negative disables the dense
-	// path entirely (always hash). The engine sets it from the Profile.
-	DenseLimit int
 
 	// exchanged marks a Child that is an Exchange of PartialGroupAggregates
 	// (set by Parallelize).
@@ -510,21 +520,24 @@ func (a *GroupAggregate) Columns() []string { return groupedColumns(a.Keys, a.Ag
 
 // Open opens the child.
 func (a *GroupAggregate) Open(env *Env) error {
+	name := "GroupAggregate"
 	if len(a.Keys) == 0 {
-		return fmt.Errorf("relational: GroupAggregate requires at least one key (use Aggregate)")
+		name = "Aggregate"
 	}
-	a.stats = OpStats{Name: fmt.Sprintf("GroupAggregate(%d keys)", len(a.Keys))}
-	if a.exchanged {
-		a.stats.Name = "GroupAggregate(merge)"
+	switch {
+	case a.exchanged:
+		name += "(merge)"
+	case len(a.Keys) > 0:
+		name += fmt.Sprintf("(%d keys)", len(a.Keys))
 	}
+	a.stats = OpStats{Name: name}
 	a.done, a.env = false, env.orZero()
 	return a.Child.Open(env)
 }
 
-// Next drains the child and emits the grouped result as one batch,
-// counting the bytes it spilled; zero groups yield a typed empty batch, so
-// downstream operators (and the terminal Drain) see the real key column
-// types.
+// Next drains the child and emits the result as one batch, counting the
+// bytes it spilled; zero groups yield a typed empty batch, so downstream
+// operators (and the terminal Drain) see the real key column types.
 func (a *GroupAggregate) Next() (*data.Table, error) {
 	defer startTimer(&a.stats)()
 	if a.done {
@@ -542,7 +555,7 @@ func (a *GroupAggregate) Next() (*data.Table, error) {
 			break
 		}
 		if !a.exchanged {
-			b, err = a.scratch.partial(b, a.Keys, a.Aggs, a.DenseLimit)
+			b, err = a.scratch.partial(b, a.Keys, a.Aggs)
 		}
 		if err == nil {
 			err = acc.foldPartials(b, nil)
@@ -589,16 +602,13 @@ func (a *GroupAggregate) Children() []Operator { return []Operator{a.Child} }
 // partial table — the group-key columns gathered at their first-occurrence
 // rows (preserving the dictionary representation) plus the batch
 // accumulator's COUNT/SUM/MIN/MAX slices as float columns. The exchange
-// re-emits these
-// tables in morsel order, so the GroupAggregate above folds exactly the
-// serial batch sequence.
+// re-emits these tables in morsel order, so the GroupAggregate above folds
+// exactly the serial batch sequence. Every worker clone owns a private
+// dense array. Without keys each partial is one row.
 type PartialGroupAggregate struct {
 	Child Operator
 	Keys  []string
 	Aggs  []AggSpec
-	// DenseLimit is the dense-path bound, as on GroupAggregate. Every
-	// worker clone owns a private dense array ("per-worker dense arrays").
-	DenseLimit int
 
 	stats   OpStats
 	scratch groupScratch
@@ -612,6 +622,9 @@ func (a *PartialGroupAggregate) Columns() []string {
 // Open opens the child.
 func (a *PartialGroupAggregate) Open(env *Env) error {
 	a.stats = OpStats{Name: "PartialGroupAggregate"}
+	if len(a.Keys) == 0 {
+		a.stats.Name = "PartialAggregate"
+	}
 	return a.Child.Open(env)
 }
 
@@ -623,7 +636,7 @@ func (a *PartialGroupAggregate) Next() (*data.Table, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	out, err := a.scratch.partial(b, a.Keys, a.Aggs, a.DenseLimit)
+	out, err := a.scratch.partial(b, a.Keys, a.Aggs)
 	if err != nil {
 		return nil, err
 	}
@@ -644,7 +657,7 @@ func (a *PartialGroupAggregate) Children() []Operator { return []Operator{a.Chil
 // CloneWorker implements ParallelOp: clones share the immutable specs and
 // own a private scratch (dense array, buffers).
 func (a *PartialGroupAggregate) CloneWorker(child Operator) (Operator, error) {
-	return &PartialGroupAggregate{Child: child, Keys: a.Keys, Aggs: a.Aggs, DenseLimit: a.DenseLimit}, nil
+	return &PartialGroupAggregate{Child: child, Keys: a.Keys, Aggs: a.Aggs}, nil
 }
 
 // AbsorbWorker merges a worker clone's statistics.

@@ -18,6 +18,9 @@ type refGroup struct {
 	keys             []string // rendered key values (AsString)
 	count            float64
 	sums, mins, maxs []float64
+	// mags sums each aggregate's |values|: the scale of the rounding error
+	// a different addition tree may put into its SUM.
+	mags []float64
 }
 
 // refGroupAggregate is an independent, deliberately naive grouped
@@ -70,6 +73,7 @@ func refGroupAggregate(tb *data.Table, keys []string, aggs []AggSpec) []*refGrou
 			}
 			v := c.AsFloat(r)
 			g.sums[gi] += v
+			g.mags[gi] += math.Abs(v)
 			if v < g.mins[gi] {
 				g.mins[gi] = v
 			}
@@ -86,6 +90,7 @@ func refGroupAggregate(tb *data.Table, keys []string, aggs []AggSpec) []*refGrou
 func newRefGroup(keys []string, nAggs int) *refGroup {
 	g := &refGroup{keys: keys,
 		sums: make([]float64, nAggs),
+		mags: make([]float64, nAggs),
 		mins: make([]float64, nAggs),
 		maxs: make([]float64, nAggs)}
 	for i := range g.mins {
@@ -134,8 +139,11 @@ var (
 // randGroupTable builds a randomized grouping fixture. shape picks the
 // distribution: "skew" (zipf-ish hot keys, empty-string key present),
 // "one" (all rows one group), "distinct" (every row its own group, over
-// at least ten 128-row batches), "empty" (no rows).
+// at least ten 128-row batches), "empty" (no rows), "wide" (skewed typed
+// keys, but a string key of DefaultDenseGroupLimit+1 values, so its
+// dictionary is one entry too large for dense grouping).
 func randGroupTable(rng *rand.Rand, shape string) *data.Table {
+	const wide = DefaultDenseGroupLimit + 1
 	rows := 200 + rng.Intn(2800)
 	switch shape {
 	case "empty":
@@ -144,6 +152,8 @@ func randGroupTable(rng *rand.Rand, shape string) *data.Table {
 		rows = 1 + rng.Intn(400)
 	case "distinct":
 		rows = 1280 + rng.Intn(1720)
+	case "wide":
+		rows = 2*wide + rng.Intn(500)
 	}
 	sk := make([]string, rows)
 	fk := make([]float64, rows)
@@ -185,6 +195,14 @@ func randGroupTable(rng *rand.Rand, shape string) *data.Table {
 			}
 			ik[i] = propIntKeys[k%len(propIntKeys)]
 			bk[i] = k%2 == 1
+			if shape == "wide" {
+				// Every value once, then at random.
+				w := i
+				if i >= wide {
+					w = rng.Intn(wide)
+				}
+				sk[i] = fmt.Sprintf("w%d", w)
+			}
 		}
 		vs[i] = rng.NormFloat64() * 100
 		edge[i] = propEdgeValues[rng.Intn(len(propEdgeValues))]
@@ -198,20 +216,22 @@ func randGroupTable(rng *rand.Rand, shape string) *data.Table {
 // reference: group set, order, rendered keys, COUNT/MIN/MAX exactly; SUM
 // and AVG within relative tolerance when exact is false (multi-batch
 // folds use a different float addition tree than the reference's single
-// row-order pass; single-batch runs must match bit-for-bit).
+// row-order pass; single-batch runs must match bit-for-bit). The tolerance
+// is relative to the summed magnitudes, not to the sum: where values
+// cancel, another addition order legitimately leaves a different residue.
 func assertMatchesReference(t *testing.T, label string, got *data.Table, keys []string, aggs []AggSpec, ref []*refGroup, exact bool) {
 	t.Helper()
 	if got.NumRows() != len(ref) {
 		t.Fatalf("%s: %d groups, want %d", label, got.NumRows(), len(ref))
 	}
-	close := func(a, b float64) bool {
+	close := func(a, b, mag float64) bool {
 		if a == b || (math.IsNaN(a) && math.IsNaN(b)) {
 			return true
 		}
 		if exact {
 			return false
 		}
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+		return math.Abs(a-b) <= 1e-9*max(math.Abs(a), math.Abs(b), mag)
 	}
 	for r, g := range ref {
 		for i, k := range keys {
@@ -222,6 +242,7 @@ func assertMatchesReference(t *testing.T, label string, got *data.Table, keys []
 		}
 		for gi, spec := range aggs {
 			var want float64
+			mag := g.mags[gi]
 			switch spec.Fn {
 			case AggCount:
 				want = g.count
@@ -229,7 +250,7 @@ func assertMatchesReference(t *testing.T, label string, got *data.Table, keys []
 				want = g.sums[gi]
 			case AggAvg:
 				if g.count > 0 {
-					want = g.sums[gi] / g.count
+					want, mag = g.sums[gi]/g.count, mag/g.count
 				}
 			case AggMin:
 				want = g.mins[gi]
@@ -240,7 +261,7 @@ func assertMatchesReference(t *testing.T, label string, got *data.Table, keys []
 			// SUM/AVG may legitimately differ in the last bits across
 			// addition trees when multi-batch (exact=false); COUNT/MIN/MAX
 			// are exact regardless of batching.
-			ok := close(gotV, want)
+			ok := close(gotV, want, mag)
 			if spec.Fn != AggSum && spec.Fn != AggAvg {
 				ok = gotV == want || (math.IsNaN(gotV) && math.IsNaN(want))
 			}
@@ -252,23 +273,31 @@ func assertMatchesReference(t *testing.T, label string, got *data.Table, keys []
 }
 
 // TestGroupAggregatePropertyVsReference drives randomized tables —
-// skewed, one-group, all-distinct and empty shapes, with NaN (two
-// payloads), −0 and +0, int64 extremes, bool keys, empty strings and
-// magnitude-edge values — through the grouped operator in every
-// configuration (single batch, multi-batch, dict-encoded, hash-forced,
-// parallel) and checks each against the naive reference, plus
-// byte-identity between the configurations themselves. Every typed key
-// index is covered: single int64, float64, bool and string keys, and key
-// tuples.
+// skewed, one-group, all-distinct, empty and too-wide-for-dense shapes,
+// with NaN (two payloads), −0 and +0, int64 extremes, bool keys, empty
+// strings and magnitude-edge values — through the aggregation operator in
+// every configuration (single batch, multi-batch, dict-encoded, parallel)
+// and checks each against the naive reference, plus byte-identity between
+// the configurations themselves. Every typed key index is covered: single
+// int64, float64, bool and string keys, key tuples, hash grouping over a
+// dictionary column (the wide shape) — and no keys at all, the global
+// aggregate.
 func TestGroupAggregatePropertyVsReference(t *testing.T) {
-	shapes := []string{"skew", "skew", "skew", "one", "distinct", "empty", "distinct"}
-	keySets := [][]string{{"sk"}, {"ik"}, {"fk"}, {"bk"}, {"sk", "ik"}, {"bk", "fk"}, {"sk", "fk", "ik"}}
+	shapes := []string{"skew", "skew", "skew", "one", "distinct", "empty", "distinct", "wide"}
+	keySets := [][]string{nil, {"sk"}, {"ik"}, {"fk"}, {"bk"}, {"sk", "ik"}, {"bk", "fk"}, {"sk", "fk", "ik"}}
 	for seed := int64(1); seed <= int64(len(shapes)); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		shape := shapes[int(seed-1)%len(shapes)]
 		tb := randGroupTable(rng, shape)
+		enc := data.SinglePartition(data.DictEncodeTable(tb))
+		if _, dense := denseKey([]*data.Column{enc.Parts[0].Table.Col("sk")}); dense == (shape == "wide") {
+			t.Fatalf("seed=%d shape=%s: dense grouping on sk = %v", seed, shape, dense)
+		}
 		for _, keys := range keySets {
 			ref := refGroupAggregate(tb, keys, propAggs)
+			if len(keys) == 0 {
+				ref = []*refGroup{refAggregate(tb, propAggs)}
+			}
 			label := fmt.Sprintf("seed=%d shape=%s keys=%v", seed, shape, keys)
 
 			// Single batch: the operator's per-group accumulation order is
@@ -286,33 +315,23 @@ func TestGroupAggregatePropertyVsReference(t *testing.T) {
 			// Multi-batch serial: same groups/order, SUM/AVG within
 			// tolerance of the reference (different addition tree), and the
 			// baseline every other configuration must reproduce exactly.
-			mk := func(src *data.PartitionedTable, dense int) func() Operator {
-				return func() Operator {
-					return &GroupAggregate{Child: NewScan(src, "", nil, 128),
-						Keys: keys, Aggs: propAggs, DenseLimit: dense}
-				}
+			mk := func(src *data.PartitionedTable) Operator {
+				return &GroupAggregate{Child: NewScan(src, "", nil, 128), Keys: keys, Aggs: propAggs}
 			}
-			serial, err := Drain(mk(one, 0)())
+			serial, err := Drain(mk(one))
 			if err != nil {
 				t.Fatalf("%s serial: %v", label, err)
 			}
 			assertMatchesReference(t, label+" serial", serial, keys, propAggs, ref, false)
 
-			enc := data.SinglePartition(data.DictEncodeTable(tb))
-			for name, cfg := range map[string]func() Operator{
-				"dict":      mk(enc, 0),
-				"hash":      mk(one, -1),
-				"dict-hash": mk(enc, -1),
-			} {
-				got, err := Drain(cfg())
-				if err != nil {
-					t.Fatalf("%s %s: %v", label, name, err)
-				}
-				assertTablesEqual(t, serial, got)
+			got, err := Drain(mk(enc))
+			if err != nil {
+				t.Fatalf("%s dict: %v", label, err)
 			}
+			assertTablesEqual(t, serial, got)
 			for _, dop := range []int{2, 4} {
 				for name, src := range map[string]*data.PartitionedTable{"raw": one, "dict": enc} {
-					got, err := Drain(mustParallelize(t, mk(src, 0)(), dop, 128))
+					got, err := Drain(mustParallelize(t, mk(src), dop, 128))
 					if err != nil {
 						t.Fatalf("%s %s dop=%d: %v", label, name, dop, err)
 					}
@@ -360,7 +379,7 @@ func TestGroupAggregateEmptyViews(t *testing.T) {
 				t.Fatalf("%s grouped dop=%d: %d groups over empty input", name, dop, grouped.NumRows())
 			}
 			global, err := Drain(mustParallelize(t,
-				&Aggregate{Child: src(), Aggs: aggs}, dop, 2))
+				&GroupAggregate{Child: src(), Aggs: aggs}, dop, 2))
 			if err != nil {
 				t.Fatalf("%s global dop=%d: %v", name, dop, err)
 			}
@@ -395,22 +414,31 @@ func TestGroupAggregateEmptyTyped(t *testing.T) {
 	}
 	wantTypes := map[string]data.Type{
 		"g": data.String, "k": data.Int64, "n": data.Float64, "m": data.Float64}
-	for _, dop := range []int{1, 2} { // dop 2 exercises the partial/merge path
-		out, err := Drain(mustParallelize(t,
-			&GroupAggregate{Child: src(), Keys: []string{"g", "k"}, Aggs: aggs}, dop, 1))
-		if err != nil {
-			t.Fatalf("dop=%d: %v", dop, err)
-		}
-		if out.NumRows() != 0 {
-			t.Fatalf("dop=%d: %d groups over empty input", dop, out.NumRows())
-		}
-		for col, want := range wantTypes {
-			c := out.Col(col)
-			if c == nil {
-				t.Fatalf("dop=%d: empty grouped result lacks column %q:\n%s", dop, col, out)
+	grouped := func() Operator {
+		return &GroupAggregate{Child: src(), Keys: []string{"g", "k"}, Aggs: aggs}
+	}
+	// A HAVING over the zero-group result skips its empty batch and
+	// returns nothing: Drain's typed fallback must still apply.
+	having := func() Operator {
+		return &Filter{Child: grouped(), Pred: NewBinOp(OpGt, Col("n"), Num(0))}
+	}
+	for name, mk := range map[string]func() Operator{"grouped": grouped, "having": having} {
+		for _, dop := range []int{1, 2} { // dop 2 exercises the partial/merge path
+			out, err := Drain(mustParallelize(t, mk(), dop, 1))
+			if err != nil {
+				t.Fatalf("%s dop=%d: %v", name, dop, err)
 			}
-			if c.Type != want {
-				t.Fatalf("dop=%d: %s type = %v, want %v", dop, col, c.Type, want)
+			if out.NumRows() != 0 {
+				t.Fatalf("%s dop=%d: %d groups over empty input", name, dop, out.NumRows())
+			}
+			for col, want := range wantTypes {
+				c := out.Col(col)
+				if c == nil {
+					t.Fatalf("%s dop=%d: empty result lacks column %q:\n%s", name, dop, col, out)
+				}
+				if c.Type != want {
+					t.Fatalf("%s dop=%d: %s type = %v, want %v", name, dop, col, c.Type, want)
+				}
 			}
 		}
 	}
@@ -453,9 +481,9 @@ func TestJoinEmptyBuildTyped(t *testing.T) {
 }
 
 // TestGroupAggregateDenseMatchesHash pins the dense code-indexed path
-// against hash grouping on a dictionary whose cardinality straddles the
-// limit, including a dictionary switch mid-stream (two tables sharing no
-// dictionary appended into one scan source).
+// against hash grouping of the same values as raw strings, including a
+// dictionary switch mid-stream (two tables sharing no dictionary appended
+// into one scan source).
 func TestGroupAggregateDenseMatchesHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	mkTable := func(prefix string, rows int) *data.Table {
@@ -465,54 +493,49 @@ func TestGroupAggregateDenseMatchesHash(t *testing.T) {
 			g[i] = fmt.Sprintf("%s%d", prefix, rng.Intn(40))
 			v[i] = rng.NormFloat64()
 		}
-		return data.DictEncodeTable(data.MustNewTable("t",
-			data.NewString("g", g), data.NewFloat("v", v)))
+		return data.MustNewTable("t", data.NewString("g", g), data.NewFloat("v", v))
 	}
 	a, b := mkTable("a", 900), mkTable("b", 700)
-	// Two partitions with different dictionaries: the dense array must
-	// reinitialize on the switch, and the merge must group by value.
-	pt := data.SinglePartition(a)
-	pt.Parts = append(pt.Parts, data.SinglePartition(b).Parts...)
-	aggs := []AggSpec{{Fn: AggCount, As: "n"}, {Fn: AggSum, Col: "v", As: "s"}}
-	mk := func(dense int) Operator {
-		return &GroupAggregate{Child: NewScan(pt, "", nil, 128),
-			Keys: []string{"g"}, Aggs: aggs, DenseLimit: dense}
+	// Two partitions: encoded, with different dictionaries, the dense array
+	// must reinitialize on the switch and the merge must group by value.
+	source := func(enc func(*data.Table) *data.Table) *data.PartitionedTable {
+		pt := data.SinglePartition(enc(a))
+		pt.Parts = append(pt.Parts, data.SinglePartition(enc(b)).Parts...)
+		return pt
 	}
-	hash, err := Drain(mk(-1))
+	raw := source(func(t *data.Table) *data.Table { return t })
+	dict := source(data.DictEncodeTable)
+	aggs := []AggSpec{{Fn: AggCount, As: "n"}, {Fn: AggSum, Col: "v", As: "s"}}
+	mk := func(pt *data.PartitionedTable) Operator {
+		return &GroupAggregate{Child: NewScan(pt, "", nil, 128), Keys: []string{"g"}, Aggs: aggs}
+	}
+	hash, err := Drain(mk(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, limit := range []int{0, 40, 39} { // 39 < card: hash fallback for these dicts
-		dense, err := Drain(mk(limit))
-		if err != nil {
-			t.Fatalf("limit=%d: %v", limit, err)
-		}
-		assertTablesEqual(t, hash, dense)
-	}
-	for _, dop := range []int{2, 4} {
-		par, err := Drain(mustParallelize(t, mk(0), dop, 128))
+	for _, dop := range []int{1, 2, 4} {
+		dense, err := Drain(mustParallelize(t, mk(dict), dop, 128))
 		if err != nil {
 			t.Fatalf("dop=%d: %v", dop, err)
 		}
-		assertTablesEqual(t, hash, par)
+		assertTablesEqual(t, hash, dense)
 	}
 }
 
-// TestGroupAggregateErrors covers the operator's error paths: no keys,
-// missing key column, missing aggregate column.
+// TestGroupAggregateErrors covers the operator's error paths: missing key
+// column, and a missing aggregate column with and without keys.
 func TestGroupAggregateErrors(t *testing.T) {
 	pt := data.SinglePartition(data.MustNewTable("t",
 		data.NewString("g", []string{"a"}), data.NewFloat("v", []float64{1})))
-	if err := (&GroupAggregate{Child: NewScan(pt, "", nil, 8)}).Open(nil); err == nil {
-		t.Fatal("expected error for GroupAggregate without keys")
-	}
 	if _, err := Drain(&GroupAggregate{Child: NewScan(pt, "", nil, 8),
 		Keys: []string{"nope"}, Aggs: []AggSpec{{Fn: AggCount, As: "n"}}}); err == nil {
 		t.Fatal("expected error for missing key column")
 	}
-	if _, err := Drain(&GroupAggregate{Child: NewScan(pt, "", nil, 8),
-		Keys: []string{"g"}, Aggs: []AggSpec{{Fn: AggSum, Col: "nope", As: "s"}}}); err == nil {
-		t.Fatal("expected error for missing aggregate column")
+	for _, keys := range [][]string{{"g"}, nil} {
+		if _, err := Drain(&GroupAggregate{Child: NewScan(pt, "", nil, 8),
+			Keys: keys, Aggs: []AggSpec{{Fn: AggSum, Col: "nope", As: "s"}}}); err == nil {
+			t.Fatalf("keys=%v: expected error for missing aggregate column", keys)
+		}
 	}
 }
 
@@ -548,7 +571,7 @@ func TestAggregateMinMaxFoldIdentity(t *testing.T) {
 			check(fmt.Sprintf("dop=%d grouped %s", dop, g), grouped, r, want[g])
 		}
 		for g, w := range want {
-			global, err := Drain(mustParallelize(t, &Aggregate{
+			global, err := Drain(mustParallelize(t, &GroupAggregate{
 				Child: &Filter{Child: scan(), Pred: NewBinOp(OpEq, Col("g"), Str(g))}, Aggs: aggs}, dop, 2))
 			if err != nil {
 				t.Fatal(err)

@@ -233,7 +233,7 @@ func TestHashJoinBadKeys(t *testing.T) {
 }
 
 func TestAggregateOp(t *testing.T) {
-	a := &Aggregate{
+	a := &GroupAggregate{
 		Child: scanFixture(2),
 		Aggs: []AggSpec{
 			{Fn: AggCount, As: "n"},
@@ -249,6 +249,9 @@ func TestAggregateOp(t *testing.T) {
 	}
 	if out.NumRows() != 1 {
 		t.Fatalf("agg rows = %d", out.NumRows())
+	}
+	if got := a.Stats().Name; got != "Aggregate" {
+		t.Fatalf("zero-key stats name %q, want Aggregate", got)
 	}
 	if out.Col("n").F64[0] != 5 || out.Col("sum_v").F64[0] != 150 ||
 		out.Col("avg_v").F64[0] != 30 || out.Col("min_v").F64[0] != 10 ||

@@ -21,9 +21,9 @@ import (
 // plans produce byte-identical output to serial ones and the operators
 // above the Exchange stay oblivious — at any DOP and any concurrency level.
 // A pipeline breaker above an exchange folds the partials its partial step
-// (PartialAggregate, PartialGroupAggregate, PartialSort) computed in the
-// workers, in that same order, exactly as it folds the partials it computes
-// inline from serial input batches.
+// (PartialGroupAggregate, PartialSort) computed in the workers, in that
+// same order, exactly as it folds the partials it computes inline from
+// serial input batches.
 
 // Morsel is one batch of parallel work: a row range of one partition, and
 // one result slot of the exchange.
@@ -625,12 +625,12 @@ func chainify(op Operator, c rwConf) error {
 // to split (more rows than one morsel) is wrapped in an Exchange. The
 // pipeline breakers scale too: hash joins move into the segment and probe
 // inside the exchange workers against one shared build, and the partial
-// step of the global aggregate, the grouped aggregate and the sort moves
-// below an exchange (PartialAggregate, PartialGroupAggregate, PartialSort)
-// while the breaker itself stays above it, folding the partials in morsel
-// order. Materializations and unions stay serial but pull from parallel
-// children. The scheduler, context and budget come from the environment
-// the plan is opened with. dop <= 1 returns the plan unchanged.
+// step of the aggregation (global or grouped) and of the sort moves below
+// an exchange (PartialGroupAggregate, PartialSort) while the breaker itself
+// stays above it, folding the partials in morsel order. Materializations
+// and unions stay serial but pull from parallel children. The scheduler,
+// context and budget come from the environment the plan is opened with.
+// dop <= 1 returns the plan unchanged.
 func Parallelize(root Operator, dop, morselSize int) (Operator, error) {
 	if dop <= 1 {
 		return root, nil
@@ -696,12 +696,11 @@ func rewrite(op Operator, c rwConf) (Operator, error) {
 			return nil, err
 		}
 		o.Right, err = rewrite(o.Right, c)
-	case *Aggregate:
-		o.exchanged, err = splitBreaker(&o.Child, &PartialAggregate{Child: o.Child, Aggs: o.Aggs}, c)
 	case *GroupAggregate:
-		// Per-worker grouped accumulators (dense arrays or hash tables).
+		// Per-worker grouped accumulators (dense arrays or hash tables;
+		// one identity group without keys).
 		o.exchanged, err = splitBreaker(&o.Child, &PartialGroupAggregate{
-			Child: o.Child, Keys: o.Keys, Aggs: o.Aggs, DenseLimit: o.DenseLimit,
+			Child: o.Child, Keys: o.Keys, Aggs: o.Aggs,
 		}, c)
 	case *Sort:
 		// Per-worker sorted runs, one per morsel, cut to the Offset+Limit
@@ -709,10 +708,6 @@ func rewrite(op Operator, c rwConf) (Operator, error) {
 		o.exchanged, err = splitBreaker(&o.Child, &PartialSort{
 			Child: o.Child, Keys: o.Keys, Limit: fetchRows(o.Limit, o.Offset),
 		}, c)
-	case *HavingFilter:
-		// HAVING stays above the grouped-aggregation breaker; only its
-		// input parallelizes.
-		o.Child, err = rewrite(o.Child, c)
 	case *Limit:
 		// LIMIT consumes the morsel-ordered batch stream serially; the
 		// cutoff is deterministic because that stream equals the serial

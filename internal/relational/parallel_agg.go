@@ -12,15 +12,13 @@ import (
 // and spilled — keeps its state in one struct-of-arrays accumulator,
 // aggState: COUNT plus per-aggregate SUM/MIN/MAX float64 slices indexed by
 // group id, AVG carried decomposed as SUM+COUNT and divided only when the
-// result is rendered. The global Aggregate is its one-group case: it starts
-// from the identity slot and folds one batch partial per input batch in
-// stream order. Serially the Aggregate computes each partial inline from
-// its input batch; under Parallelize the PartialAggregate workers of an
-// exchange compute them and emit each as a one-row table whose state
-// columns are the accumulator's slices, which the Aggregate above folds
-// back in morsel order. As long as batch boundaries match morsel
-// boundaries (both are the profile batch size) both fold the same partials
-// in the same order, so the result is bit-identical at any DOP.
+// result is rendered. The global aggregate is its one-group case (a
+// GroupAggregate without keys, group_agg.go): it starts from the identity
+// slot and folds one batch partial per input batch in stream order,
+// computed inline from each batch serially or by the exchange workers
+// under Parallelize. As long as batch boundaries match morsel boundaries
+// (both are the profile batch size) both fold the same partials in the
+// same order, so the result is bit-identical at any DOP.
 
 // aggState is the struct-of-arrays accumulator: group g's COUNT is
 // count[g], and aggregate i's SUM, MIN and MAX are sum[i][g], min[i][g]
@@ -232,64 +230,16 @@ func stateOf(b *data.Table, nAggs int) (aggState, error) {
 	return s, nil
 }
 
-// PartialAggregate is the partial step of the global aggregation moved
-// below an exchange: each worker turns every input batch into one encoded
-// accumulator row, and the exchange re-emits those rows in morsel order
-// for the Aggregate above to fold.
-type PartialAggregate struct {
-	Child Operator
-	Aggs  []AggSpec
-
-	stats   OpStats
-	scratch groupScratch
-}
-
-// Columns returns the encoded accumulator column names.
-func (a *PartialAggregate) Columns() []string { return partialColumns(len(a.Aggs)) }
-
-// Open opens the child.
-func (a *PartialAggregate) Open(env *Env) error {
-	a.stats = OpStats{Name: "PartialAggregate"}
-	return a.Child.Open(env)
-}
-
-// Next folds the next child batch into a one-row partial.
-func (a *PartialAggregate) Next() (*data.Table, error) {
-	defer startTimer(&a.stats)()
-	b, err := a.Child.Next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	out, err := a.scratch.partial(b, nil, a.Aggs, -1)
-	if err != nil {
-		return nil, err
-	}
-	a.stats.Rows++
-	a.stats.Batches++
-	return out, nil
-}
-
-// Close closes the child.
-func (a *PartialAggregate) Close() error { return a.Child.Close() }
-
-// Stats returns the operator statistics.
-func (a *PartialAggregate) Stats() *OpStats { return &a.stats }
-
-// Children returns the single child.
-func (a *PartialAggregate) Children() []Operator { return []Operator{a.Child} }
-
-// CloneWorker implements ParallelOp: clones share the (immutable) specs.
-func (a *PartialAggregate) CloneWorker(child Operator) (Operator, error) {
-	return &PartialAggregate{Child: child, Aggs: a.Aggs}, nil
-}
-
-// AbsorbWorker merges a worker clone's statistics.
-func (a *PartialAggregate) AbsorbWorker(clone Operator) { a.stats.Absorb(clone.Stats()) }
-
-// MergeAggregate exists only so that callers written against the former
-// separate merge breaker — the type switch of the frozen bench/e2e/trace.go
-// — still compile: Parallelize now leaves an Aggregate over the exchange of
-// PartialAggregates, and nothing builds this type. It is a distinct type
-// rather than an alias because an alias would repeat the Aggregate case in
-// such a switch, which does not compile.
-type MergeAggregate struct{ Aggregate }
+// Aggregate, PartialAggregate and MergeAggregate exist only so that callers
+// written against the former separate global-aggregation operators — the
+// type switch of the frozen bench/e2e/trace.go — still compile: the global
+// aggregate is now the zero-key GroupAggregate (over an exchange of
+// zero-key PartialGroupAggregates under Parallelize), and nothing builds
+// these types. Each is a distinct type rather than an alias because an
+// alias would repeat the GroupAggregate case in such a switch, which does
+// not compile.
+type (
+	Aggregate        struct{ GroupAggregate }
+	PartialAggregate struct{ PartialGroupAggregate }
+	MergeAggregate   struct{ GroupAggregate }
+)

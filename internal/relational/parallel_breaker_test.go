@@ -209,35 +209,41 @@ func TestParallelAggregatePlanShape(t *testing.T) {
 		{Fn: AggMax, Col: "v", As: "hi"},
 	}
 	mk := func() Operator {
-		return &Aggregate{Child: NewScan(pf, "", nil, 256), Aggs: aggs}
+		return &GroupAggregate{Child: NewScan(pf, "", nil, 256), Aggs: aggs}
 	}
 	serial, err := Drain(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
 	root := mustParallelize(t, mk(), 4, 256)
-	ma, ok := root.(*Aggregate)
+	ma, ok := root.(*GroupAggregate)
 	if !ok || !ma.exchanged {
-		t.Fatalf("expected an Aggregate over exchanged partials at the root, got %T", root)
+		t.Fatalf("expected a zero-key GroupAggregate over exchanged partials at the root, got %T", root)
 	}
 	ex, ok := ma.Child.(*Exchange)
 	if !ok {
-		t.Fatalf("expected Exchange under the Aggregate, got %T", ma.Child)
+		t.Fatalf("expected Exchange under the GroupAggregate, got %T", ma.Child)
 	}
-	if _, ok := ex.Template.(*PartialAggregate); !ok {
-		t.Fatalf("expected PartialAggregate exchange template, got %T", ex.Template)
+	if p, ok := ex.Template.(*PartialGroupAggregate); !ok || len(p.Keys) != 0 {
+		t.Fatalf("expected a zero-key PartialGroupAggregate exchange template, got %T", ex.Template)
 	}
 	got, err := Drain(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertTablesEqual(t, serial, got)
+	// The zero-key breaker keeps the global aggregate's statistics names.
+	for op, want := range map[Operator]string{ma: "Aggregate(merge)", ex.Template: "PartialAggregate"} {
+		if got := op.Stats().Name; got != want {
+			t.Fatalf("stats name %q, want %q", got, want)
+		}
+	}
 }
 
 func TestAggregateSmallInputStaysSerial(t *testing.T) {
 	tbl := data.MustNewTable("small", data.NewFloat("v", []float64{1, 2, 3}))
-	mkAgg := func() *Aggregate {
-		return &Aggregate{
+	mkAgg := func() *GroupAggregate {
+		return &GroupAggregate{
 			Child: NewScan(data.SinglePartition(tbl), "", nil, 1024),
 			Aggs:  []AggSpec{{Fn: AggAvg, Col: "v", As: "a"}},
 		}

@@ -40,10 +40,6 @@ func SchemaOf(op Operator) (data.Schema, bool) {
 			return nil, false
 		}
 		return joinSchema(o.Left, o.Right)
-	case *Aggregate:
-		return aggSchema(o.Aggs), true
-	case *PartialAggregate:
-		return floatSchema(o.Columns()), true
 	case *GroupAggregate:
 		return groupedSchema(o.Child, o.Keys, o.Aggs)
 	case *PartialGroupAggregate:
@@ -55,8 +51,6 @@ func SchemaOf(op Operator) (data.Schema, bool) {
 	case *Sort:
 		return SchemaOf(o.Child)
 	case *PartialSort:
-		return SchemaOf(o.Child)
-	case *HavingFilter:
 		return SchemaOf(o.Child)
 	case *Limit:
 		return SchemaOf(o.Child)
@@ -107,7 +101,7 @@ func joinSchema(probe, build Operator) (data.Schema, bool) {
 	return append(append(data.Schema{}, l...), r...), true
 }
 
-// aggSchema is the global-aggregate output: every column (COUNT included)
+// aggSchema is the aggregate outputs: every column (COUNT included)
 // finalizes as Float64.
 func aggSchema(aggs []AggSpec) data.Schema {
 	out := make(data.Schema, len(aggs))
@@ -126,8 +120,12 @@ func floatSchema(names []string) data.Schema {
 }
 
 // keySchema resolves the group-key columns against the child schema; key
-// columns keep their input type in the grouped output.
+// columns keep their input type in the grouped output. No keys (a global
+// aggregate) need no child schema.
 func keySchema(child Operator, keys []string) (data.Schema, bool) {
+	if len(keys) == 0 {
+		return data.Schema{}, true
+	}
 	cs, ok := SchemaOf(child)
 	if !ok {
 		return nil, false

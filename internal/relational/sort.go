@@ -294,71 +294,6 @@ func identityPerm(idx []int) bool {
 	return true
 }
 
-// HavingFilter keeps grouped-result rows satisfying Pred — the HAVING
-// clause. It reuses the vectorized expression kernels of Filter
-// (dictionary-aware string comparisons included) but is a distinct,
-// deliberately serial operator: it evaluates *above* the grouped
-// aggregation breaker (GroupAggregate), where group keys and aggregate
-// outputs exist.
-type HavingFilter struct {
-	Child Operator
-	Pred  Expr
-
-	stats OpStats
-}
-
-// Columns returns the child's columns.
-func (h *HavingFilter) Columns() []string { return h.Child.Columns() }
-
-// Open opens the child.
-func (h *HavingFilter) Open(env *Env) error {
-	h.stats = OpStats{Name: "Having(" + h.Pred.String() + ")"}
-	return h.Child.Open(env)
-}
-
-// Next filters the next non-empty grouped batch, with the same zero-copy
-// all-true pass-through and all-false skip as Filter. A zero-row child
-// batch (an empty grouped view) is skipped without evaluating row
-// kernels, so empty inputs can never panic the predicate.
-func (h *HavingFilter) Next() (*data.Table, error) {
-	defer startTimer(&h.stats)()
-	for {
-		b, err := h.Child.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		if b.NumRows() == 0 {
-			continue
-		}
-		c, err := h.Pred.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		if c.Type != data.Bool {
-			return nil, fmt.Errorf("relational: HAVING predicate %s is not boolean", h.Pred)
-		}
-		n := data.CountTrue(c.B)
-		h.stats.Batches++
-		if n == 0 {
-			continue
-		}
-		h.stats.Rows += int64(n)
-		if n == len(c.B) && b.NumRows() == n {
-			return b, nil
-		}
-		return b.FilterCount(c.B, n), nil
-	}
-}
-
-// Close closes the child.
-func (h *HavingFilter) Close() error { return h.Child.Close() }
-
-// Stats returns the operator statistics.
-func (h *HavingFilter) Stats() *OpStats { return &h.stats }
-
-// Children returns the single child.
-func (h *HavingFilter) Children() []Operator { return []Operator{h.Child} }
-
 // Limit emits at most N rows after skipping the first Offset rows, then
 // stops pulling from its child — the LIMIT/OFFSET clauses without an
 // ORDER BY. A negative N means no row cap (bare OFFSET). Because serial

@@ -199,7 +199,7 @@ func TestHavingFilterOverGroups(t *testing.T) {
 	pt := sortFixture(2000, true)
 	aggs := []AggSpec{{Fn: AggCount, As: "n"}, {Fn: AggAvg, Col: "v", As: "avg_v"}}
 	mk := func() Operator {
-		return &HavingFilter{
+		return &Filter{
 			Child: &GroupAggregate{Child: NewScan(pt, "", nil, 128), Keys: []string{"s"}, Aggs: aggs},
 			Pred:  NewBinOp(OpGt, Col("avg_v"), Num(2.4)),
 		}
@@ -232,7 +232,7 @@ func TestSortTopKOverGroups(t *testing.T) {
 	aggs := []AggSpec{{Fn: AggAvg, Col: "v", As: "avg_v"}}
 	mk := func() Operator {
 		return &Sort{
-			Child: &HavingFilter{
+			Child: &Filter{
 				Child: &GroupAggregate{Child: NewScan(pt, "", nil, 128), Keys: []string{"s"}, Aggs: aggs},
 				Pred:  NewBinOp(OpGt, Col("avg_v"), Num(1.0)),
 			},
@@ -265,7 +265,7 @@ func TestSortTopKOverGroups(t *testing.T) {
 }
 
 // TestSortEmptyAndZeroRowViews extends the PR 4 empty-view invariant to
-// the sort path: Sort, HavingFilter and Limit over an always-false
+// the sort path: Sort, a HAVING Filter and Limit over an always-false
 // filter (whose FilterCount all-false result is a zero-row *view* —
 // storage present, dictionaries shared) must not panic and must produce
 // the empty result; sortTable over such a view returns without building
@@ -283,7 +283,7 @@ func TestSortEmptyAndZeroRowViews(t *testing.T) {
 			return &Sort{Child: never(), Keys: []SortKey{{Col: "f", Desc: true}}, Limit: 3}
 		},
 		"having": func() Operator {
-			return &HavingFilter{
+			return &Filter{
 				Child: &GroupAggregate{Child: never(), Keys: []string{"s"},
 					Aggs: []AggSpec{{Fn: AggCount, As: "n"}}},
 				Pred: NewBinOp(OpGt, Col("n"), Num(0)),
