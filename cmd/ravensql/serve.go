@@ -122,9 +122,10 @@ func newServeMux(s *raven.Session, cfg serveConfig) *http.ServeMux {
 		}
 		w.Header().Set("Content-Type", "text/csv")
 		w.Header().Set("X-Raven-Wall", res.Wall.String())
-		if err := data.WriteCSV(res.Table, w); err != nil {
-			writeErrorEnvelope(w, http.StatusInternalServerError, "write_failed", err.Error())
-		}
+		// The first Write commits status 200 and WriteCSV fails only
+		// inside a Write, so a failed stream cannot become an error
+		// response: it stops, and the client sees a truncated body.
+		_ = data.WriteCSV(res.Table, w)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		hits, misses := s.PlanCacheStats()

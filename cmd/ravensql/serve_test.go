@@ -17,7 +17,7 @@ import (
 	"raven/internal/testfix"
 )
 
-func covidServer(t *testing.T, cfg serveConfig) *httptest.Server {
+func covidMux(t *testing.T, cfg serveConfig) *http.ServeMux {
 	t.Helper()
 	s := raven.NewSession()
 	pi, pt, bt := testfix.CovidTables()
@@ -27,7 +27,12 @@ func covidServer(t *testing.T, cfg serveConfig) *httptest.Server {
 	if err := s.RegisterModel(testfix.CovidPipeline()); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newServeMux(s, cfg))
+	return newServeMux(s, cfg)
+}
+
+func covidServer(t *testing.T, cfg serveConfig) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(covidMux(t, cfg))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -98,6 +103,38 @@ func TestServeQueryHappyPath(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "3") {
 		t.Fatalf("CSV body missing the expected row:\n%s", body)
+	}
+}
+
+// failingResponse is a ResponseWriter whose every Write fails, as when
+// the client has gone; it counts the calls made on it.
+type failingResponse struct {
+	header       http.Header
+	writes       int
+	writeHeaders int
+}
+
+func (f *failingResponse) Header() http.Header { return f.header }
+
+func (f *failingResponse) Write([]byte) (int, error) {
+	f.writes++
+	return 0, errors.New("connection reset")
+}
+
+func (f *failingResponse) WriteHeader(int) { f.writeHeaders++ }
+
+func TestServeQueryStopsOnWriteError(t *testing.T) {
+	mux := covidMux(t, serveConfig{})
+	req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(testfix.CovidQuery))
+	w := &failingResponse{header: http.Header{}}
+	mux.ServeHTTP(w, req)
+	// The failed Write is the last call: no error status or envelope is
+	// appended to a stream whose 200 is already committed.
+	if w.writes != 1 || w.writeHeaders != 0 {
+		t.Fatalf("after a failed Write: %d Writes, %d WriteHeaders; want 1 and 0", w.writes, w.writeHeaders)
+	}
+	if ct := w.header.Get("Content-Type"); ct != "text/csv" {
+		t.Fatalf("Content-Type = %q, want text/csv", ct)
 	}
 }
 

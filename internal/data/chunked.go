@@ -154,7 +154,7 @@ func (ct *ChunkedTable) Decode() (*Table, error) {
 		}
 	}
 	if out == nil {
-		return NewTable(ct.Name)
+		return emptyWithSchema(ct.Name, ct.schema), nil
 	}
 	return out, nil
 }

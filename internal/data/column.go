@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Type is the physical type of a column.
@@ -338,9 +339,9 @@ func (c *Column) AsFloat(i int) float64 {
 func (c *Column) AsString(i int) string {
 	switch c.Type {
 	case Float64:
-		return fmt.Sprintf("%g", c.F64[i])
+		return strconv.FormatFloat(c.F64[i], 'g', -1, 64)
 	case Int64:
-		return fmt.Sprintf("%d", c.I64[i])
+		return strconv.FormatInt(c.I64[i], 10)
 	case String:
 		if c.Dict != nil {
 			return c.Dict.vals[c.Codes[i]]

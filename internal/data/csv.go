@@ -7,6 +7,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ReadCSV loads a table from CSV with a header row. Column types are
@@ -286,28 +289,122 @@ func ReadCSVFile(path string) (*Table, error) {
 	return ReadCSV(base, f)
 }
 
-// WriteCSV writes the table as CSV with a header row.
+// csvFlushAt is the buffered size at which WriteCSV hands its bytes to
+// the writer, so memory stays bounded and a served result streams. A
+// buffer's capacity leaves csvFlushAt/8 more, so a row shorter than that
+// never regrows it.
+const csvFlushAt = 64 << 10
+
+// csvBufs recycles WriteCSV's buffers across calls, so a result costs no
+// allocation however many rows it has.
+var csvBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, csvFlushAt+csvFlushAt/8)
+	return &b
+}}
+
+// WriteCSV writes the table as CSV with a header row: the bytes
+// encoding/csv writes for AsString of every value (see "CSV output" in
+// the package comment), appended value by value into one reused buffer
+// without a string per value.
 func WriteCSV(t *Table, w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, t.NumCols())
+	bp := csvBufs.Get().(*[]byte)
+	buf, err := appendCSVTable((*bp)[:0], t, w)
+	if cap(buf) <= csvFlushAt+csvFlushAt/8 {
+		*bp = buf
+		csvBufs.Put(bp)
+	}
+	return err
+}
+
+// appendCSVTable writes t through buf, handing buf to w whenever it holds
+// csvFlushAt bytes and once at the end, and returns buf for reuse.
+func appendCSVTable(buf []byte, t *Table, w io.Writer) ([]byte, error) {
 	for j, c := range t.Cols {
-		header[j] = c.Name
+		if j > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendCSVField(buf, c.Name)
 	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
+	buf = append(buf, '\n')
 	n := t.NumRows()
-	rec := make([]string, t.NumCols())
 	for i := 0; i < n; i++ {
 		for j, c := range t.Cols {
-			rec[j] = c.AsString(i)
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = c.appendCSV(buf, i)
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
+		buf = append(buf, '\n')
+		if len(buf) >= csvFlushAt {
+			if _, err := w.Write(buf); err != nil {
+				return buf, err
+			}
+			buf = buf[:0]
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	_, err := w.Write(buf)
+	return buf, err
+}
+
+// appendCSV appends the CSV field of row i: AsString's text, quoted where
+// encoding/csv would quote it.
+func (c *Column) appendCSV(b []byte, i int) []byte {
+	switch c.Type {
+	case Float64:
+		return strconv.AppendFloat(b, c.F64[i], 'g', -1, 64)
+	case Int64:
+		return strconv.AppendInt(b, c.I64[i], 10)
+	case String:
+		if c.Dict != nil {
+			return appendCSVField(b, c.Dict.vals[c.Codes[i]])
+		}
+		return appendCSVField(b, c.Str[i])
+	case Bool:
+		if c.B[i] {
+			return append(b, "true"...)
+		}
+		return append(b, "false"...)
+	}
+	return b
+}
+
+// appendCSVField appends s as one CSV field, quoted exactly where
+// encoding/csv's Writer (comma ',', LF line ends) quotes it: never when
+// empty, always for `\.`, for any comma, quote, CR or LF, and when the
+// first rune is a Unicode space. A quoted field doubles its quotes.
+func appendCSVField(b []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		b = append(b, s[:i+1]...)
+		b = append(b, '"')
+		s = s[i+1:]
+	}
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }
 
 func inferType(v string) Type {

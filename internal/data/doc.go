@@ -69,6 +69,24 @@
 // frozen at end of file and patched into every chunk; empty numeric/bool
 // fields become nulls (decoded as zero values).
 //
+// # CSV output
+//
+// WriteCSV writes a header row of column names, then one row per table
+// row, fields separated by commas and lines ended by LF alone. An
+// integer is its decimal digits; a float is the shortest 'g' form that
+// parses back to the same bits (strconv.AppendFloat(b, v, 'g', -1, 64),
+// the bytes of fmt's "%g"), so 1e+21, 1e-07, -0, 5e-324, +Inf, -Inf and
+// NaN are spelled so; a bool is true or false. Strings (names, raw and
+// dictionary values) are copied verbatim and quoted exactly where
+// encoding/csv's Writer would quote them: never when empty, always when
+// the field is `\.`, when it holds a comma, quote, CR or LF, or when its
+// first rune is a Unicode space (U+00A0 and U+0085 included); a quoted
+// field doubles its quotes and keeps CR and LF as they are. The bytes
+// are appended into one buffer recycled across calls and handed to the
+// writer each time it holds 64 KiB and once at the end, so memory stays
+// bounded, a served result streams, and a write error ends the call with
+// that error.
+//
 // Decoding is exact: integers, bools, dict codes and float bit patterns
 // round-trip unchanged, which is what lets chunk-backed scans satisfy
 // the engine-wide byte-identity contract (see internal/relational).

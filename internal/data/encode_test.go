@@ -249,6 +249,9 @@ func TestReadCSVChunkedNulls(t *testing.T) {
 	if ct.NumChunks() != 0 || ct.NumRows() != 0 || len(ct.Schema()) != 2 {
 		t.Fatalf("headers-only: chunks=%d rows=%d schema=%d", ct.NumChunks(), ct.NumRows(), len(ct.Schema()))
 	}
+	if empty, err := ct.Decode(); err != nil || empty.NumCols() != 2 || empty.NumRows() != 0 {
+		t.Fatalf("headers-only Decode = %v, %v; want 2 columns × 0 rows", empty, err)
+	}
 }
 
 // itoa is a tiny strconv.Itoa stand-in keeping the fixture loop terse.
